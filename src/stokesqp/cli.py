@@ -339,60 +339,67 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_BAD_INPUT)
 
 
+#: every flag with its argparse settings; each subcommand takes a subset,
+#: and a flag left out keeps RunConfig's default
+_FLAGS = {
+    "--input": dict(type=Path, dest="input_dir",
+                    help="problem directory (A.mtx, C.mtx, b.txt[, d.txt])"),
+    "--output": dict(type=Path,
+                     help="directory for reports and fields (default: the "
+                          "input directory if given, else the working one)"),
+    "--n": dict(type=int, help="cells per side"),
+    "--n-list": dict(type=_parse_n_list,
+                     help="comma-separated grid sizes, e.g. 8,16,32"),
+    "--case": dict(dest="case_id", choices=("taylor_green", "polynomial")),
+    "--tol": dict(type=float),
+    "--method": dict(choices=tuple(_SOLVERS)),
+    "--seed": dict(type=int),
+    "--infsup": dict(action="store_true",
+                     help="also estimate the constraint inf-sup constant"),
+    "--corrupt": dict(action="store_true",
+                      help="perturb solver outputs; the suite must then fail"),
+    "--inject-exact": dict(action="store_true", help="bypass the solver and "
+                           "grade exact-field sampling"),
+}
+
+#: subcommand defaults that differ from RunConfig's
+_DEFAULTS = {"stokes": {"tol": 1e-12}}
+
+#: (help, flags read) per subcommand; any other flag is a usage error
+_SUBCOMMANDS = {
+    "qp-solve": ("solve a problem directory and write the solution",
+                 "--input --output --method --tol --infsup"),
+    "stokes": ("run both Stokes formulations and report their agreement",
+               "--n --case --tol --output"),
+    "converge": ("refinement study with observed convergence orders",
+                 "--n-list --case --tol --inject-exact --output"),
+    "infsup": ("inf-sup constants across grids or for a problem directory",
+               "--n-list --n --input --output"),
+    "verify": ("seeded randomized property suites",
+               "--seed --corrupt --output"),
+}
+
+
 def build_parser():
     parser = _Parser(
         prog="stokesqp",
         description="Constrained quadratic minimization and staggered-grid "
                     "Stokes studies with Lagrange-multiplier verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", type=Path, default=None,
-                       help="problem directory (A.mtx, C.mtx, b.txt[, d.txt])")
-        p.add_argument("--output", type=Path, default=None,
-                       help="directory for reports and fields (default: the "
-                            "input directory if given, else the working one)")
-        p.add_argument("--n", type=int, default=None, help="cells per side")
-        p.add_argument("--n-list", type=_parse_n_list, default=(),
-                       help="comma-separated grid sizes, e.g. 8,16,32")
-        p.add_argument("--case", default="taylor_green",
-                       choices=("taylor_green", "polynomial"))
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--method", default="direct",
-                       choices=tuple(_SOLVERS))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--infsup", action="store_true",
-                       help="also estimate the constraint inf-sup constant")
-        p.add_argument("--corrupt", action="store_true",
-                       help="perturb solver outputs; the suite must then fail")
-        p.add_argument("--inject-exact", action="store_true",
-                       help="bypass the solver and grade exact-field sampling")
-        return p
-
-    add("qp-solve", "solve a problem directory and write the solution")
-    add("stokes", "run both Stokes formulations and report their agreement")
-    add("converge", "refinement study with observed convergence orders")
-    add("infsup", "inf-sup constants across grids or for a problem directory")
-    add("verify", "seeded randomized property suites")
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text,
+                           argument_default=argparse.SUPPRESS)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(**_DEFAULTS.get(name, {}))
     return parser
 
 
-_DEFAULT_TOL = {"qp-solve": 1e-10, "stokes": 1e-12, "converge": 1e-10,
-                "infsup": 1e-10, "verify": 1e-10}
-
-
 def config_from_args(args):
-    tol = args.tol if args.tol is not None else _DEFAULT_TOL[args.command]
-    output = args.output
-    if output is None:
-        output = args.input if args.input is not None else Path(".")
-    return RunConfig(command=args.command, input_dir=args.input,
-                     output_dir=output, n=args.n, n_list=args.n_list,
-                     case_id=args.case, tol=tol, method=args.method,
-                     seed=args.seed, infsup=args.infsup, corrupt=args.corrupt,
-                     inject_exact=args.inject_exact,
-                     output_given=args.output is not None)
+    opts = dict(vars(args))          # the command and the flags it takes
+    output = opts.pop("output", None)
+    return RunConfig(output_dir=output or opts.get("input_dir") or Path("."),
+                     output_given=output is not None, **opts)
 
 
 _COMMANDS = {

@@ -268,10 +268,11 @@ def check_optimality(problem, x, tol=DEFAULT_TOL, kernel_projector=None):
     """Constrained-minimizer test: vanishing kernel-projected gradient plus
     feasibility.
 
-    With ``kernel_projector`` given (a callable projecting onto Ker C), the
-    projected gradient is evaluated matrix-free; otherwise an orthonormal
-    kernel basis is built.  Without constraints the test reduces to
-    ||A x - b|| <= tol.
+    Both norms are compared against ``tol * residual_scale(problem, x)``,
+    the scale of the residual contracts.  With ``kernel_projector`` given (a
+    callable projecting onto Ker C), the projected gradient is evaluated
+    matrix-free; otherwise an orthonormal kernel basis is built.  Without
+    constraints the test reduces to ||A x - b|| <= that bound.
     """
     x = as_vector(x, length=problem.n_primal, name="x")
     g = gradient(problem, x)
@@ -284,7 +285,8 @@ def check_optimality(problem, x, tol=DEFAULT_TOL, kernel_projector=None):
     else:
         z = orthonormal_nullspace_basis(problem.C)
         pg = float(np.linalg.norm(z.T @ g))
-    return OptimalityReport(pg, feas, pg <= tol and feas <= tol)
+    bound = tol * residual_scale(problem, x)
+    return OptimalityReport(pg, feas, pg <= bound and feas <= bound)
 
 
 def recover_multiplier(problem, x, tol=DEFAULT_TOL, kernel_projector=None):

@@ -23,7 +23,8 @@ DEFAULT_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative method failed to meet its tolerance within max_iter."""
+    """A solver failed to meet its tolerance: an iterative method ran out of
+    iterations, or a computed eigenpair failed its residual check."""
 
 
 class SingularSystemError(RuntimeError):
@@ -131,6 +132,23 @@ def _describe_singular_direction(op):
     return (f"eigenvalue {w[k]:.3e} with eigendirection dominated by {comps}")
 
 
+def factorized(op):
+    """Sparse LU of ``op``; returns a solve callable that accepts a vector or
+    a 2-D block of right-hand sides.
+
+    An exactly singular operator raises SingularSystemError with a
+    description of the deficient eigendirection.
+    """
+    if not isinstance(op, SparseOperator):
+        raise TypeError("op must be a SparseOperator")
+    try:
+        return spla.splu(csc_array(op.csr)).solve
+    except RuntimeError as exc:  # SuperLU reports exact singularity this way
+        raise SingularSystemError(
+            f"singular system: {exc}; {_describe_singular_direction(op)}"
+        ) from exc
+
+
 def symmetric_indefinite_solve(op, b):
     """Solve a symmetric (possibly indefinite) system by pivoted factorization.
 
@@ -140,21 +158,12 @@ def symmetric_indefinite_solve(op, b):
     falls short.  A singular system raises SingularSystemError with a
     description of the deficient eigendirection.
     """
-    if not isinstance(op, SparseOperator):
-        raise TypeError("op must be a SparseOperator")
-    if not op.symmetric:
+    if isinstance(op, SparseOperator) and not op.symmetric:
         raise ValueError("symmetric_indefinite_solve requires a symmetric operator")
+    solve = factorized(op)
     b = as_vector(b, length=op.nrows, name="b")
 
-    csc = csc_array(op.csr)
-    try:
-        lu = spla.splu(csc)
-    except RuntimeError as exc:  # SuperLU reports exact singularity this way
-        raise SingularSystemError(
-            f"singular system: {exc}; {_describe_singular_direction(op)}"
-        ) from exc
-
-    x = lu.solve(b)
+    x = solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(
             "non-finite solve result; " + _describe_singular_direction(op))
@@ -164,7 +173,7 @@ def symmetric_indefinite_solve(op, b):
     residual = np.linalg.norm(op.apply(x) - b)
     iterations = 1
     if residual > bound:
-        x = x + lu.solve(b - op.apply(x))
+        x = x + solve(b - op.apply(x))
         residual = np.linalg.norm(op.apply(x) - b)
         iterations = 2
         bound = 1e-10 * (op_norm * np.linalg.norm(x) + np.linalg.norm(b))
@@ -173,22 +182,6 @@ def symmetric_indefinite_solve(op, b):
                 f"backward error {residual:.3e} exceeds bound {bound:.3e}; "
                 + _describe_singular_direction(op))
     return x, SolverReport(iterations, float(residual), True)
-
-
-def factorized(op):
-    """Prefactorize ``op`` (sparse LU) and return a solve callable.
-
-    The callable accepts a vector or a 2-D block of right-hand sides.
-    """
-    if isinstance(op, SparseOperator):
-        csc = csc_array(op.csr)
-    else:
-        csc = csc_array(op)
-    try:
-        lu = spla.splu(csc)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"singular operator: {exc}") from exc
-    return lu.solve
 
 
 def assert_full_row_rank(C, rank_tol=RANK_TOL):
@@ -227,120 +220,61 @@ def orthonormal_nullspace_basis(C, rank_tol=RANK_TOL):
     return q[:, m:]
 
 
-def _to_dense_symmetric(op, name):
-    if isinstance(op, SparseOperator):
-        arr = op.toarray()
-    else:
-        arr = np.asarray(op, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square")
+def _to_dense_symmetric(op):
+    arr = op.toarray() if isinstance(op, SparseOperator) else np.asarray(op)
     return 0.5 * (arr + arr.T)
 
 
-def _project_columns(proj, x):
-    return np.stack([proj(np.ascontiguousarray(c)) for c in x.T], axis=1)
-
-
 def smallest_generalized_eigenpair(S, Mop, subspace_projector=None,
-                                   tol=1e-10, max_iter=None, block_size=8):
-    """Smallest eigenvalue of ``S q = lam * Mop q`` by blocked inverse
-    iteration (shift 0) with Rayleigh-Ritz extraction in the Mop inner
-    product.
-
-    A single iterated vector can lock onto the wrong member of a
-    near-degenerate bottom cluster while still showing a tiny eigenpair
-    residual; a block wide enough to bracket the cluster does not, because
-    its smallest Ritz value converges to the true minimum.
+                                   tol=1e-10):
+    """Smallest eigenpair of the symmetric-definite pencil ``S q = lam Mop q``
+    by one dense LAPACK solve (``scipy.linalg.eigh``, bottom pair only).
 
     Parameters
     ----------
     S : SparseOperator or ndarray
-        Symmetric positive semidefinite (positive definite on the admissible
-        subspace; an exactly singular S is handled by a tiny ridge in the
-        factorization only — the reported eigenvalue is the true Rayleigh
-        quotient).
+        Symmetric.
     Mop : SparseOperator or ndarray
-        Symmetric positive definite; defines the normalization
-        ``q @ Mop @ q == 1`` of the returned eigenvector.
+        Symmetric positive definite (ValueError otherwise); defines the
+        normalization ``q @ Mop @ q == 1`` of the returned eigenvector.
     subspace_projector : callable, optional
-        Orthogonal projector onto the admissible subspace (e.g. deflation of
-        a known kernel direction).  The pencil is restricted to its range.
+        Projector P onto the admissible subspace (e.g. deflation of a known
+        kernel direction), applied to one vector at a time.  The pencil is
+        restricted to range(P) by lifting the complement:
+        ``S_work = P.T S P + sigma (I - P).T Mop (I - P)``.  sigma is twice
+        the largest Rayleigh quotient of a column of P, so the complement's
+        eigenvalue sigma lies above the bottom of the restricted pencil.
+        Precondition: P is Mop-orthogonal (``Mop P == P.T Mop``); otherwise
+        the complement does not decouple and the restriction is not exact.
     tol : float
-        Residual target ``||S q - lam Mop q|| <= tol * ||q||``; the smallest
-        Ritz value must also have stabilized to the same relative tolerance.
+        Residual check after the solve:
+        ``||S_work q - lam Mop q|| <= tol * ||q||``, else ConvergenceError.
 
     Returns
     -------
     (lam, q) : (float, ndarray)
     """
-    s_d = _to_dense_symmetric(S, "S")
-    m_d = _to_dense_symmetric(Mop, "Mop")
-    n = s_d.shape[0]
-    if m_d.shape[0] != n:
-        raise ValueError("S and Mop must have matching shapes")
+    s_work = _to_dense_symmetric(S)
+    m_d = _to_dense_symmetric(Mop)
+    if subspace_projector is not None:
+        p_mat = np.stack([subspace_projector(c)
+                          for c in np.eye(len(s_work))], axis=1)
+        s_p = p_mat.T @ s_work @ p_mat
+        mp = m_d @ p_mat
+        m_p = np.einsum("ij,ij->j", p_mat, mp)    # diag of P.T Mop P
+        kept = m_p > 0.0
+        sigma = 2.0 * np.max(np.diag(s_p)[kept] / m_p[kept], initial=0.0)
+        # Mop (I - P) equals (I - P).T Mop (I - P) for Mop-orthogonal P
+        s_work = s_p + (sigma or 1.0) * (m_d - mp)
+        s_work = 0.5 * (s_work + s_work.T)
+
     try:
-        m_chol = sla.cholesky(m_d, lower=True)
+        evals, evecs = sla.eigh(s_work, m_d, subset_by_index=[0, 0])
     except np.linalg.LinAlgError as exc:
-        raise ValueError("Mop must be positive definite") from exc
-
-    if subspace_projector is None:
-        s_p = s_d
-        proj = lambda x: x
-    else:
-        p_mat = _project_columns(subspace_projector, np.eye(n))
-        s_p = p_mat @ s_d @ p_mat
-
-        def proj(x):
-            return p_mat @ x
-
-    # factorization operator: identity on the deflated directions keeps it
-    # regular; an escalating ridge covers exactly singular S (kernel cases)
-    shift = np.abs(np.diag(s_p)).max() or 1.0
-    s_work = s_p if subspace_projector is None \
-        else s_p + shift * (np.eye(n) - p_mat)
-    factor = None
-    ridge = 0.0
-    for attempt in range(4):
-        try:
-            factor = sla.cho_factor(s_work + ridge * np.eye(n))
-            break
-        except np.linalg.LinAlgError:
-            ridge = shift * 1e-12 if ridge == 0.0 else ridge * 1e4
-    if factor is None:
-        raise ValueError("S is far from positive semidefinite "
-                         "on the admissible subspace")
-
-    if max_iter is None:
-        max_iter = max(500, 10 * n)
-    width = min(block_size, n)
-
-    def m_orthonormalize(x):
-        # Mop-orthonormal columns via pivoted QR in the Cholesky-transformed
-        # metric; rank-revealing so that directions annihilated by the
-        # projector are dropped instead of being refilled with arbitrary
-        # (possibly deflated) completions
-        y = m_chol.T @ x
-        q_fac, r_fac, _ = sla.qr(y, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(r_fac))
-        if diag.size == 0 or diag[0] == 0.0:
-            raise ConvergenceError("projector annihilates the start block")
-        rank = int(np.sum(diag > 1e-12 * diag[0]))
-        return sla.solve_triangular(m_chol.T, q_fac[:, :rank])
-
-    rng = np.random.default_rng(1815)    # fixed: results must be reproducible
-    v = m_orthonormalize(proj(rng.standard_normal((n, width))))
-    prev = None
-    for _ in range(max_iter):
-        h = v.T @ (s_p @ v)
-        ritz, w = sla.eigh(0.5 * (h + h.T))
-        v = v @ w
-        lam = float(ritz[0])
-        q = v[:, 0]
-        residual = np.linalg.norm(s_p @ q - lam * (m_d @ q))
-        if (residual <= tol * np.linalg.norm(q) and prev is not None
-                and abs(lam - prev) <= tol * max(1.0, abs(lam))):
-            return lam, q
-        prev = lam
-        v = m_orthonormalize(proj(sla.cho_solve(factor, m_d @ v)))
-    raise ConvergenceError(
-        f"inverse iteration did not reach residual {tol:g} in {max_iter} sweeps")
+        raise ValueError(f"Mop must be positive definite: {exc}") from exc
+    lam, q = float(evals[0]), evecs[:, 0]
+    residual = np.linalg.norm(s_work @ q - lam * (m_d @ q))
+    if not residual <= tol * np.linalg.norm(q):
+        raise ConvergenceError(
+            f"eigenpair residual {residual:.3e} exceeds {tol:g} * ||q||")
+    return lam, q

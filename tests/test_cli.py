@@ -105,6 +105,22 @@ def test_usage_errors_map_to_bad_input_code(tmp_path):
     assert excinfo.value.code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("argv", [
+    ["qp-solve", "--input", ".", "--n", "8"],
+    ["stokes", "--n", "8", "--input", "/nonexistent"],
+    ["stokes", "--n", "8", "--method", "schur"],
+    ["converge", "--n-list", "4,8", "--seed", "1"],
+    ["infsup", "--n", "4", "--tol", "1e-8"],
+    ["verify", "--n", "64"],
+    ["verify", "--tol", "5"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_foreign_flag_rejected(argv):
+    # a flag the subcommand would ignore is a usage error, not a no-op
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv)
+    assert excinfo.value.code == EXIT_BAD_INPUT
+
+
 def test_invalid_grid_size_rejected(tmp_path):
     assert run(["stokes", "--n", "1",
                 "--output", str(tmp_path)]) == EXIT_BAD_INPUT
@@ -142,6 +158,17 @@ def test_stokes_report_polynomial_n16(tmp_path):
         assert block["residual_feasibility"] <= 1e-10
         for value in block["errors"].values():
             assert np.isfinite(value)
+
+
+@pytest.mark.parametrize("n", [24, 28])
+def test_stokes_certifies_at_problem_scale(tmp_path, n):
+    # the projected gradient here exceeds 1e-12 in absolute terms; the
+    # optimality certificate must judge it against the residual scale
+    code = run(["stokes", "--n", str(n), "--output", str(tmp_path)])
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "stokes_report.json").read_text())
+    assert report["discrepancy"]["velocity_relative"] <= 1e-8
+    assert report["discrepancy"]["pressure_relative"] <= 1e-8
 
 
 def test_stokes_zero_forcing_pair():

@@ -9,6 +9,7 @@ from stokesqp import (ConvergenceError, RankDeficiencyError,
                       orthonormal_nullspace_basis,
                       smallest_generalized_eigenpair,
                       symmetric_indefinite_solve)
+from stokesqp.solvers import factorized
 
 
 def _random_spd(rng, n, shift=1.0):
@@ -136,6 +137,12 @@ def test_indefinite_singular_system_is_diagnosed():
         symmetric_indefinite_solve(op, [1.0, 0.0])
     assert "eigendirection" in str(excinfo.value) or "singular" in str(
         excinfo.value)
+
+
+def test_factorized_singular_operator_names_eigendirection():
+    op = SparseOperator.from_dense([[1.0, 1.0], [1.0, 1.0]], symmetric=True)
+    with pytest.raises(SingularSystemError, match="eigendirection"):
+        factorized(op)
 
 
 def test_indefinite_requires_symmetric_flag():
@@ -270,3 +277,42 @@ def test_eigenpair_clustered_bottom_pair_resolved():
         SparseOperator.from_dense(s, symmetric=True),
         SparseOperator.identity(6))
     assert abs(lam - 0.309) <= 1e-9
+
+
+def _weighted_mean_removal(weights):
+    # projector onto {q : weights @ q == 0} along the constants; it is
+    # orthogonal in the metric diag(weights)
+    def project(v):
+        v = np.asarray(v, dtype=float)
+        return v - (weights @ v) / weights.sum()
+    return project
+
+
+def test_eigenpair_restriction_with_nonscalar_mass_matches_dense_basis():
+    rng = np.random.default_rng(311)
+    n = 9
+    weights = rng.uniform(0.5, 3.0, n)
+    g = rng.standard_normal((n, n))
+    s = g @ g.T
+    mop = SparseOperator.diagonal(weights)
+    lam, q = smallest_generalized_eigenpair(
+        SparseOperator.from_dense(s, symmetric=True), mop,
+        subspace_projector=_weighted_mean_removal(weights))
+
+    # oracle: the pencil on an explicit basis of {q : weights @ q == 0}
+    basis = sla.null_space(weights[None, :])
+    m = np.diag(weights)
+    evals, coords = sla.eigh(basis.T @ s @ basis, basis.T @ m @ basis)
+    oracle_q = basis @ coords[:, 0]
+    assert abs(lam - evals[0]) <= 1e-10 * max(1.0, abs(evals[0]))
+    assert abs(weights @ q) <= 1e-10
+    assert abs(q @ (m @ q) - 1.0) <= 1e-10
+    assert min(np.linalg.norm(q - oracle_q),
+               np.linalg.norm(q + oracle_q)) <= 1e-10
+
+
+def test_eigenpair_unreachable_tolerance_raises():
+    rng = np.random.default_rng(312)
+    s = _random_spd(rng, 6)
+    with pytest.raises(ConvergenceError):
+        smallest_generalized_eigenpair(s, np.eye(6), tol=1e-30)
