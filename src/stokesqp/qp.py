@@ -2,8 +2,8 @@
 
 The problem is  min (1/2) x.T A x - b.T x  subject to  C x = d,  with A
 symmetric positive definite and C of full row rank.  Three solve routes are
-provided (direct saddle factorization, null-space reduction, Schur-complement
-CG); all return the primal point together with the unique multiplier vector
+provided (direct saddle factorization, null-space reduction, and CG on the
+Schur complement with A factored once); all return the primal point together with the unique multiplier vector
 satisfying  A x - b = C.T lam.  The inf-sup constant governing multiplier
 uniqueness can be estimated from either of its two equivalent variational
 forms.
@@ -162,24 +162,9 @@ def _finish(problem, x, multiplier, method_tag, tol, inner_report=None):
                           method_tag, inner_report)
 
 
-def _diagnose_saddle_failure(problem):
-    """Name the failed hypothesis (A definiteness or C rank) on singularity."""
-    parts = []
-    n = problem.n_primal
-    if n <= 2000:
-        w = np.linalg.eigvalsh(problem.A.toarray())
-        if w[0] <= RANK_TOL * max(abs(w[-1]), 1.0):
-            parts.append(f"A is not positive definite "
-                         f"(smallest eigenvalue {w[0]:.3e})")
-    if problem.n_constraints:
-        sv = sla.svdvals(problem.C.toarray())
-        if sv[-1] < RANK_TOL * sv[0]:
-            parts.append(f"C is rank deficient "
-                         f"(singular values {sv[-1]:.3e} .. {sv[0]:.3e})")
-    if not parts:
-        parts.append("no failed hypothesis identified; system is numerically "
-                     "singular nonetheless")
-    return "; ".join(parts)
+#: with C of full row rank (checked by QpProblem), a singular saddle or
+#: reduced system means exactly this hypothesis failed
+_NOT_DEFINITE_ON_KERNEL = "A is not positive definite on Ker C"
 
 
 def solve_kkt_direct(problem, tol=DEFAULT_TOL):
@@ -191,8 +176,7 @@ def solve_kkt_direct(problem, tol=DEFAULT_TOL):
         sol, report = symmetric_indefinite_solve(kkt, rhs)
     except SingularSystemError as exc:
         raise SingularSystemError(
-            f"saddle system singular: {_diagnose_saddle_failure(problem)}"
-        ) from exc
+            f"saddle system singular: {_NOT_DEFINITE_ON_KERNEL}") from exc
     x = sol[:n]
     multiplier = -sol[n:n + m]
     return _finish(problem, x, multiplier, "direct", tol, report)
@@ -218,50 +202,47 @@ def solve_nullspace(problem, tol=DEFAULT_TOL):
     x0 = _min_norm_particular(problem)
     reduced = z.T @ (problem.A.csr @ z)
     rhs = z.T @ (problem.b - problem.A.apply(x0))
-    y = sla.cho_solve(sla.cho_factor(reduced), rhs)
+    try:
+        y = sla.cho_solve(sla.cho_factor(reduced), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(
+            f"reduced system singular: {_NOT_DEFINITE_ON_KERNEL}") from exc
     x = x0 + z @ y
     multiplier = recover_multiplier(problem, x, tol)
     return _finish(problem, x, multiplier, "nullspace", tol)
 
 
-def solve_schur(problem, tol=DEFAULT_TOL):
-    """Eliminate x and solve (C A^-1 C.T) lam_sym = C A^-1 b - d by CG.
+def schur_complement_solve(A, C, b, d, tol):
+    """Eliminate x from  A x - b = C.T lam,  C x = d  and solve for lam by CG.
 
-    Inner applications of A^-1 use CG as well, at a tolerance two orders
-    tighter than the outer one.  Inner and outer non-convergence are
-    reported separately.
+    A is factored once, so CG on  (C A^-1 C.T) lam = d - C A^-1 b  applies
+    the Schur complement with exact solves, and x = A^-1 (b + C.T lam).
+    C need not have full row rank: a consistent right-hand side keeps CG in
+    range(C), so the returned lam has no component in Ker C.T.  Returns
+    (x, lam, report) with ``report`` from the CG on the Schur complement.
     """
-    n, m = problem.n_primal, problem.n_constraints
-    inner_tol = max(1e-14, 0.01 * tol)
-
-    def a_inv(v, what):
-        sol, rep = conjugate_gradient(problem.A, v, tol=inner_tol)
-        if not rep.converged:
-            raise ConvergenceError(
-                f"inner CG on A failed while {what} "
-                f"(reason: {rep.breakdown_reason}, residual {rep.residual_norm:.3e})")
-        return sol
-
-    if m == 0:
-        x, rep = conjugate_gradient(problem.A, problem.b, tol=inner_tol)
-        if not rep.converged:
-            raise ConvergenceError("inner CG on A failed (no constraints)")
-        return _finish(problem, x, np.zeros(0), "schur", tol, rep)
-
-    ct = problem.C.csr.T
-    rhs = problem.C.csr @ a_inv(problem.b, "forming the reduced right-hand side") \
-        - problem.d
+    a_solve = factorized(A)
+    c = C.csr
+    ct = c.T
 
     def schur_apply(lam):
-        return problem.C.csr @ a_inv(ct @ lam, "applying the reduced operator")
+        return c @ a_solve(ct @ lam)
 
-    lam_sym, outer = conjugate_gradient(schur_apply, rhs, tol=tol)
-    if not outer.converged:
+    lam, report = conjugate_gradient(schur_apply, d - c @ a_solve(b), tol=tol)
+    if not report.converged:
         raise ConvergenceError(
-            f"outer CG on the reduced system failed "
-            f"(reason: {outer.breakdown_reason}, residual {outer.residual_norm:.3e})")
-    x = a_inv(problem.b - ct @ lam_sym, "recovering the primal point")
-    return _finish(problem, x, -lam_sym, "schur", tol, outer)
+            f"CG on the Schur complement failed "
+            f"(reason: {report.breakdown_reason}, "
+            f"residual {report.residual_norm:.3e})")
+    return a_solve(b + ct @ lam), lam, report
+
+
+def solve_schur(problem, tol=DEFAULT_TOL):
+    """Eliminate x and solve (C A^-1 C.T) lam = d - C A^-1 b by CG, with A
+    factored once (``schur_complement_solve``)."""
+    x, lam, report = schur_complement_solve(problem.A, problem.C, problem.b,
+                                            problem.d, tol)
+    return _finish(problem, x, lam, "schur", tol, report)
 
 
 def check_optimality(problem, x, tol=DEFAULT_TOL, kernel_projector=None):

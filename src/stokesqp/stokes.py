@@ -4,9 +4,11 @@ Velocity components live on interior cell faces, pressure at cell centers;
 homogeneous Dirichlet velocity on the whole boundary.  The discrete problem
 is exactly an equality-constrained quadratic minimization: the viscous
 energy is minimized over the kernel of the discrete divergence, and the
-pressure returned by the coupled saddle solve is the Lagrange multiplier of
-that constraint.  Both solution routes are provided so the identity can be
-checked numerically.
+pressure is the Lagrange multiplier of that constraint.  Two routes compute
+it, so the identity can be checked numerically: the coupled route
+eliminates the velocity and solves for the pressure by CG on the Schur
+complement B A^-1 B.T with A factored once; the minimization route runs
+projected CG over Ker B and recovers the pressure from the gradient.
 
 Scaling convention: operators are "integrated", i.e. A represents the
 bilinear form of the velocity gradients (stencil entries O(1)), B maps face
@@ -23,10 +25,10 @@ import numpy as np
 from scipy import sparse as _sp
 from scipy.sparse.linalg import splu
 
-from .qp import InfSupEstimate, QpProblem, SaddleSolution, recover_multiplier
+from .qp import (InfSupEstimate, QpProblem, SaddleSolution,
+                 recover_multiplier, schur_complement_solve)
 from .solvers import (DEFAULT_TOL, ConvergenceError, conjugate_gradient,
-                      factorized, smallest_generalized_eigenpair,
-                      symmetric_indefinite_solve)
+                      factorized, smallest_generalized_eigenpair)
 from .sparse import SparseOperator, as_vector
 
 
@@ -355,26 +357,19 @@ def _saddle_from_fields(ops, u, p, b, tol, tag, inner_report):
 
 
 def solve_stokes_coupled(grid, case, tol=DEFAULT_TOL):
-    """One symmetric direct solve of the velocity-pressure saddle system.
+    """Eliminate the velocity and solve for the pressure by CG on the Schur
+    complement B A^-1 B.T, with A factored once (``schur_complement_solve``).
 
-    The constraint operator B is rank deficient by exactly the constant
-    pressure mode, so the assembled system is bordered with one extra
-    row/column enforcing zero mean on the multiplier; the border unknown is
-    structurally zero.  Returns (VelocityField, PressureField,
-    SaddleSolution) with the pressure already zero-mean.
+    Inf-sup stability bounds the condition number of the complement on
+    zero-mean pressures by 1/beta^2, so the iteration count does not grow
+    with the mesh.  B is rank deficient by exactly the constant pressure
+    mode, which needs no border: the reduced right-hand side lies in
+    range(B) and CG stays there.  Returns (VelocityField, PressureField,
+    SaddleSolution) with the pressure zero-mean projected.
     """
     ops = assemble_operators(grid)
     b = sample_forcing(grid, case)
-    nu, npres = grid.n_velocity, grid.n_pressure
-    e = _sp.csr_matrix(_mean_weight(grid)).T
-    kkt = _sp.bmat([[ops.A.csr, ops.B.csr.T, None],
-                    [ops.B.csr, None, e],
-                    [None, e.T, None]], format="csr")
-    rhs = np.concatenate([b, np.zeros(npres + 1)])
-    sol, report = symmetric_indefinite_solve(
-        SparseOperator(kkt, symmetric=True), rhs)
-    u = sol[:nu]
-    p = -sol[nu:nu + npres]          # multiplier sign: A u - b = B.T p
+    u, p, report = schur_complement_solve(ops.A, ops.B, b, 0.0, tol)
     pressure = zero_mean_project(PressureField.from_flat(grid, p))
     saddle = _saddle_from_fields(ops, u, pressure.flat(), b, tol,
                                  "stokes_coupled", report)

@@ -10,7 +10,8 @@ import pytest
 
 from stokesqp import SparseOperator, build_grid
 from stokesqp.cli import (EXIT_BAD_INPUT, EXIT_OK, EXIT_PROPERTY_FAILURE,
-                          EXIT_STUDY_GATE, _stokes_pair, run)
+                          EXIT_SOLVER_FAILURE, EXIT_STUDY_GATE, _stokes_pair,
+                          run)
 from stokesqp.mmio import read_vector, write_matrix, write_vector
 from stokesqp.stokes import ManufacturedCase
 
@@ -69,6 +70,23 @@ def test_qp_solve_methods_agree(tmp_path):
         assert np.linalg.norm(xs[k] - xs[0]) <= 1e-7 * np.linalg.norm(xs[0])
         assert np.linalg.norm(lams[k] - lams[0]) <= \
             1e-7 * max(np.linalg.norm(lams[0]), 1.0)
+
+
+@pytest.mark.parametrize("method", ["direct", "nullspace", "schur"])
+def test_qp_solve_a_not_definite_on_kernel_is_solver_failure(tmp_path, capsys,
+                                                             method):
+    # A = diag(1, 1, 0) passes QpProblem's spot check, yet is singular on
+    # Ker C = span(e2, e3)
+    problem = tmp_path / "prob"
+    problem.mkdir()
+    write_matrix(problem / "A.mtx", SparseOperator.from_dense(
+        np.diag([1.0, 1.0, 0.0]), symmetric=True))
+    write_matrix(problem / "C.mtx", SparseOperator.from_dense([[1.0, 0.0, 0.0]]))
+    write_vector(problem / "b.txt", np.ones(3))
+    code = run(["qp-solve", "--input", str(problem), "--method", method])
+    assert code == EXIT_SOLVER_FAILURE
+    if method != "schur":
+        assert "not positive definite" in capsys.readouterr().err
 
 
 def test_qp_solve_missing_constraint_file(tmp_path):

@@ -191,9 +191,11 @@ def test_unconstrained_direct_reduces_to_linear_solve():
     a = g @ g.T + 6 * np.eye(6)
     b = rng.standard_normal(6)
     p = _unconstrained(a, b)
-    sol = solve_kkt_direct(p, 1e-10)
-    assert sol.multiplier.shape == (0,)
-    assert np.allclose(sol.x, np.linalg.solve(a, b), atol=1e-9)
+    for solve in ALL_SOLVERS:
+        sol = solve(p, 1e-10)
+        assert sol.multiplier.shape == (0,)
+        assert np.allclose(sol.x, np.linalg.solve(a, b), atol=1e-9)
+    assert solve_schur(p, 1e-10).inner_report.iterations == 0
 
 
 def test_cross_method_agreement_n30_m8():

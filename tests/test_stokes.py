@@ -6,6 +6,7 @@ import csv
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy import sparse as sp
 
 from stokesqp import (ManufacturedCase, PressureField, SparseOperator,
                       VelocityField, assemble_operators, build_grid,
@@ -13,7 +14,8 @@ from stokesqp import (ManufacturedCase, PressureField, SparseOperator,
                       estimate_infsup_stokes, manufactured_case,
                       sample_forcing, smallest_generalized_eigenpair,
                       solve_stokes_coupled, solve_stokes_minimization,
-                      write_fields_csv, zero_mean_project)
+                      symmetric_indefinite_solve, write_fields_csv,
+                      zero_mean_project)
 
 # frozen first-run baselines for the taylor_green coupled solve (regression
 # guards; the convergence study re-derives their h^2 trend independently)
@@ -336,6 +338,45 @@ def test_formulation_equivalence(case_id):
     q1 = zero_mean_project(p1).flat()
     q2 = zero_mean_project(p2).flat()
     assert np.linalg.norm(q1 - q2) <= 1e-8 * np.linalg.norm(q1)
+
+
+def _bordered_kkt_solve(grid, case):
+    """Oracle for the coupled route: one direct solve of the saddle system
+    bordered by the cell-volume vector e, [[A, B.T, 0], [B, 0, e],
+    [0, e.T, 0]], whose extra row pins the zero-mean pressure."""
+    ops = assemble_operators(grid)
+    b = sample_forcing(grid, case)
+    nu, npres = grid.n_velocity, grid.n_pressure
+    e = sp.csr_matrix(np.full((npres, 1), grid.h * grid.h))
+    kkt = sp.bmat([[ops.A.csr, ops.B.csr.T, None],
+                   [ops.B.csr, None, e],
+                   [None, e.T, None]], format="csr")
+    sol, _ = symmetric_indefinite_solve(SparseOperator(kkt, symmetric=True),
+                                        np.concatenate([b, np.zeros(npres + 1)]))
+    p = -sol[nu:nu + npres]          # multiplier sign: A u - b = B.T p
+    return sol[:nu], p - p.mean()
+
+
+@pytest.mark.parametrize("case_id", ["taylor_green", "polynomial"])
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_coupled_route_matches_bordered_kkt_oracle(n, case_id):
+    grid = build_grid(n)
+    case = manufactured_case(case_id)
+    velocity, pressure, _ = solve_stokes_coupled(grid, case, 1e-12)
+    u_ref, p_ref = _bordered_kkt_solve(grid, case)
+    u, p = velocity.flat(), pressure.flat()
+    assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+
+
+@pytest.mark.parametrize("case_id", ["taylor_green", "polynomial"])
+def test_coupled_iterations_do_not_grow_with_the_mesh(case_id):
+    # inf-sup stability bounds the Schur complement's condition number on
+    # zero-mean pressures by 1/beta^2 at every h
+    case = manufactured_case(case_id)
+    for n in (16, 32, 64):
+        _v, _p, saddle = solve_stokes_coupled(build_grid(n), case, 1e-12)
+        assert saddle.inner_report.iterations <= 20
 
 
 def test_returned_pressures_have_zero_mean():
