@@ -4,9 +4,11 @@ divergence-free constraint, by computing it twice.
 Route one solves the coupled velocity-pressure saddle system: it
 eliminates the velocity and solves for the pressure by conjugate gradients
 on the Schur complement B A^-1 B.T, with A factored once.  Route two never
-mentions pressure: it minimizes the viscous energy 0.5 u.T A u - f.T u over
-discretely divergence-free velocity fields and then recovers the multiplier
-of the constraint B u = 0.  Up to the constant mode (fixed by zero-mean
+mentions pressure while it solves: it minimizes the viscous energy
+0.5 u.T A u - f.T u over discretely divergence-free velocity fields by
+projected CG, and then recovers the multiplier of the constraint B u = 0
+as the least-squares solution of B.T p = A u - f, i.e. from the normal
+equations (B B.T) p = B (A u - f).  Up to the constant mode (fixed by zero-mean
 normalization), the two pressures are the same object.
 """
 
@@ -33,7 +35,8 @@ print(f"coupled solve        : stationarity residual "
 v2, p2, s2 = solve_stokes_minimization(grid, case, 1e-12)
 print(f"minimization solve   : stationarity residual "
       f"{s2.residual_stationarity:.2e}, feasibility "
-      f"{s2.residual_feasibility:.2e}")
+      f"{s2.residual_feasibility:.2e}, "
+      f"{s2.inner_report.iterations} projected CG iterations")
 
 ## The two routes agree to solver precision ##
 du = np.linalg.norm(v1.flat() - v2.flat()) / np.linalg.norm(v1.flat())

@@ -260,7 +260,7 @@ def cmd_infsup(config):
             mq = SparseOperator.identity(problem.n_constraints)
             dual = estimate_infsup(problem.C, problem.A, mq, "dual_form")
             primal = estimate_infsup(problem.C, problem.A, mq, "primal_form")
-        except (ConvergenceError, ValueError) as exc:
+        except (*_SOLVER_ERRORS, ValueError) as exc:
             _err(str(exc))
             return EXIT_SOLVER_FAILURE
         config.output_dir.mkdir(parents=True, exist_ok=True)

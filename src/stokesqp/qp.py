@@ -3,10 +3,11 @@
 The problem is  min (1/2) x.T A x - b.T x  subject to  C x = d,  with A
 symmetric positive definite and C of full row rank.  Three solve routes are
 provided (direct saddle factorization, null-space reduction, and CG on the
-Schur complement with A factored once); all return the primal point together with the unique multiplier vector
-satisfying  A x - b = C.T lam.  The inf-sup constant governing multiplier
-uniqueness can be estimated from either of its two equivalent variational
-forms.
+Schur complement with A factored once); all return the primal point
+together with the unique multiplier vector satisfying  A x - b = C.T lam,
+checked by one residual contract (``checked_solution``).  The inf-sup
+constant governing multiplier uniqueness can be estimated from either of
+its two equivalent variational forms.
 """
 
 import json
@@ -127,10 +128,13 @@ def objective(problem, x):
     return 0.5 * float(x @ problem.A.apply(x)) - float(problem.b @ x)
 
 
+def _scale(A, b, x):
+    return A.frobenius_norm() * np.linalg.norm(x) + np.linalg.norm(b)
+
+
 def residual_scale(problem, x):
     """Normalization ||A||_F ||x|| + ||b|| for residual contracts."""
-    return (problem.A.frobenius_norm() * np.linalg.norm(x)
-            + np.linalg.norm(problem.b))
+    return _scale(problem.A, problem.b, x)
 
 
 def assemble_kkt(problem):
@@ -148,12 +152,14 @@ def assemble_kkt(problem):
     return SparseOperator(block, symmetric=True)
 
 
-def _finish(problem, x, multiplier, method_tag, tol, inner_report=None):
-    """Assemble a SaddleSolution and enforce the residual contract."""
-    stat = np.linalg.norm(gradient(problem, x) - problem.C.csr.T @ multiplier)
-    feas = np.linalg.norm(problem.C.csr @ x - problem.d)
-    scale = residual_scale(problem, x)
-    bound = tol * scale
+def checked_solution(A, C, b, d, x, multiplier, method_tag, tol,
+                     inner_report=None):
+    """Assemble a SaddleSolution for  A x - b = C.T lam,  C x = d  and
+    enforce the residual contract: both residual norms at most
+    ``tol * residual_scale``, else ConvergenceError."""
+    stat = np.linalg.norm(A.apply(x) - b - C.csr.T @ multiplier)
+    feas = np.linalg.norm(C.csr @ x - d)
+    bound = tol * _scale(A, b, x)
     if stat > bound or feas > bound:
         raise ConvergenceError(
             f"{method_tag} solve violated the residual contract: "
@@ -179,7 +185,8 @@ def solve_kkt_direct(problem, tol=DEFAULT_TOL):
             f"saddle system singular: {_NOT_DEFINITE_ON_KERNEL}") from exc
     x = sol[:n]
     multiplier = -sol[n:n + m]
-    return _finish(problem, x, multiplier, "direct", tol, report)
+    return checked_solution(problem.A, problem.C, problem.b, problem.d, x,
+                            multiplier, "direct", tol, report)
 
 
 def _min_norm_particular(problem):
@@ -209,7 +216,8 @@ def solve_nullspace(problem, tol=DEFAULT_TOL):
             f"reduced system singular: {_NOT_DEFINITE_ON_KERNEL}") from exc
     x = x0 + z @ y
     multiplier = recover_multiplier(problem, x, tol)
-    return _finish(problem, x, multiplier, "nullspace", tol)
+    return checked_solution(problem.A, problem.C, problem.b, problem.d, x,
+                            multiplier, "nullspace", tol)
 
 
 def schur_complement_solve(A, C, b, d, tol):
@@ -240,28 +248,25 @@ def schur_complement_solve(A, C, b, d, tol):
 def solve_schur(problem, tol=DEFAULT_TOL):
     """Eliminate x and solve (C A^-1 C.T) lam = d - C A^-1 b by CG, with A
     factored once (``schur_complement_solve``)."""
-    x, lam, report = schur_complement_solve(problem.A, problem.C, problem.b,
-                                            problem.d, tol)
-    return _finish(problem, x, lam, "schur", tol, report)
+    operands = (problem.A, problem.C, problem.b, problem.d)
+    x, lam, report = schur_complement_solve(*operands, tol)
+    return checked_solution(*operands, x, lam, "schur", tol, report)
 
 
-def check_optimality(problem, x, tol=DEFAULT_TOL, kernel_projector=None):
+def check_optimality(problem, x, tol=DEFAULT_TOL):
     """Constrained-minimizer test: vanishing kernel-projected gradient plus
     feasibility.
 
     Both norms are compared against ``tol * residual_scale(problem, x)``,
-    the scale of the residual contracts.  With ``kernel_projector`` given (a
-    callable projecting onto Ker C), the projected gradient is evaluated
-    matrix-free; otherwise an orthonormal kernel basis is built.  Without
-    constraints the test reduces to ||A x - b|| <= that bound.
+    the scale of the residual contracts.  The projected gradient is taken
+    on an orthonormal kernel basis; without constraints the test reduces to
+    ||A x - b|| <= that bound.
     """
     x = as_vector(x, length=problem.n_primal, name="x")
     g = gradient(problem, x)
     m = problem.n_constraints
     feas = float(np.linalg.norm(problem.C.csr @ x - problem.d)) if m else 0.0
-    if kernel_projector is not None:
-        pg = float(np.linalg.norm(kernel_projector(g)))
-    elif m == 0:
+    if m == 0:
         pg = float(np.linalg.norm(g))
     else:
         z = orthonormal_nullspace_basis(problem.C)
@@ -270,18 +275,16 @@ def check_optimality(problem, x, tol=DEFAULT_TOL, kernel_projector=None):
     return OptimalityReport(pg, feas, pg <= bound and feas <= bound)
 
 
-def recover_multiplier(problem, x, tol=DEFAULT_TOL, kernel_projector=None):
+def recover_multiplier(problem, x, tol=DEFAULT_TOL):
     """The unique least-squares solution lam of C.T lam = A x - b.
 
-    Precondition: x passes check_optimality at ``tol`` (evaluated through
-    ``kernel_projector`` when given, so large problems can certify
-    matrix-free).  If the residual of the least-squares fit exceeds tol
-    times the problem scale, the gradient has a component outside the
-    constraint row space and MultiplierConsistencyError is raised: x is not
-    a constrained minimizer.
+    Precondition: x passes check_optimality at ``tol``.  If the residual of
+    the least-squares fit exceeds tol times the problem scale, the gradient
+    has a component outside the constraint row space and
+    MultiplierConsistencyError is raised: x is not a constrained minimizer.
     """
     x = as_vector(x, length=problem.n_primal, name="x")
-    report = check_optimality(problem, x, tol, kernel_projector)
+    report = check_optimality(problem, x, tol)
     if not report.is_minimizer:
         raise MultiplierConsistencyError(
             f"point is not a constrained minimizer at tol {tol:g}: projected "

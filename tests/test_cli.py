@@ -291,6 +291,23 @@ def test_infsup_variation_gate_fires(tmp_path, capsys):
     assert all(float(r[2]) > 0 for r in rows[1:])
 
 
+def test_infsup_singular_a_is_solver_failure(tmp_path, capsys):
+    # A = diag(0, 1, 1) passes QpProblem's spot check but cannot be factored
+    problem = tmp_path / "prob"
+    problem.mkdir()
+    write_matrix(problem / "A.mtx", SparseOperator.from_dense(
+        np.diag([0.0, 1.0, 1.0]), symmetric=True))
+    write_matrix(problem / "C.mtx", SparseOperator.from_dense([[1.0, 0.0, 0.0]]))
+    write_vector(problem / "b.txt", np.ones(3))
+    code = run(["infsup", "--input", str(problem),
+                "--output", str(tmp_path / "out")])
+    assert code == EXIT_SOLVER_FAILURE
+    assert "singular" in capsys.readouterr().err
+    code = run(["qp-solve", "--input", str(problem), "--infsup",
+                "--output", str(tmp_path / "qp")])
+    assert code == EXIT_SOLVER_FAILURE
+
+
 def test_infsup_requires_some_grid_or_input(tmp_path):
     assert run(["infsup", "--output", str(tmp_path)]) == EXIT_BAD_INPUT
 

@@ -282,21 +282,6 @@ def test_unconstrained_optimality_is_plain_gradient_norm():
         np.linalg.norm(p.A.apply(x) - p.b), abs=1e-15)
 
 
-def test_matrix_free_projector_matches_basis_route():
-    rng = np.random.default_rng(36)
-    p = _random_instance(rng, n=14, m=4)
-    z = orthonormal_nullspace_basis(p.C)
-
-    def project(v):
-        return z @ (z.T @ v)
-
-    x = solve_kkt_direct(p, 1e-12).x + 0.01 * (z @ rng.standard_normal(10))
-    with_basis = check_optimality(p, x, tol=1e-8)
-    matrix_free = check_optimality(p, x, tol=1e-8, kernel_projector=project)
-    assert matrix_free.projected_gradient_norm == pytest.approx(
-        with_basis.projected_gradient_norm, rel=1e-10)
-
-
 # -- multiplier recovery ---------------------------------------------------
 
 

@@ -370,6 +370,35 @@ def test_coupled_route_matches_bordered_kkt_oracle(n, case_id):
 
 
 @pytest.mark.parametrize("case_id", ["taylor_green", "polynomial"])
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_minimization_pressure_matches_dense_least_squares(n, case_id):
+    # oracle: the dense least-squares multiplier of B.T p = A u - b
+    grid = build_grid(n)
+    case = manufactured_case(case_id)
+    velocity, pressure, _ = solve_stokes_minimization(grid, case, 1e-12)
+    ops = assemble_operators(grid)
+    u = velocity.flat()
+    g = ops.A.apply(u) - sample_forcing(grid, case)
+    p_ref = np.linalg.lstsq(ops.B.toarray().T, g, rcond=None)[0]
+    p_ref = p_ref - p_ref.mean()
+    assert np.linalg.norm(pressure.flat() - p_ref) <= \
+        1e-10 * np.linalg.norm(p_ref)
+
+
+def test_minimization_matches_coupled_route_on_a_fine_grid():
+    # at n = 80 an unlifted projected CG (P A P, singular on range(B.T))
+    # met negative curvature once rounding left Ker B
+    grid = build_grid(80)
+    case = manufactured_case("polynomial")
+    v1, p1, _ = solve_stokes_coupled(grid, case, 1e-12)
+    v2, p2, _ = solve_stokes_minimization(grid, case, 1e-12)
+    assert np.linalg.norm(v2.flat() - v1.flat()) <= \
+        1e-10 * np.linalg.norm(v1.flat())
+    assert np.linalg.norm(p2.flat() - p1.flat()) <= \
+        1e-10 * np.linalg.norm(p1.flat())
+
+
+@pytest.mark.parametrize("case_id", ["taylor_green", "polynomial"])
 def test_coupled_iterations_do_not_grow_with_the_mesh(case_id):
     # inf-sup stability bounds the Schur complement's condition number on
     # zero-mean pressures by 1/beta^2 at every h
