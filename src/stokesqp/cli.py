@@ -113,12 +113,6 @@ def cmd_qp_solve(config):
     return EXIT_OK
 
 
-def _stokes_pair(grid, case, tol):
-    v1, p1, s1 = solve_stokes_coupled(grid, case, tol)
-    v2, p2, s2 = solve_stokes_minimization(grid, case, tol)
-    return (v1, p1, s1), (v2, p2, s2)
-
-
 def _solve_block(velocity, pressure, saddle, case, grid):
     u = velocity.flat()
     return {
@@ -138,7 +132,8 @@ def cmd_stokes(config):
         _err(str(exc))
         return EXIT_BAD_INPUT
     try:
-        (v1, p1, s1), (v2, p2, s2) = _stokes_pair(grid, case, config.tol)
+        v1, p1, s1 = solve_stokes_coupled(grid, case, config.tol)
+        v2, p2, s2 = solve_stokes_minimization(grid, case, config.tol)
     except _SOLVER_ERRORS as exc:
         _err(str(exc))
         return EXIT_SOLVER_FAILURE

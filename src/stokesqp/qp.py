@@ -327,14 +327,12 @@ def estimate_infsup(C, A, Mq, form="dual_form", tol=1e-10):
     a_solve = factorized(A)
     x = a_solve(C.toarray().T)           # A^-1 C.T, one block solve
     s = C.csr @ x
-    s = 0.5 * (s + s.T)
     if form == "dual_form":
         lam, q = smallest_generalized_eigenpair(s, Mq, tol=tol)
     else:
         mq_dense = Mq.toarray() if isinstance(Mq, SparseOperator) else np.asarray(Mq)
         y = sla.cho_solve(sla.cho_factor(mq_dense), s)
         s1 = s @ y                        # S Mq^-1 S
-        s1 = 0.5 * (s1 + s1.T)
         lam, q = smallest_generalized_eigenpair(s1, s, tol=tol)
         q = q / np.sqrt(q @ (mq_dense @ q))
     beta = float(np.sqrt(max(lam, 0.0)))

@@ -21,6 +21,11 @@ RANK_TOL = 1e-10
 
 DEFAULT_TOL = 1e-10
 
+#: iterations without a new minimum of the CG residual after which the
+#: iteration stops with breakdown_reason "stagnation": the residual has hit
+#: the accuracy rounding allows, and further steps only wander
+STAGNATION_WINDOW = 100
+
 
 class ConvergenceError(RuntimeError):
     """A solver failed to meet its tolerance: an iterative method ran out of
@@ -73,8 +78,10 @@ def conjugate_gradient(op, b, tol=DEFAULT_TOL, max_iter=None):
     Returns
     -------
     (x, report) : (ndarray, SolverReport)
-        ``report.converged`` is False on iteration exhaustion or when a
-        negative-curvature direction reveals an indefinite operator.
+        ``report.converged`` is False on iteration exhaustion, when a
+        negative-curvature direction reveals an indefinite operator, or when
+        the recurrence residual has not reached a new minimum for
+        ``STAGNATION_WINDOW`` iterations (tol below attainable accuracy).
     """
     b = as_vector(b, name="b")
     if tol <= 0:
@@ -92,6 +99,7 @@ def conjugate_gradient(op, b, tol=DEFAULT_TOL, max_iter=None):
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
+    best, best_iter = rs, 0
     iterations = 0
     while iterations < max_iter:
         ap = apply_op(p)
@@ -104,6 +112,8 @@ def conjugate_gradient(op, b, tol=DEFAULT_TOL, max_iter=None):
         r = r - alpha * ap
         iterations += 1
         rs_new = float(r @ r)
+        if rs_new < best:
+            best, best_iter = rs_new, iterations
         if np.sqrt(rs_new) <= tol * norm_b:
             # recurrence residual can drift from the true one; confirm
             true_res = np.linalg.norm(apply_op(x) - b)
@@ -111,6 +121,9 @@ def conjugate_gradient(op, b, tol=DEFAULT_TOL, max_iter=None):
                 return x, SolverReport(iterations, float(true_res), True)
             r = b - apply_op(x)
             rs_new = float(r @ r)
+        if iterations - best_iter >= STAGNATION_WINDOW:
+            return x, SolverReport(iterations, np.linalg.norm(apply_op(x) - b),
+                                   False, breakdown_reason="stagnation")
         beta = rs_new / rs
         p = r + beta * p
         rs = rs_new
@@ -225,10 +238,11 @@ def _to_dense_symmetric(op):
     return 0.5 * (arr + arr.T)
 
 
-def smallest_generalized_eigenpair(S, Mop, subspace_projector=None,
-                                   tol=1e-10):
+def smallest_generalized_eigenpair(S, Mop, tol=1e-10):
     """Smallest eigenpair of the symmetric-definite pencil ``S q = lam Mop q``
     by one dense LAPACK solve (``scipy.linalg.eigh``, bottom pair only).
+
+    Both operands are symmetrized here, so callers pass them as computed.
 
     Parameters
     ----------
@@ -237,18 +251,9 @@ def smallest_generalized_eigenpair(S, Mop, subspace_projector=None,
     Mop : SparseOperator or ndarray
         Symmetric positive definite (ValueError otherwise); defines the
         normalization ``q @ Mop @ q == 1`` of the returned eigenvector.
-    subspace_projector : callable, optional
-        Projector P onto the admissible subspace (e.g. deflation of a known
-        kernel direction), applied to one vector at a time.  The pencil is
-        restricted to range(P) by lifting the complement:
-        ``S_work = P.T S P + sigma (I - P).T Mop (I - P)``.  sigma is twice
-        the largest Rayleigh quotient of a column of P, so the complement's
-        eigenvalue sigma lies above the bottom of the restricted pencil.
-        Precondition: P is Mop-orthogonal (``Mop P == P.T Mop``); otherwise
-        the complement does not decouple and the restriction is not exact.
     tol : float
         Residual check after the solve:
-        ``||S_work q - lam Mop q|| <= tol * ||q||``, else ConvergenceError.
+        ``||S q - lam Mop q|| <= tol * ||q||``, else ConvergenceError.
 
     Returns
     -------
@@ -256,18 +261,6 @@ def smallest_generalized_eigenpair(S, Mop, subspace_projector=None,
     """
     s_work = _to_dense_symmetric(S)
     m_d = _to_dense_symmetric(Mop)
-    if subspace_projector is not None:
-        p_mat = np.stack([subspace_projector(c)
-                          for c in np.eye(len(s_work))], axis=1)
-        s_p = p_mat.T @ s_work @ p_mat
-        mp = m_d @ p_mat
-        m_p = np.einsum("ij,ij->j", p_mat, mp)    # diag of P.T Mop P
-        kept = m_p > 0.0
-        sigma = 2.0 * np.max(np.diag(s_p)[kept] / m_p[kept], initial=0.0)
-        # Mop (I - P) equals (I - P).T Mop (I - P) for Mop-orthogonal P
-        s_work = s_p + (sigma or 1.0) * (m_d - mp)
-        s_work = 0.5 * (s_work + s_work.T)
-
     try:
         evals, evecs = sla.eigh(s_work, m_d, subset_by_index=[0, 0])
     except np.linalg.LinAlgError as exc:

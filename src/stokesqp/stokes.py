@@ -397,7 +397,8 @@ def solve_stokes_minimization(grid, case, tol=DEFAULT_TOL):
     if not report.converged:
         raise ConvergenceError(
             f"projected CG did not converge "
-            f"(reason: {report.breakdown_reason}, "
+            f"(reason: {report.breakdown_reason} after "
+            f"{report.iterations} iterations, "
             f"residual {report.residual_norm:.3e})")
     u = project(u)                   # scrub rounding drift out of Ker B
     p = _pinned_multiplier(ops)(ops.A.apply(u) - b)
@@ -433,21 +434,19 @@ def error_norms(velocity, pressure, case, grid):
 def estimate_infsup_stokes(grid, tol=1e-10):
     """Discrete inf-sup constant beta(h) of the divergence operator.
 
-    beta^2 is the smallest eigenvalue of (B A^-1 B.T, Mp) restricted to
-    zero-mean pressures; the constant mode (the kernel of B.T) is deflated
-    by projection inside the eigensolver.
+    beta^2 is the smallest eigenvalue of (B A^-1 B.T, Mp) on zero-mean
+    pressures.  The constant mode, the kernel of B.T, is lifted above the
+    bottom of the spectrum by a rank-one shift, so one unrestricted dense
+    eigen-solve returns beta and a zero-mean attaining vector.
     """
     ops = assemble_operators(grid)
     a_solve = factorized(ops.A)
     s = ops.B.csr @ a_solve(ops.B.csr.T.toarray())
-    s = 0.5 * (s + s.T)
-
-    def deflate(q):
-        return q - q.mean()
-
-    lam, q = smallest_generalized_eigenpair(s, ops.Mp,
-                                            subspace_projector=deflate,
-                                            tol=tol)
+    # S 1 = 0 and Mp = h^2 I, so adding c 1 1.T moves only the constant mode,
+    # to 2 max S_ii / h^2; each e_i - 1/N is zero-mean with Rayleigh quotient
+    # S_ii / (h^2 (1 - 1/N)), so that is at least 2 (1 - 1/N) beta^2 > beta^2
+    s += 2.0 * s.diagonal().max() / s.shape[0]
+    lam, q = smallest_generalized_eigenpair(s, ops.Mp, tol=tol)
     return InfSupEstimate(float(np.sqrt(max(lam, 0.0))), q, "dual_form",
                           float(lam))
 

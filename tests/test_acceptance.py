@@ -290,7 +290,9 @@ def test_criterion_9_byte_deterministic_reports(acceptance, tmp_path):
         (["verify", "--seed", "0"], ["verify_report.json"]),
         (["converge", "--n-list", "4,8"], ["convergence.csv"]),
         (["stokes", "--n", "4"],
-         ["stokes_report.json", "fields_coupled.csv"]),
+         ["stokes_report.json", "fields_coupled.csv",
+          "fields_minimization.csv"]),
+        (["infsup", "--n-list", "16,32"], ["infsup.csv"]),
     ):
         first = tmp_path / f"{args[0]}_one"
         second = tmp_path / f"{args[0]}_two"

@@ -10,10 +10,10 @@ import pytest
 
 from stokesqp import SparseOperator, build_grid
 from stokesqp.cli import (EXIT_BAD_INPUT, EXIT_OK, EXIT_PROPERTY_FAILURE,
-                          EXIT_SOLVER_FAILURE, EXIT_STUDY_GATE, _stokes_pair,
-                          run)
+                          EXIT_SOLVER_FAILURE, EXIT_STUDY_GATE, run)
 from stokesqp.mmio import read_vector, write_matrix, write_vector
-from stokesqp.stokes import ManufacturedCase
+from stokesqp.stokes import (ManufacturedCase, solve_stokes_coupled,
+                             solve_stokes_minimization)
 
 
 def _write_hand_problem(directory):
@@ -194,7 +194,8 @@ def test_stokes_zero_forcing_pair():
     case = ManufacturedCase("zero", lambda x, y: zeros(x),
                             lambda x, y: zeros(x), lambda x, y: zeros(x),
                             lambda x, y: zeros(x), lambda x, y: zeros(x))
-    (v1, p1, _), (v2, p2, _) = _stokes_pair(build_grid(4), case, 1e-12)
+    v1, p1, _ = solve_stokes_coupled(build_grid(4), case, 1e-12)
+    v2, p2, _ = solve_stokes_minimization(build_grid(4), case, 1e-12)
     for field in (v1.flat(), p1.flat(), v2.flat(), p2.flat()):
         assert np.max(np.abs(field)) <= 1e-14
 

@@ -2,15 +2,16 @@
 solve formulations, and the discrete inf-sup constant."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy import sparse as sp
 
-from stokesqp import (ManufacturedCase, PressureField, SparseOperator,
-                      VelocityField, assemble_operators, build_grid,
-                      divergence_free_projector, error_norms,
+from stokesqp import (ConvergenceError, ManufacturedCase, PressureField,
+                      SparseOperator, VelocityField, assemble_operators,
+                      build_grid, divergence_free_projector, error_norms,
                       estimate_infsup_stokes, manufactured_case,
                       sample_forcing, smallest_generalized_eigenpair,
                       solve_stokes_coupled, solve_stokes_minimization,
@@ -398,6 +399,19 @@ def test_minimization_matches_coupled_route_on_a_fine_grid():
         1e-10 * np.linalg.norm(p1.flat())
 
 
+def test_minimization_fails_fast_below_attainable_accuracy():
+    # tol 1e-17 is below what rounding lets the residual reach: the one
+    # true-residual confirmation fails near iteration 36, and CG must stop
+    # on stagnation long before max_iter = 10 N = 4800
+    grid = build_grid(16)
+    with pytest.raises(ConvergenceError, match="stagnation") as info:
+        solve_stokes_minimization(grid, manufactured_case("taylor_green"),
+                                  tol=1e-17)
+    iterations = int(re.search(r"after (\d+) iterations",
+                               str(info.value)).group(1))
+    assert iterations < 480
+
+
 @pytest.mark.parametrize("case_id", ["taylor_green", "polynomial"])
 def test_coupled_iterations_do_not_grow_with_the_mesh(case_id):
     # inf-sup stability bounds the Schur complement's condition number on
@@ -557,8 +571,10 @@ def test_undeflated_pencil_has_constant_kernel():
     assert abs(abs(direction @ ones) - 1.0) <= 1e-6
 
 
-def test_infsup_attaining_vector_has_zero_mean():
-    est = estimate_infsup_stokes(build_grid(4))
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_infsup_attaining_vector_has_zero_mean(n):
+    # n=2 has N_p = 4, the smallest pencil the constant-mode lift handles
+    est = estimate_infsup_stokes(build_grid(n))
     assert abs(est.attaining_q.sum()) <= 1e-8
 
 
