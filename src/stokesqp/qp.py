@@ -22,7 +22,7 @@ from . import mmio
 from .sparse import SparseOperator, as_vector
 from .solvers import (DEFAULT_TOL, RANK_TOL, ConvergenceError, SolverReport,
                       assert_full_row_rank, conjugate_gradient, factorized,
-                      orthonormal_nullspace_basis,
+                      lift_null_vector, orthonormal_nullspace_basis,
                       smallest_generalized_eigenpair,
                       symmetric_indefinite_solve, SingularSystemError)
 
@@ -220,29 +220,48 @@ def solve_nullspace(problem, tol=DEFAULT_TOL):
                             multiplier, "nullspace", tol)
 
 
-def schur_complement_solve(A, C, b, d, tol):
-    """Eliminate x from  A x - b = C.T lam,  C x = d  and solve for lam by CG.
+def schur_complement(A, C, kernel=None):
+    """The Schur complement C A^-1 C.T as an operator, with A factored once.
 
-    A is factored once, so CG on  (C A^-1 C.T) lam = d - C A^-1 b  applies
-    the Schur complement with exact solves, and x = A^-1 (b + C.T lam).
-    C need not have full row rank: a consistent right-hand side keeps CG in
-    range(C), so the returned lam has no component in Ker C.T.  Returns
-    (x, lam, report) with ``report`` from the CG on the Schur complement.
+    Returns (apply, a_solve).  ``kernel``, a known null vector of C.T, is
+    lifted off zero (``lift_null_vector``), so ``apply`` is then positive
+    definite: the one singular direction of a rank-deficient C cannot meet
+    CG or the bottom of an eigen-solve.
     """
     a_solve = factorized(A)
     c = C.csr
     ct = c.T
 
-    def schur_apply(lam):
+    def apply(lam):
         return c @ a_solve(ct @ lam)
 
+    if kernel is not None:
+        apply = lift_null_vector(apply, kernel)
+    return apply, a_solve
+
+
+def schur_complement_solve(A, C, b, d, tol, kernel=None):
+    """Eliminate x from  A x - b = C.T lam,  C x = d  and solve for lam by CG.
+
+    A is factored once, so CG on  (C A^-1 C.T) lam = d - C A^-1 b  applies
+    the Schur complement with exact solves, and x = A^-1 (b + C.T lam).
+    C need not have full row rank: a consistent right-hand side keeps CG in
+    range(C) in exact arithmetic.  A known null vector of C.T passed as
+    ``kernel`` is lifted (``schur_complement``), so rounding that leaves
+    range(C) cannot end CG on a zero-curvature direction, and a tol below
+    attainable accuracy stops on stagnation.  Returns (x, lam, report) with
+    ``report`` from the CG on the Schur complement.
+    """
+    schur_apply, a_solve = schur_complement(A, C, kernel)
+    c = C.csr
     lam, report = conjugate_gradient(schur_apply, d - c @ a_solve(b), tol=tol)
     if not report.converged:
         raise ConvergenceError(
             f"CG on the Schur complement failed "
-            f"(reason: {report.breakdown_reason}, "
+            f"(reason: {report.breakdown_reason} after "
+            f"{report.iterations} iterations, "
             f"residual {report.residual_norm:.3e})")
-    return a_solve(b + ct @ lam), lam, report
+    return a_solve(b + c.T @ lam), lam, report
 
 
 def solve_schur(problem, tol=DEFAULT_TOL):

@@ -1,9 +1,10 @@
 """Deterministic linear-algebra kernels.
 
-Iterative and direct symmetric solvers, orthonormal null-space bases, and a
-smallest-generalized-eigenpair routine.  All routines are pure functions of
-their inputs; given the same operands on the same platform they produce
-bitwise-identical results.
+Iterative and direct symmetric solvers, orthonormal null-space bases, a
+rank-one lift of a known null vector, and smallest-eigenpair routines (dense
+LAPACK, and matrix-free Lanczos with a seeded start).  All routines are pure
+functions of their inputs; given the same operands on the same platform they
+produce bitwise-identical results.
 """
 
 from dataclasses import dataclass
@@ -266,8 +267,69 @@ def smallest_generalized_eigenpair(S, Mop, tol=1e-10):
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"Mop must be positive definite: {exc}") from exc
     lam, q = float(evals[0]), evecs[:, 0]
-    residual = np.linalg.norm(s_work @ q - lam * (m_d @ q))
+    _check_eigenpair(s_work @ q - lam * (m_d @ q), q, tol)
+    return lam, q
+
+
+def _check_eigenpair(residual_vector, q, tol):
+    residual = np.linalg.norm(residual_vector)
     if not residual <= tol * np.linalg.norm(q):
         raise ConvergenceError(
             f"eigenpair residual {residual:.3e} exceeds {tol:g} * ||q||")
+
+
+def lift_null_vector(apply, kernel):
+    """Lift the known null vector ``kernel`` of a symmetric positive
+    semidefinite operator off zero by a rank-one update.
+
+    Returns x -> apply(x) + sigma k (k.T x) with k = kernel / ||kernel|| and
+    sigma = 2 S_00 (one application of S = apply to e_0).  Only k moves, to sigma.
+    e_0 - k_0 k is orthogonal to k with Rayleigh quotient S_00 / (1 - k_0^2),
+    so the bottom of the spectrum on the complement of k is at most
+    S_00 / (1 - k_0^2), and sigma lies above it whenever k_0^2 < 1/2 (for
+    the constant vector of length N, k_0^2 = 1/N).  CG on the lifted
+    operator cannot meet the singular direction; a bottom eigenpair of it is
+    one of ``apply`` orthogonal to k.
+    """
+    k = as_vector(kernel, name="kernel")
+    k = k / np.linalg.norm(k)
+    e0 = np.zeros(k.shape[0])
+    e0[0] = 1.0
+    sigma = 2.0 * float(apply(e0)[0])
+
+    def lifted(x):
+        return apply(x) + (sigma * float(k @ x)) * k
+
+    return lifted
+
+
+def smallest_eigenpair_matrix_free(apply, mass_diagonal, tol=1e-10):
+    """Smallest eigenpair of ``S q = lam D q`` with S a symmetric operator
+    given only by its action and D = diag(``mass_diagonal``) > 0.
+
+    Lanczos (ARPACK ``eigsh``, bottom algebraic pair) on the standard form
+    D^-1/2 S D^-1/2, started from a Gaussian vector of a fixed seed, so equal
+    input gives equal output (a structured start can be orthogonal to the
+    bottom eigenvector of a symmetric grid problem and miss it).  Residual
+    contract as in ``smallest_generalized_eigenpair``: ``||S q - lam D q|| <= tol * ||q||``
+    with ``q @ D @ q == 1``; an ARPACK failure or a failed check raises
+    ConvergenceError.
+
+    Returns
+    -------
+    (lam, q) : (float, ndarray)
+    """
+    scale = 1.0 / np.sqrt(as_vector(mass_diagonal, name="mass_diagonal"))
+    n = scale.shape[0]
+    standard = spla.LinearOperator(
+        (n, n), matvec=lambda y: scale * apply(scale * np.ravel(y)),
+        dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        evals, evecs = spla.eigsh(standard, k=1, which="SA", v0=v0)
+    except spla.ArpackError as exc:
+        raise ConvergenceError(f"Lanczos eigen-solve failed: {exc}") from exc
+    lam = float(evals[0])
+    q = scale * evecs[:, 0] / np.linalg.norm(evecs[:, 0])
+    _check_eigenpair(apply(q) - lam * (q / scale ** 2), q, tol)
     return lam, q

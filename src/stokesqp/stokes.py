@@ -31,11 +31,12 @@ import numpy as np
 from scipy import sparse as _sp
 from scipy.sparse.linalg import splu
 
-from .qp import InfSupEstimate, checked_solution, schur_complement_solve
+from .qp import (InfSupEstimate, checked_solution, schur_complement,
+                 schur_complement_solve)
 # unused here; kept bound because the benchmark tracer's tests check it
 from .qp import recover_multiplier  # noqa: F401
 from .solvers import (DEFAULT_TOL, ConvergenceError, conjugate_gradient,
-                      factorized, smallest_generalized_eigenpair)
+                      smallest_eigenpair_matrix_free)
 from .sparse import SparseOperator, as_vector
 
 
@@ -358,12 +359,15 @@ def solve_stokes_coupled(grid, case, tol=DEFAULT_TOL):
     zero-mean pressures by 1/beta^2, so the iteration count does not grow
     with the mesh.  B is rank deficient by exactly the constant pressure
     mode, which needs no border: the reduced right-hand side lies in
-    range(B) and CG stays there.  Returns (VelocityField, PressureField,
-    SaddleSolution) with the pressure zero-mean projected.
+    range(B), and the constant mode is lifted off zero (``kernel``), so
+    rounding that leaves range(B) meets no singular direction.  Returns
+    (VelocityField, PressureField, SaddleSolution) with the pressure
+    zero-mean projected.
     """
     ops = assemble_operators(grid)
     b = sample_forcing(grid, case)
-    u, p, report = schur_complement_solve(ops.A, ops.B, b, 0.0, tol)
+    u, p, report = schur_complement_solve(ops.A, ops.B, b, 0.0, tol,
+                                          kernel=np.ones(grid.n_pressure))
     pressure = zero_mean_project(PressureField.from_flat(grid, p))
     saddle = checked_solution(ops.A, ops.B, b, 0.0, u, pressure.flat(),
                               "stokes_coupled", tol, report)
@@ -435,18 +439,20 @@ def estimate_infsup_stokes(grid, tol=1e-10):
     """Discrete inf-sup constant beta(h) of the divergence operator.
 
     beta^2 is the smallest eigenvalue of (B A^-1 B.T, Mp) on zero-mean
-    pressures.  The constant mode, the kernel of B.T, is lifted above the
-    bottom of the spectrum by a rank-one shift, so one unrestricted dense
-    eigen-solve returns beta and a zero-mean attaining vector.
+    pressures.  The Schur complement is only applied, never formed: A is
+    factored once, and Lanczos (``smallest_eigenpair_matrix_free``) finds
+    the bottom pair.  The constant mode, the kernel of B.T, is lifted above
+    the bottom of the spectrum by a rank-one update, so the unrestricted
+    solve returns beta and a zero-mean attaining vector.
     """
     ops = assemble_operators(grid)
-    a_solve = factorized(ops.A)
-    s = ops.B.csr @ a_solve(ops.B.csr.T.toarray())
-    # S 1 = 0 and Mp = h^2 I, so adding c 1 1.T moves only the constant mode,
-    # to 2 max S_ii / h^2; each e_i - 1/N is zero-mean with Rayleigh quotient
-    # S_ii / (h^2 (1 - 1/N)), so that is at least 2 (1 - 1/N) beta^2 > beta^2
-    s += 2.0 * s.diagonal().max() / s.shape[0]
-    lam, q = smallest_generalized_eigenpair(s, ops.Mp, tol=tol)
+    # S 1 = 0 and Mp = h^2 I, so the lift c 1 1.T with c = 2 S_00 / N moves
+    # only the constant mode, to 2 S_00 / h^2; e_0 - 1/N is zero-mean with
+    # Rayleigh quotient S_00 / (h^2 (1 - 1/N)), so that is at least
+    # 2 (1 - 1/N) beta^2 > beta^2
+    schur, _ = schur_complement(ops.A, ops.B, kernel=np.ones(grid.n_pressure))
+    lam, q = smallest_eigenpair_matrix_free(schur, ops.Mp.csr.diagonal(),
+                                            tol=tol)
     return InfSupEstimate(float(np.sqrt(max(lam, 0.0))), q, "dual_form",
                           float(lam))
 

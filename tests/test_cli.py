@@ -292,6 +292,29 @@ def test_infsup_variation_gate_fires(tmp_path, capsys):
     assert all(float(r[2]) > 0 for r in rows[1:])
 
 
+def test_infsup_reaches_fine_grids(tmp_path):
+    # the Schur complement is never formed, so n=128 (N_p = 16384) is cheap
+    code = run(["infsup", "--n-list", "64,128", "--output", str(tmp_path)])
+    assert code == EXIT_OK
+    with open(tmp_path / "infsup.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[0] for r in rows[1:]] == ["64", "128"]
+    assert float(rows[2][2]) == pytest.approx(0.465904, abs=1e-6)
+
+
+def test_infsup_eigen_solve_failure_is_solver_failure(tmp_path, capsys,
+                                                      monkeypatch):
+    from scipy.sparse import linalg as spla
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK no convergence", [], [])
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    code = run(["infsup", "--n", "8", "--output", str(tmp_path)])
+    assert code == EXIT_SOLVER_FAILURE
+    assert "Lanczos" in capsys.readouterr().err
+
+
 def test_infsup_singular_a_is_solver_failure(tmp_path, capsys):
     # A = diag(0, 1, 1) passes QpProblem's spot check but cannot be factored
     problem = tmp_path / "prob"

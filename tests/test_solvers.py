@@ -9,7 +9,8 @@ from stokesqp import (ConvergenceError, RankDeficiencyError,
                       orthonormal_nullspace_basis,
                       smallest_generalized_eigenpair,
                       symmetric_indefinite_solve)
-from stokesqp.solvers import factorized
+from stokesqp.solvers import (factorized, lift_null_vector,
+                              smallest_eigenpair_matrix_free)
 
 
 def _random_spd(rng, n, shift=1.0):
@@ -283,3 +284,67 @@ def test_eigenpair_unreachable_tolerance_raises():
     s = _random_spd(rng, 6)
     with pytest.raises(ConvergenceError):
         smallest_generalized_eigenpair(s, np.eye(6), tol=1e-30)
+
+
+# -- null-vector lift and matrix-free eigenpair ---------------------------
+
+
+def _singular_with_constant_kernel(rng, n):
+    # symmetric PSD with S 1 = 0: a random SPD form restricted to zero-mean
+    # vectors
+    centre = np.eye(n) - np.ones((n, n)) / n
+    return centre @ _random_spd(rng, n) @ centre
+
+
+def test_lift_moves_only_the_null_vector():
+    rng = np.random.default_rng(17)
+    s = _singular_with_constant_kernel(rng, 7)
+    lifted = lift_null_vector(lambda x: s @ x, np.ones(7))
+    ones = np.ones(7)
+    assert np.allclose(lifted(ones), 2.0 * s[0, 0] * ones, atol=1e-12)
+    x = rng.standard_normal(7)
+    x -= x.mean()
+    assert np.allclose(lifted(x), s @ x, atol=1e-12)
+    # the lifted constant sits above the bottom of the zero-mean spectrum
+    assert 2.0 * s[0, 0] > np.sort(np.linalg.eigvalsh(s))[1]
+
+
+def test_matrix_free_eigenpair_matches_dense_pencil():
+    rng = np.random.default_rng(23)
+    s = _random_spd(rng, 30)
+    mass = rng.uniform(0.5, 2.0, 30)
+    lam, q = smallest_eigenpair_matrix_free(lambda x: s @ x, mass)
+    oracle = sla.eigh(s, np.diag(mass), eigvals_only=True)[0]
+    assert abs(lam - oracle) <= 1e-10 * oracle
+    assert q @ (mass * q) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(s @ q - lam * mass * q) <= \
+        1e-10 * np.linalg.norm(q)
+
+
+def test_matrix_free_eigenpair_is_deterministic():
+    rng = np.random.default_rng(29)
+    s = _random_spd(rng, 40)
+    first = smallest_eigenpair_matrix_free(lambda x: s @ x, np.ones(40))
+    second = smallest_eigenpair_matrix_free(lambda x: s @ x, np.ones(40))
+    assert first[0] == second[0]
+    assert first[1].tobytes() == second[1].tobytes()
+
+
+def test_matrix_free_eigenpair_unreachable_tolerance_raises():
+    rng = np.random.default_rng(312)
+    s = _random_spd(rng, 6)
+    with pytest.raises(ConvergenceError, match="residual"):
+        smallest_eigenpair_matrix_free(lambda x: s @ x, np.ones(6),
+                                       tol=1e-30)
+
+
+def test_matrix_free_eigenpair_arpack_failure_is_convergence_error(
+        monkeypatch):
+    from scipy.sparse import linalg as spla
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(ConvergenceError, match="Lanczos"):
+        smallest_eigenpair_matrix_free(lambda x: x, np.ones(6))

@@ -412,6 +412,16 @@ def test_minimization_fails_fast_below_attainable_accuracy():
     assert iterations < 480
 
 
+def test_coupled_route_stagnates_below_attainable_accuracy():
+    # the constant pressure mode is lifted in the Schur CG, so a tol below
+    # attainable accuracy ends on stagnation, not on the zero-curvature
+    # direction that rounding reaches outside range(B)
+    grid = build_grid(16)
+    with pytest.raises(ConvergenceError, match="stagnation"):
+        solve_stokes_coupled(grid, manufactured_case("taylor_green"),
+                             tol=1e-17)
+
+
 @pytest.mark.parametrize("case_id", ["taylor_green", "polynomial"])
 def test_coupled_iterations_do_not_grow_with_the_mesh(case_id):
     # inf-sup stability bounds the Schur complement's condition number on
@@ -576,6 +586,29 @@ def test_infsup_attaining_vector_has_zero_mean(n):
     # n=2 has N_p = 4, the smallest pencil the constant-mode lift handles
     est = estimate_infsup_stokes(build_grid(n))
     assert abs(est.attaining_q.sum()) <= 1e-8
+
+
+def test_infsup_attaining_vector_is_mass_normalized():
+    grid = build_grid(16)
+    est = estimate_infsup_stokes(grid)
+    q = est.attaining_q
+    mp = assemble_operators(grid).Mp
+    assert q @ mp.apply(q) == pytest.approx(1.0, abs=1e-12)
+    assert abs(q.sum()) <= 1e-8 * np.linalg.norm(q)
+
+
+def test_infsup_is_deterministic():
+    # the Lanczos start vector is seeded: same grid, same bytes
+    first = estimate_infsup_stokes(build_grid(24))
+    second = estimate_infsup_stokes(build_grid(24))
+    assert first.beta == second.beta
+    assert first.attaining_q.tobytes() == second.attaining_q.tobytes()
+
+
+def test_infsup_n64_matches_dense_value():
+    # dense eigh of the lifted Schur complement gave 0.4763277341 at n=64
+    est = estimate_infsup_stokes(build_grid(64))
+    assert est.beta == pytest.approx(0.4763277341, abs=1e-9)
 
 
 # -- field export ----------------------------------------------------------
