@@ -67,8 +67,8 @@ class RunConfig:
     output_given: bool = True
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.n is not None and self.n < 2:
             raise ValueError(f"grid size must be at least 2, got {self.n}")
         for n in self.n_list:
@@ -82,7 +82,7 @@ def _err(message):
 
 def _write_json(path, payload):
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -308,7 +308,8 @@ def cmd_verify(config):
             "seed": config.seed,
             "corrupt": config.corrupt,
             "properties": [
-                {"name": r.name, "passed": r.passed, "worst": r.worst,
+                {"name": r.name, "passed": r.passed,
+                 "worst": r.worst if np.isfinite(r.worst) else None,
                  "bound": r.bound}
                 for r in results
             ],
@@ -360,7 +361,8 @@ _FLAGS = {
 #: subcommand defaults that differ from RunConfig's
 _DEFAULTS = {"stokes": {"tol": 1e-12}}
 
-#: (help, flags read) per subcommand; any other flag is a usage error
+#: (help, flags read) per subcommand; any other flag is a usage error, and
+#: flags joined by "|" exclude one another
 _SUBCOMMANDS = {
     "qp-solve": ("solve a problem directory and write the solution",
                  "--input --output --method --tol --infsup"),
@@ -369,7 +371,7 @@ _SUBCOMMANDS = {
     "converge": ("refinement study with observed convergence orders",
                  "--n-list --case --tol --inject-exact --output"),
     "infsup": ("inf-sup constants across grids or for a problem directory",
-               "--n-list --n --input --output"),
+               "--n-list|--n|--input --output"),
     "verify": ("seeded randomized property suites",
                "--seed --corrupt --output"),
 }
@@ -384,8 +386,11 @@ def build_parser():
     for name, (help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text,
                            argument_default=argparse.SUPPRESS)
-        for flag in flags.split():
-            p.add_argument(flag, **_FLAGS[flag])
+        for group in flags.split():
+            names = group.split("|")
+            target = p.add_mutually_exclusive_group() if len(names) > 1 else p
+            for flag in names:
+                target.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(**_DEFAULTS.get(name, {}))
     return parser
 

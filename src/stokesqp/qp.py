@@ -5,13 +5,16 @@ symmetric positive definite and C of full row rank.  Three solve routes are
 provided (direct saddle factorization, null-space reduction, and CG on the
 Schur complement with A factored once); all return the primal point
 together with the unique multiplier vector satisfying  A x - b = C.T lam,
-checked by one residual contract (``checked_solution``).  The inf-sup
-constant governing multiplier uniqueness can be estimated from either of
-its two equivalent variational forms.
+checked by one residual contract (``checked_solution``).  C is factored
+once, by the rank test's SVD: it splits the primal space into Ker C and
+range(C.T), and gives the minimum-norm feasible point, the multiplier, the
+optimality certificate and the kernel basis.  The inf-sup constant governing
+multiplier uniqueness can be estimated from either of its two equivalent
+variational forms.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,7 @@ from . import mmio
 from .sparse import SparseOperator, as_vector
 from .solvers import (DEFAULT_TOL, RANK_TOL, ConvergenceError, SolverReport,
                       assert_full_row_rank, conjugate_gradient, factorized,
-                      lift_null_vector, orthonormal_nullspace_basis,
+                      kernel_basis, lift_null_vector,
                       smallest_generalized_eigenpair,
                       symmetric_indefinite_solve, SingularSystemError)
 
@@ -40,12 +43,14 @@ class QpProblem:
     b : ndarray, length N
     C : SparseOperator, M x N with M < N and full row rank
     d : ndarray, length M (d = 0 is the homogeneous-subspace case)
+    svd : (u, s, vh), the rank test's economy SVD of C (computed, not given)
     """
 
     A: SparseOperator
     b: np.ndarray
     C: SparseOperator
     d: np.ndarray
+    svd: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A, C = self.A, self.C
@@ -70,8 +75,7 @@ class QpProblem:
             x = rng.standard_normal(n)
             if float(x @ A.apply(x)) <= 0.0:
                 raise ValueError("A failed the positive-definiteness spot check")
-        if m:
-            assert_full_row_rank(C, RANK_TOL)
+        object.__setattr__(self, "svd", assert_full_row_rank(C, RANK_TOL))
 
     @property
     def n_primal(self):
@@ -190,12 +194,9 @@ def solve_kkt_direct(problem, tol=DEFAULT_TOL):
 
 
 def _min_norm_particular(problem):
-    """Minimum-norm solution of C x = d via the QR factorization of C.T."""
-    n, m = problem.n_primal, problem.n_constraints
-    if m == 0:
-        return np.zeros(n)
-    q1, r1 = sla.qr(problem.C.toarray().T, mode="economic")
-    return q1 @ sla.solve_triangular(r1.T, problem.d, lower=True)
+    """Minimum-norm solution vh.T diag(1/s) u.T d of C x = d."""
+    u, s, vh = problem.svd
+    return vh.T @ ((u.T @ problem.d) / s)
 
 
 def solve_nullspace(problem, tol=DEFAULT_TOL):
@@ -205,7 +206,7 @@ def solve_nullspace(problem, tol=DEFAULT_TOL):
     turn the problem into the SPD system (Z.T A Z) y = Z.T (b - A x0); the
     multiplier is recovered afterwards from the gradient at the minimizer.
     """
-    z = orthonormal_nullspace_basis(problem.C)
+    z = kernel_basis(problem.svd[2])
     x0 = _min_norm_particular(problem)
     reduced = z.T @ (problem.A.csr @ z)
     rhs = z.T @ (problem.b - problem.A.apply(x0))
@@ -226,9 +227,13 @@ def schur_complement(A, C, kernel=None):
     Returns (apply, a_solve).  ``kernel``, a known null vector of C.T, is
     lifted off zero (``lift_null_vector``), so ``apply`` is then positive
     definite: the one singular direction of a rank-deficient C cannot meet
-    CG or the bottom of an eigen-solve.
+    CG or the bottom of an eigen-solve.  A singular A fails the hypothesis
+    these routes need, A positive definite, and the error names it.
     """
-    a_solve = factorized(A)
+    try:
+        a_solve = factorized(A)
+    except SingularSystemError as exc:
+        raise SingularSystemError(f"A is not positive definite: {exc}") from exc
     c = C.csr
     ct = c.T
 
@@ -277,25 +282,22 @@ def check_optimality(problem, x, tol=DEFAULT_TOL):
     feasibility.
 
     Both norms are compared against ``tol * residual_scale(problem, x)``,
-    the scale of the residual contracts.  The projected gradient is taken
-    on an orthonormal kernel basis; without constraints the test reduces to
+    the scale of the residual contracts.  The projected gradient is
+    g - vh.T (vh g) by the SVD of C (``problem.svd``), with g = A x - b;
+    without constraints the test reduces to
     ||A x - b|| <= that bound.
     """
     x = as_vector(x, length=problem.n_primal, name="x")
     g = gradient(problem, x)
-    m = problem.n_constraints
-    feas = float(np.linalg.norm(problem.C.csr @ x - problem.d)) if m else 0.0
-    if m == 0:
-        pg = float(np.linalg.norm(g))
-    else:
-        z = orthonormal_nullspace_basis(problem.C)
-        pg = float(np.linalg.norm(z.T @ g))
+    vh = problem.svd[2]
+    feas = float(np.linalg.norm(problem.C.csr @ x - problem.d))
+    pg = float(np.linalg.norm(g - vh.T @ (vh @ g)))
     bound = tol * residual_scale(problem, x)
     return OptimalityReport(pg, feas, pg <= bound and feas <= bound)
 
 
 def recover_multiplier(problem, x, tol=DEFAULT_TOL):
-    """The unique least-squares solution lam of C.T lam = A x - b.
+    """Least-squares solution lam = u diag(1/s) vh g of C.T lam = A x - b = g.
 
     Precondition: x passes check_optimality at ``tol``.  If the residual of
     the least-squares fit exceeds tol times the problem scale, the gradient
@@ -309,12 +311,9 @@ def recover_multiplier(problem, x, tol=DEFAULT_TOL):
             f"point is not a constrained minimizer at tol {tol:g}: projected "
             f"gradient {report.projected_gradient_norm:.3e}, "
             f"feasibility {report.feasibility_norm:.3e}")
-    m = problem.n_constraints
-    if m == 0:
-        return np.zeros(0)
+    u, s, vh = problem.svd
     g = gradient(problem, x)
-    q1, r1 = sla.qr(problem.C.toarray().T, mode="economic")
-    lam = sla.solve_triangular(r1, q1.T @ g)
+    lam = u @ ((vh @ g) / s)
     residual = np.linalg.norm(problem.C.csr.T @ lam - g)
     if residual > tol * residual_scale(problem, x):
         raise MultiplierConsistencyError(
@@ -343,7 +342,7 @@ def estimate_infsup(C, A, Mq, form="dual_form", tol=1e-10):
     if m == 0:
         raise ValueError("inf-sup constant of an empty constraint set")
     assert_full_row_rank(C)
-    a_solve = factorized(A)
+    a_solve = schur_complement(A, C)[1]
     x = a_solve(C.toarray().T)           # A^-1 C.T, one block solve
     s = C.csr @ x
     if form == "dual_form":
@@ -400,6 +399,6 @@ def save_solution(directory, solution, beta=None):
     if beta is not None:
         report["infsup_beta"] = float(beta)
     with open(directory / "report.json", "w", encoding="ascii") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return report

@@ -1,10 +1,10 @@
 """Deterministic linear-algebra kernels.
 
-Iterative and direct symmetric solvers, orthonormal null-space bases, a
-rank-one lift of a known null vector, and smallest-eigenpair routines (dense
-LAPACK, and matrix-free Lanczos with a seeded start).  All routines are pure
-functions of their inputs; given the same operands on the same platform they
-produce bitwise-identical results.
+Iterative and direct symmetric solvers, a rank test returning an SVD and the
+null-space basis that completes it, a rank-one lift of a known null vector,
+and smallest-eigenpair routines (dense LAPACK, and matrix-free Lanczos with a
+seeded start).  All routines are pure functions of their inputs; given the
+same operands on the same platform they produce bitwise-identical results.
 """
 
 from dataclasses import dataclass
@@ -199,39 +199,40 @@ def symmetric_indefinite_solve(op, b):
 
 
 def assert_full_row_rank(C, rank_tol=RANK_TOL):
-    """Raise RankDeficiencyError unless ``C`` has full numerical row rank.
+    """Raise RankDeficiencyError unless ``C`` has full numerical row rank,
+    else return the economy SVD ``(u, s, vh)`` of ``C``.
 
     The threshold is on singular values: smallest >= rank_tol * largest.
-    Returns the dense form of ``C`` for reuse by callers.
+    The rows of vh span range(C.T), their complement Ker C (``kernel_basis``).
     """
     m, n = C.shape
     dense = C.toarray() if isinstance(C, SparseOperator) else np.asarray(C, dtype=float)
-    if m == 0:
-        return dense
-    sv = sla.svdvals(dense)
+    u, sv, vh = sla.svd(dense, full_matrices=False)
     sv_max = sv[0] if sv.size else 0.0
-    if m > n or sv_max == 0.0 or sv[-1] < rank_tol * sv_max:
+    if m and (m > n or sv_max == 0.0 or sv[-1] < rank_tol * sv_max):
         smallest = sv[-1] if sv.size else 0.0
         raise RankDeficiencyError(
             f"constraint operator is rank deficient: smallest singular value "
             f"{smallest:.3e} vs largest {sv_max:.3e} (tol {rank_tol:g})")
-    return dense
+    return u, sv, vh
+
+
+def kernel_basis(vh):
+    """Orthonormal basis (the N - M columns) of the complement of the M
+    orthonormal rows of ``vh``: Ker C for vh from C's SVD, by a QR of vh.T."""
+    q, _r = sla.qr(vh.T, mode="full")
+    return q[:, vh.shape[0]:]
 
 
 def orthonormal_nullspace_basis(C, rank_tol=RANK_TOL):
-    """Orthonormal basis of Ker C as columns of an (N, N - M) array.
+    """Orthonormal basis of Ker C as columns of an (N, N - M) array, the
+    complement of vh's rows in the SVD of C (``kernel_basis``).
 
     ``C`` must have full row rank: if the smallest singular value falls below
     ``rank_tol`` times the largest, RankDeficiencyError is raised (multipliers
-    against such constraints are not unique).  Computed from a column-pivoted
-    QR factorization of ``C.T``; the basis is deterministic for fixed input.
+    against such constraints are not unique).
     """
-    m, n = C.shape
-    if m == 0:
-        return np.eye(n)
-    dense = assert_full_row_rank(C, rank_tol)
-    q, _r, _piv = sla.qr(dense.T, mode="full", pivoting=True)
-    return q[:, m:]
+    return kernel_basis(assert_full_row_rank(C, rank_tol)[2])
 
 
 def _to_dense_symmetric(op):

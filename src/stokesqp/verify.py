@@ -15,7 +15,7 @@ from .qp import (MultiplierConsistencyError, QpProblem, check_optimality,
                  estimate_infsup, gradient, objective, recover_multiplier,
                  residual_scale, solve_kkt_direct, solve_nullspace,
                  solve_schur)
-from .solvers import orthonormal_nullspace_basis
+from .solvers import kernel_basis
 from .sparse import SparseOperator
 
 
@@ -83,7 +83,7 @@ def run_property_suite(seed, corrupt=False, instances=20):
     # no feasible move away from the solver's point lowers the objective
     worst = -np.inf
     for problem, outs in solved:
-        z = orthonormal_nullspace_basis(problem.C)
+        z = kernel_basis(problem.svd[2])
         x = outs[0].x
         scale = residual_scale(problem, x)
         j0 = objective(problem, x)

@@ -75,17 +75,20 @@ def test_qp_solve_methods_agree(tmp_path):
 @pytest.mark.parametrize("method", ["direct", "nullspace", "schur"])
 def test_qp_solve_a_not_definite_on_kernel_is_solver_failure(tmp_path, capsys,
                                                              method):
-    # A = diag(1, 1, 0) passes QpProblem's spot check, yet is singular on
-    # Ker C = span(e2, e3)
-    problem = tmp_path / "prob"
-    problem.mkdir()
-    write_matrix(problem / "A.mtx", SparseOperator.from_dense(
-        np.diag([1.0, 1.0, 0.0]), symmetric=True))
-    write_matrix(problem / "C.mtx", SparseOperator.from_dense([[1.0, 0.0, 0.0]]))
-    write_vector(problem / "b.txt", np.ones(3))
-    code = run(["qp-solve", "--input", str(problem), "--method", method])
-    assert code == EXIT_SOLVER_FAILURE
-    if method != "schur":
+    # A = diag(1, ..., 1, 0) passes QpProblem's spot check, yet is singular
+    # on Ker C = span(e2, ..., eN); past N = 2000 the singular direction is
+    # no longer diagnosed densely, and the message must still name the
+    # failed hypothesis
+    for n in (3, 2001):
+        problem = tmp_path / f"prob{n}"
+        problem.mkdir()
+        write_matrix(problem / "A.mtx",
+                     SparseOperator.diagonal(np.r_[np.ones(n - 1), 0.0]))
+        write_matrix(problem / "C.mtx",
+                     SparseOperator.from_dense(np.eye(1, n)))
+        write_vector(problem / "b.txt", np.ones(n))
+        code = run(["qp-solve", "--input", str(problem), "--method", method])
+        assert code == EXIT_SOLVER_FAILURE
         assert "not positive definite" in capsys.readouterr().err
 
 
@@ -115,6 +118,11 @@ def test_invalid_tolerance_rejected(tmp_path):
                 "--tol", "0"]) == EXIT_BAD_INPUT
     assert run(["qp-solve", "--input", str(problem),
                 "--tol=-1e-8"]) == EXIT_BAD_INPUT
+    # an infinite tol would pass every contract and leave Infinity in JSON
+    assert run(["qp-solve", "--input", str(problem),
+                "--tol", "inf"]) == EXIT_BAD_INPUT
+    assert run(["stokes", "--n", "4", "--tol", "inf",
+                "--output", str(tmp_path / "stokes")]) == EXIT_BAD_INPUT
 
 
 def test_usage_errors_map_to_bad_input_code(tmp_path):
@@ -129,6 +137,9 @@ def test_usage_errors_map_to_bad_input_code(tmp_path):
     ["stokes", "--n", "8", "--method", "schur"],
     ["converge", "--n-list", "4,8", "--seed", "1"],
     ["infsup", "--n", "4", "--tol", "1e-8"],
+    ["infsup", "--n", "8", "--n-list", "16,32"],
+    ["infsup", "--n-list", "8,16", "--input", "."],
+    ["infsup", "--input", ".", "--n", "8"],
     ["verify", "--n", "64"],
     ["verify", "--tol", "5"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
@@ -369,13 +380,19 @@ def test_verify_all_properties_pass(tmp_path, capsys):
     assert len(report["properties"]) == 7
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def test_verify_corruption_hook_fails(tmp_path, capsys):
     code = run(["verify", "--seed", "0", "--corrupt",
                 "--output", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == EXIT_PROPERTY_FAILURE
     assert ": FAIL" in out
-    report = json.loads((tmp_path / "verify_report.json").read_text())
+    # strict JSON: a failed recovery's infinite worst is written as null
+    report = json.loads((tmp_path / "verify_report.json").read_text(),
+                        parse_constant=_reject_constant)
     assert report["all_passed"] is False
     assert report["corrupt"] is True
 

@@ -2,6 +2,7 @@
 optimality certification, multiplier recovery, and inf-sup estimation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,6 +326,49 @@ def test_recovered_multiplier_matches_direct_solver():
         lam = recover_multiplier(p, direct.x)
         scale = max(np.linalg.norm(direct.multiplier), 1.0)
         assert np.linalg.norm(lam - direct.multiplier) <= 1e-8 * scale
+
+
+# -- one factorization of C -----------------------------------------------
+
+
+def _count_factorizations(monkeypatch):
+    """Record every call of the dense factorizations scipy offers for C."""
+    calls = []
+    for name in ("svd", "svdvals", "qr"):
+        def counted(*args, _original=getattr(sla, name), _name=name, **kw):
+            calls.append(_name)
+            return _original(*args, **kw)
+        monkeypatch.setattr(sla, name, counted)
+    return calls
+
+
+def test_rank_test_svd_is_the_only_factorization_of_c(monkeypatch):
+    p = _random_instance(np.random.default_rng(23), n=30, m=8,
+                         inhomogeneous=True)
+    x = solve_kkt_direct(p).x
+    calls = _count_factorizations(monkeypatch)
+    check_optimality(p, x)
+    recover_multiplier(p, x)
+    assert calls == []
+    # the null-space route adds only its kernel basis, a QR of the SVD's
+    # row factor
+    solve_nullspace(p)
+    assert len(calls) <= 1
+
+
+def test_constraint_svd_memory_is_order_m_n():
+    # N = 5000, M = 1: the economy SVD holds O(M N) numbers, where a full
+    # N x N factor would take 200 MB
+    n = 5000
+    tracemalloc.start()
+    try:
+        p = QpProblem(SparseOperator.identity(n), np.ones(n),
+                      SparseOperator.from_dense(np.ones((1, n))), np.ones(1))
+        solve_schur(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 # -- homogeneity -----------------------------------------------------------
