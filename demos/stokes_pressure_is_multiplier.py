@@ -3,13 +3,14 @@ divergence-free constraint, by computing it twice.
 
 Route one solves the coupled velocity-pressure saddle system: it
 eliminates the velocity and solves for the pressure by conjugate gradients
-on the Schur complement B A^-1 B.T, with A factored once.  Route two never
-mentions pressure while it solves: it minimizes the viscous energy
-0.5 u.T A u - f.T u over discretely divergence-free velocity fields by
-projected CG, and then recovers the multiplier of the constraint B u = 0
-as the least-squares solution of B.T p = A u - f, i.e. from the normal
-equations (B B.T) p = B (A u - f).  Up to the constant mode (fixed by zero-mean
-normalization), the two pressures are the same object.
+on the Schur complement B A^-1 B.T, each A-solve by fast diagonalization
+(closed-form sine eigenbases of the grid stencils, no factorization).
+Route two never mentions pressure while it solves: it minimizes the
+viscous energy 0.5 u.T A u - f.T u over discretely divergence-free
+velocity fields by projected CG, and then recovers the multiplier of the
+constraint B u = 0 as the least-squares solution of B.T p = A u - f, i.e.
+from the normal equations (B B.T) p = B (A u - f).  Up to the constant mode
+(fixed by zero-mean normalization), the two pressures are the same object.
 """
 
 import numpy as np

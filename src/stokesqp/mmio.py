@@ -5,6 +5,8 @@ entries, ``general`` or ``symmetric``); vectors as one-value-per-line text.
 The reader reports malformed input with the offending line number.
 """
 
+import math
+
 import numpy as np
 
 from .sparse import SparseOperator
@@ -76,7 +78,7 @@ def read_matrix(path):
         if not (1 <= i <= size[0]) or not (1 <= j <= size[1]):
             raise MatrixMarketError(
                 path, lineno, f"index ({i}, {j}) outside {size[0]}x{size[1]}")
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise MatrixMarketError(path, lineno, f"non-finite value '{parts[2]}'")
         if symmetric and j > i:
             raise MatrixMarketError(
@@ -133,7 +135,7 @@ def read_vector(path):
             except ValueError:
                 raise MatrixMarketError(
                     path, lineno, f"cannot parse value '{line}'") from None
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise MatrixMarketError(path, lineno, f"non-finite value '{line}'")
             values.append(v)
     return np.array(values, dtype=float)

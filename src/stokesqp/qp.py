@@ -221,19 +221,24 @@ def solve_nullspace(problem, tol=DEFAULT_TOL):
                             multiplier, "nullspace", tol)
 
 
-def schur_complement(A, C, kernel=None):
-    """The Schur complement C A^-1 C.T as an operator, with A factored once.
+def schur_complement(A, C, kernel=None, a_solve=None):
+    """The Schur complement C A^-1 C.T as an operator.
 
-    Returns (apply, a_solve).  ``kernel``, a known null vector of C.T, is
-    lifted off zero (``lift_null_vector``), so ``apply`` is then positive
-    definite: the one singular direction of a rank-deficient C cannot meet
-    CG or the bottom of an eigen-solve.  A singular A fails the hypothesis
-    these routes need, A positive definite, and the error names it.
+    Returns (apply, a_solve).  ``a_solve`` applies A^-1 to a vector or a
+    2-D block of right-hand sides; by default A is factored once
+    (``factorized``), and a caller that knows a faster exact solve for its A
+    passes it instead.  ``kernel``, a known null vector of C.T, is lifted
+    off zero (``lift_null_vector``), so ``apply`` is then positive definite:
+    the one singular direction of a rank-deficient C cannot meet CG or the
+    bottom of an eigen-solve.  A singular A fails the hypothesis these
+    routes need, A positive definite, and the factorization's error names it.
     """
-    try:
-        a_solve = factorized(A)
-    except SingularSystemError as exc:
-        raise SingularSystemError(f"A is not positive definite: {exc}") from exc
+    if a_solve is None:
+        try:
+            a_solve = factorized(A)
+        except SingularSystemError as exc:
+            raise SingularSystemError(
+                f"A is not positive definite: {exc}") from exc
     c = C.csr
     ct = c.T
 
@@ -245,11 +250,12 @@ def schur_complement(A, C, kernel=None):
     return apply, a_solve
 
 
-def schur_complement_solve(A, C, b, d, tol, kernel=None):
+def schur_complement_solve(A, C, b, d, tol, kernel=None, a_solve=None):
     """Eliminate x from  A x - b = C.T lam,  C x = d  and solve for lam by CG.
 
-    A is factored once, so CG on  (C A^-1 C.T) lam = d - C A^-1 b  applies
-    the Schur complement with exact solves, and x = A^-1 (b + C.T lam).
+    With an exact A-solve (A factored once, or the caller's ``a_solve``;
+    see ``schur_complement``), CG on  (C A^-1 C.T) lam = d - C A^-1 b
+    applies the Schur complement exactly, and x = A^-1 (b + C.T lam).
     C need not have full row rank: a consistent right-hand side keeps CG in
     range(C) in exact arithmetic.  A known null vector of C.T passed as
     ``kernel`` is lifted (``schur_complement``), so rounding that leaves
@@ -257,7 +263,7 @@ def schur_complement_solve(A, C, b, d, tol, kernel=None):
     attainable accuracy stops on stagnation.  Returns (x, lam, report) with
     ``report`` from the CG on the Schur complement.
     """
-    schur_apply, a_solve = schur_complement(A, C, kernel)
+    schur_apply, a_solve = schur_complement(A, C, kernel, a_solve)
     c = C.csr
     lam, report = conjugate_gradient(schur_apply, d - c @ a_solve(b), tol=tol)
     if not report.converged:

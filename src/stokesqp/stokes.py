@@ -7,14 +7,17 @@ energy is minimized over the kernel of the discrete divergence, and the
 pressure is the Lagrange multiplier of that constraint.  Two routes compute
 it, so the identity can be checked numerically: the coupled route
 eliminates the velocity and solves for the pressure by CG on the Schur
-complement B A^-1 B.T with A factored once; the minimization route runs
-projected CG over Ker B and recovers the pressure from the gradient through
-the constraint's normal equations (B B.T) p = B (A u - b).  The projector
-onto Ker B and that recovery share one helper, a sparse LU of B~ B~.T with
-B~ the divergence without its last row.  It pins the last pressure at 0,
-the one constant-mode convention; every returned pressure is then
-zero-mean projected.  Both routes end in the residual contract of the QP
-core (``qp.checked_solution``).
+complement B A^-1 B.T; the minimization route runs projected CG over Ker B
+and recovers the pressure from the gradient through the constraint's normal
+equations (B B.T) p = B (A u - b).  Both blocks of A and B B.T are
+Kronecker sums of 1-D second differences, so neither is ever factored: the
+closed-form sine and cosine eigenbases of the 1-D stencils diagonalize them
+(the fast diagonalization method of Lynch, Rice & Thomas, 1964), and each
+A-solve, and each application of the pseudo-inverse (B B.T)^+ that serves
+the projector onto Ker B and the pressure recovery, is four dense n x n
+products and one division.  The pseudo-inverse drops the constant mode, so
+the pressure it returns is already zero-mean.  Both routes end in the
+residual contract of the QP core (``qp.checked_solution``).
 
 Scaling convention: operators are "integrated", i.e. A represents the
 bilinear form of the velocity gradients (stencil entries O(1)), B maps face
@@ -29,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse as _sp
-from scipy.sparse.linalg import splu
+# unused here; kept bound because the benchmark tracer's tests check it
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from .qp import (InfSupEstimate, checked_solution, schur_complement,
                  schur_complement_solve)
@@ -179,10 +183,12 @@ class StokesOperators:
 
 def _second_difference(k, ghost):
     """1-D stencil tridiag(-1, 2, -1); with ghost=True the end rows use the
-    reflected-value closure (diagonal 3) for walls half a cell beyond."""
+    reflected-value closure (diagonal 3; 4 when k = 1, one cell between two
+    walls) for walls half a cell beyond."""
     main = np.full(k, 2.0)
     if ghost:
-        main[0] = main[-1] = 3.0
+        main[0] += 1.0
+        main[-1] += 1.0
     off = -np.ones(k - 1)
     return _sp.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
 
@@ -321,39 +327,110 @@ def sample_forcing(grid, case):
 # -- solves ----------------------------------------------------------------
 
 
-def _pinned_multiplier(ops):
-    """Least-squares solver of B.T p = r through one sparse LU.
+def _sine_basis(k, ghost):
+    """Orthonormal eigenpairs (lam, Q) of ``_second_difference(k, ghost)``.
 
-    B's rows sum to zero, so dropping the last row leaves B~ of full row
-    rank with Ker B~ = Ker B.  The returned callable maps r to p =
-    append((B~ B~.T)^-1 B~ r, 0): the last pressure is pinned at 0, and
-    B.T p is the orthogonal projection of r onto range(B.T).
+    Dirichlet (ghost=False): Q[j, m] ~ sin((j+1)(m+1) pi / (k+1)).  Ghost-
+    closed: Q[j, m] ~ sin((m+1) pi (j+1/2) / k), the last column (the
+    alternating mode) scaled by 1/sqrt(2).  lam = 2 - 2 cos(theta), written
+    4 sin^2(theta/2) to keep the small eigenvalues to full relative accuracy.
     """
-    b = ops.B.csr[:-1]
-    lu = splu((b @ b.T).tocsc())
+    j = np.arange(k)[:, None]
+    m = np.arange(1, k + 1)
+    if ghost:
+        theta = m * math.pi / k
+        q = np.sqrt(2.0 / k) * np.sin(theta * (j + 0.5))
+        q[:, -1] /= math.sqrt(2.0)
+    else:
+        theta = m * math.pi / (k + 1)
+        q = np.sqrt(2.0 / (k + 1)) * np.sin(theta * (j + 1))
+    return 4.0 * np.sin(0.5 * theta) ** 2, q
+
+
+def _cosine_basis(n):
+    """Orthonormal eigenpairs (lam, Q) of the Neumann second difference
+    D D.T, D = ``_face_difference(n)``: Q[j, m] ~ cos(m pi (j+1/2) / n), the
+    first column (the constant, lam = 0) scaled by 1/sqrt(2)."""
+    theta = np.arange(n) * math.pi / n
+    q = np.sqrt(2.0 / n) * np.cos(theta * (np.arange(n)[:, None] + 0.5))
+    q[:, 0] /= math.sqrt(2.0)
+    return 4.0 * np.sin(0.5 * theta) ** 2, q
+
+
+def _kron_sum_solve(y, qa, qb, inverse):
+    # Y -> Qa ((Qa.T Y Qb) * inverse) Qb.T: T_a X + X T_b = Y with
+    # T = Q diag(lam) Q.T and inverse = 1 / (lam_a + lam_b); y may be a
+    # stack of such matrices
+    return qa @ ((qa.T @ y @ qb) * inverse) @ qb.T
+
+
+def _mac_velocity_solve(grid):
+    """A^-1 of ``assemble_operators(grid)`` by fast diagonalization.
+
+    The u-block is T_dir (x) I + I (x) T_ghost, so A_u X = T_dir X + X T_ghost
+    on the (n-1, n) array X of u-faces, and the v-block is the same sum
+    transposed.  With the closed-form eigenbases of ``_sine_basis`` each
+    block solve is four dense n x n products and one division; no
+    factorization, O(n^3) per solve.  The returned callable accepts a vector
+    or an (N_u, k) block of right-hand sides.
+    """
+    n = grid.n
+    lam_d, q_d = _sine_basis(n - 1, ghost=False)
+    lam_g, q_g = _sine_basis(n, ghost=True)
+    inverse = 1.0 / (lam_d[:, None] + lam_g)
+    half = n * (n - 1)
 
     def solve(r):
-        return np.append(lu.solve(b @ r), 0.0)
+        r = np.asarray(r, dtype=float)
+        cols = r.reshape(2 * half, -1).T
+        u = _kron_sum_solve(cols[:, :half].reshape(-1, n - 1, n),
+                            q_d, q_g, inverse)
+        v = _kron_sum_solve(cols[:, half:].reshape(-1, n, n - 1),
+                            q_g, q_d, inverse.T)
+        x = np.concatenate([u.reshape(-1, half), v.reshape(-1, half)], axis=1)
+        return x.T.reshape(r.shape)
+
+    return solve
+
+
+def _mac_pressure_solve(grid):
+    """(B B.T)^+ of ``assemble_operators(grid)`` by fast diagonalization.
+
+    B B.T = h^2 (L (x) I + I (x) L) with L = D D.T the Neumann second
+    difference, diagonalized by ``_cosine_basis``.  Its one zero eigenvalue
+    is the constant mode, which the pseudo-inverse drops: for q in range(B)
+    the callable returns the zero-mean (minimum-norm) solution of
+    B B.T p = q, with no pinned pressure and no factorization.
+    """
+    n = grid.n
+    lam, q = _cosine_basis(n)
+    denom = grid.h ** 2 * (lam[:, None] + lam)
+    denom[0, 0] = np.inf             # the constant mode maps to 0
+    inverse = 1.0 / denom
+
+    def solve(r):
+        return _kron_sum_solve(np.reshape(r, (n, n)), q, q, inverse).ravel()
 
     return solve
 
 
 def divergence_free_projector(ops):
-    """Orthogonal projector onto Ker B as a callable: v - B.T w(v), with w
-    the pinned least-squares solver of B.T w = v (``_pinned_multiplier``),
-    one sparse LU of B~ B~.T."""
-    w = _pinned_multiplier(ops)
-    bt = ops.B.csr.T
+    """Orthogonal projector onto Ker B as a callable: v - B.T (B B.T)^+ B v,
+    with the pseudo-inverse by fast diagonalization (``_mac_pressure_solve``)."""
+    w = _mac_pressure_solve(ops.grid)
+    b = ops.B.csr
+    bt = b.T
 
     def project(vec):
-        return vec - bt @ w(vec)
+        return vec - bt @ w(b @ vec)
 
     return project
 
 
 def solve_stokes_coupled(grid, case, tol=DEFAULT_TOL):
     """Eliminate the velocity and solve for the pressure by CG on the Schur
-    complement B A^-1 B.T, with A factored once (``schur_complement_solve``).
+    complement B A^-1 B.T (``schur_complement_solve``), with each A-solve
+    by fast diagonalization (``_mac_velocity_solve``).
 
     Inf-sup stability bounds the condition number of the complement on
     zero-mean pressures by 1/beta^2, so the iteration count does not grow
@@ -366,8 +443,9 @@ def solve_stokes_coupled(grid, case, tol=DEFAULT_TOL):
     """
     ops = assemble_operators(grid)
     b = sample_forcing(grid, case)
-    u, p, report = schur_complement_solve(ops.A, ops.B, b, 0.0, tol,
-                                          kernel=np.ones(grid.n_pressure))
+    u, p, report = schur_complement_solve(
+        ops.A, ops.B, b, 0.0, tol, kernel=np.ones(grid.n_pressure),
+        a_solve=_mac_velocity_solve(grid))
     pressure = zero_mean_project(PressureField.from_flat(grid, p))
     saddle = checked_solution(ops.A, ops.B, b, 0.0, u, pressure.flat(),
                               "stokes_coupled", tol, report)
@@ -383,11 +461,10 @@ def solve_stokes_minimization(grid, case, tol=DEFAULT_TOL):
     runs on the lifted operator P A P + (I - P), which is SPD on the whole
     space and equals P A P on Ker B, where the right-hand side P b lies; so
     rounding that drifts the residual out of Ker B cannot meet the singular
-    part of P A P.  The pressure is the least-squares solution of
-    B.T p = A u - b from the constraint's normal equations, with the last
-    pressure pinned at 0 (``_pinned_multiplier``), then zero-mean projected
-    and checked by the residual contract.  Returns (VelocityField,
-    PressureField, SaddleSolution).
+    part of P A P.  The pressure is the minimum-norm least-squares solution
+    of B.T p = A u - b, p = (B B.T)^+ B (A u - b) (``_mac_pressure_solve``),
+    zero-mean by construction, and is checked by the residual contract.
+    Returns (VelocityField, PressureField, SaddleSolution).
     """
     ops = assemble_operators(grid)
     b = sample_forcing(grid, case)
@@ -405,8 +482,8 @@ def solve_stokes_minimization(grid, case, tol=DEFAULT_TOL):
             f"{report.iterations} iterations, "
             f"residual {report.residual_norm:.3e})")
     u = project(u)                   # scrub rounding drift out of Ker B
-    p = _pinned_multiplier(ops)(ops.A.apply(u) - b)
-    pressure = zero_mean_project(PressureField.from_flat(grid, p))
+    p = _mac_pressure_solve(grid)(ops.B.csr @ (ops.A.apply(u) - b))
+    pressure = PressureField.from_flat(grid, p)
     saddle = checked_solution(ops.A, ops.B, b, 0.0, u, pressure.flat(),
                               "stokes_minimization", tol, report)
     return VelocityField.from_flat(grid, u), pressure, saddle
@@ -439,18 +516,20 @@ def estimate_infsup_stokes(grid, tol=1e-10):
     """Discrete inf-sup constant beta(h) of the divergence operator.
 
     beta^2 is the smallest eigenvalue of (B A^-1 B.T, Mp) on zero-mean
-    pressures.  The Schur complement is only applied, never formed: A is
-    factored once, and Lanczos (``smallest_eigenpair_matrix_free``) finds
-    the bottom pair.  The constant mode, the kernel of B.T, is lifted above
-    the bottom of the spectrum by a rank-one update, so the unrestricted
-    solve returns beta and a zero-mean attaining vector.
+    pressures.  The Schur complement is only applied, never formed: each
+    A-solve is by fast diagonalization (``_mac_velocity_solve``), and
+    Lanczos (``smallest_eigenpair_matrix_free``) finds the bottom pair.  The
+    constant mode, the kernel of B.T, is lifted above the bottom of the
+    spectrum by a rank-one update, so the unrestricted solve returns beta and
+    a zero-mean attaining vector.
     """
     ops = assemble_operators(grid)
     # S 1 = 0 and Mp = h^2 I, so the lift c 1 1.T with c = 2 S_00 / N moves
     # only the constant mode, to 2 S_00 / h^2; e_0 - 1/N is zero-mean with
     # Rayleigh quotient S_00 / (h^2 (1 - 1/N)), so that is at least
     # 2 (1 - 1/N) beta^2 > beta^2
-    schur, _ = schur_complement(ops.A, ops.B, kernel=np.ones(grid.n_pressure))
+    schur, _ = schur_complement(ops.A, ops.B, kernel=np.ones(grid.n_pressure),
+                                a_solve=_mac_velocity_solve(grid))
     lam, q = smallest_eigenpair_matrix_free(schur, ops.Mp.csr.diagonal(),
                                             tol=tol)
     return InfSupEstimate(float(np.sqrt(max(lam, 0.0))), q, "dual_form",
@@ -468,11 +547,13 @@ def write_fields_csv(path, velocity, pressure):
         ("v", velocity.v_faces, grid.v_coordinates()),
         ("p", pressure.p_cells, grid.p_coordinates()),
     ]
+    lines = ["kind,i,j,x,y,value\n"]
+    for kind, values, (xs, ys) in blocks:
+        # meshgrid coordinates: x varies with i only, y with j only
+        x_text = [repr(x) for x in xs[:, 0].tolist()]
+        y_text = [repr(y) for y in ys[0].tolist()]
+        for i, row in enumerate(values.tolist()):
+            lines.extend(f"{kind},{i},{j},{x_text[i]},{y},{v!r}\n"
+                         for j, (y, v) in enumerate(zip(y_text, row)))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("kind,i,j,x,y,value\n")
-        for kind, values, (xs, ys) in blocks:
-            ni, nj = values.shape
-            for i in range(ni):
-                for j in range(nj):
-                    fh.write(f"{kind},{i},{j},{float(xs[i, j])!r},"
-                             f"{float(ys[i, j])!r},{float(values[i, j])!r}\n")
+        fh.write("".join(lines))

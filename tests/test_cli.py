@@ -235,6 +235,11 @@ def test_converge_happy_path(tmp_path):
     assert 1.8 <= order_u <= 2.2
 
 
+def test_converge_reaches_fine_grids(tmp_path):
+    code = run(["converge", "--n-list", "128,256", "--output", str(tmp_path)])
+    assert code == EXIT_OK
+
+
 def test_converge_single_level_rejected(tmp_path):
     assert run(["converge", "--n-list", "8",
                 "--output", str(tmp_path)]) == EXIT_BAD_INPUT
@@ -311,6 +316,14 @@ def test_infsup_reaches_fine_grids(tmp_path):
         rows = list(csv.reader(fh))
     assert [r[0] for r in rows[1:]] == ["64", "128"]
     assert float(rows[2][2]) == pytest.approx(0.465904, abs=1e-6)
+
+
+def test_infsup_fine_grid_value(tmp_path):
+    # every A-solve is by fast diagonalization, so n=256 is cheap
+    assert run(["infsup", "--n", "256", "--output", str(tmp_path)]) == EXIT_OK
+    with open(tmp_path / "infsup.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert float(rows[1][2]) == pytest.approx(0.4584300702, abs=1e-9)
 
 
 def test_infsup_eigen_solve_failure_is_solver_failure(tmp_path, capsys,
@@ -414,3 +427,12 @@ def test_console_script_is_wired():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "PROPERTY" in proc.stdout
+
+
+def test_cli_import_does_not_load_scipy_fft():
+    # scipy.fft costs about 0.1 s to import; nothing in the package needs it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stokesqp.cli; print('scipy.fft' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

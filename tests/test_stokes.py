@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy import sparse as sp
+from scipy.sparse.linalg import splu
 
 from stokesqp import (ConvergenceError, ManufacturedCase, PressureField,
                       SparseOperator, VelocityField, assemble_operators,
@@ -17,6 +18,11 @@ from stokesqp import (ConvergenceError, ManufacturedCase, PressureField,
                       solve_stokes_coupled, solve_stokes_minimization,
                       symmetric_indefinite_solve, write_fields_csv,
                       zero_mean_project)
+from stokesqp.qp import schur_complement_solve
+from stokesqp.solvers import conjugate_gradient, factorized
+from stokesqp.stokes import (_cosine_basis, _face_difference,
+                             _mac_pressure_solve, _mac_velocity_solve,
+                             _second_difference, _sine_basis)
 
 # frozen first-run baselines for the taylor_green coupled solve (regression
 # guards; the convergence study re-derives their h^2 trend independently)
@@ -472,6 +478,104 @@ def test_divergence_free_projector_properties():
     assert np.linalg.norm(project(w) - w) <= 1e-12 * np.linalg.norm(w)
 
 
+# -- fast diagonalization -------------------------------------------------
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_closed_form_bases_diagonalize_the_stencils(k):
+    d = _face_difference(k)
+    stencils = [(_sine_basis(k, False), _second_difference(k, False)),
+                (_sine_basis(k, True), _second_difference(k, True)),
+                (_cosine_basis(k), d @ d.T)]
+    for (lam, q), stencil in stencils:
+        assert np.abs(q @ np.diag(lam) @ q.T - stencil.toarray()).max() \
+            <= 1e-13
+        assert np.abs(q.T @ q - np.eye(k)).max() <= 1e-13
+    assert _cosine_basis(k)[0][0] == 0.0        # the constant mode
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 64])
+def test_mac_velocity_solve_matches_sparse_lu(n):
+    grid = build_grid(n)
+    ops = assemble_operators(grid)
+    solve, oracle = _mac_velocity_solve(grid), factorized(ops.A)
+    rng = np.random.default_rng(n)
+    r = rng.standard_normal(grid.n_velocity)
+    block = rng.standard_normal((grid.n_velocity, 3))
+    for rhs in (r, block):
+        x, ref = solve(rhs), oracle(rhs)
+        assert x.shape == rhs.shape
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 33, 64])
+def test_mac_pressure_solve_is_the_zero_mean_pseudo_inverse(n):
+    grid = build_grid(n)
+    b = assemble_operators(grid).B.csr
+    q = b @ np.random.default_rng(n).standard_normal(grid.n_velocity)
+    p = _mac_pressure_solve(grid)(q)
+    assert np.linalg.norm(b @ (b.T @ p) - q) <= 1e-12 * np.linalg.norm(q)
+    assert abs(p.mean()) <= 1e-14 * np.abs(p).max()
+
+
+def _pinned_least_squares(ops):
+    # the sparse-LU multiplier the fast pseudo-inverse replaced: B without
+    # its last row, the last pressure pinned at 0
+    b = ops.B.csr[:-1]
+    lu = splu((b @ b.T).tocsc())
+    return lambda r: np.append(lu.solve(b @ r), 0.0)
+
+
+def _sparse_lu_routes(grid, case, tol):
+    """Both routes as they ran on sparse LU, as oracles: (u, p) each."""
+    ops = assemble_operators(grid)
+    b = sample_forcing(grid, case)
+    u1, p1, _ = schur_complement_solve(ops.A, ops.B, b, 0.0, tol,
+                                       kernel=np.ones(grid.n_pressure))
+    w = _pinned_least_squares(ops)
+
+    def project(v):
+        return v - ops.B.csr.T @ w(v)
+
+    def lifted(v):
+        pv = project(v)
+        return project(ops.A.apply(pv)) + (v - pv)
+
+    u2, report = conjugate_gradient(lifted, project(b), tol=tol)
+    assert report.converged
+    u2 = project(u2)
+    p2 = w(ops.A.apply(u2) - b)
+    return (u1, p1 - p1.mean()), (u2, p2 - p2.mean())
+
+
+@pytest.mark.parametrize("case_id", ["taylor_green", "polynomial"])
+@pytest.mark.parametrize("n", [2, 5, 16, 64])
+def test_routes_match_their_sparse_lu_versions(n, case_id):
+    grid = build_grid(n)
+    case = manufactured_case(case_id)
+    fast = [solve(grid, case, 1e-12)[:2]
+            for solve in (solve_stokes_coupled, solve_stokes_minimization)]
+    for (velocity, pressure), (u_ref, p_ref) in zip(
+            fast, _sparse_lu_routes(grid, case, 1e-12)):
+        assert np.linalg.norm(velocity.flat() - u_ref) <= \
+            1e-12 * np.linalg.norm(u_ref)
+        assert np.linalg.norm(pressure.flat() - p_ref) <= \
+            1e-12 * np.linalg.norm(p_ref)
+
+
+def test_stokes_routes_factor_nothing(monkeypatch):
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("sparse factorization on the Stokes side")
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", no_factorization)
+    monkeypatch.setattr("stokesqp.stokes.splu", no_factorization)
+    grid = build_grid(8)
+    case = manufactured_case("taylor_green")
+    solve_stokes_coupled(grid, case)
+    solve_stokes_minimization(grid, case)
+    estimate_infsup_stokes(grid)
+
+
 # -- error norms and convergence -------------------------------------------
 
 
@@ -633,3 +737,25 @@ def test_write_fields_csv_round_trip(tmp_path):
     first_u = body[0]
     assert float(first_u[5]) == velocity.u_faces[int(first_u[1]),
                                                  int(first_u[2])]
+
+
+def test_write_fields_csv_matches_row_by_row_formula(tmp_path):
+    grid = build_grid(5)
+    rng = np.random.default_rng(58)
+    velocity = VelocityField.from_flat(grid,
+                                       rng.standard_normal(grid.n_velocity))
+    pressure = PressureField.from_flat(grid,
+                                       rng.standard_normal(grid.n_pressure))
+    expected = ["kind,i,j,x,y,value\n"]
+    for kind, values, (xs, ys) in (
+            ("u", velocity.u_faces, grid.u_coordinates()),
+            ("v", velocity.v_faces, grid.v_coordinates()),
+            ("p", pressure.p_cells, grid.p_coordinates())):
+        for i in range(values.shape[0]):
+            for j in range(values.shape[1]):
+                expected.append(f"{kind},{i},{j},{float(xs[i, j])!r},"
+                                f"{float(ys[i, j])!r},"
+                                f"{float(values[i, j])!r}\n")
+    path = tmp_path / "fields.csv"
+    write_fields_csv(path, velocity, pressure)
+    assert path.read_bytes() == "".join(expected).encode("ascii")
