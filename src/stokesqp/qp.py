@@ -3,8 +3,9 @@
 The problem is  min (1/2) x.T A x - b.T x  subject to  C x = d,  with A
 symmetric positive definite and C of full row rank.  Three solve routes are
 provided (direct saddle factorization, null-space reduction, and CG on the
-Schur complement with A factored once); all return the primal point
-together with the unique multiplier vector satisfying  A x - b = C.T lam,
+Schur complement, with the caller's exact A-solve: here A factored once, on
+the Stokes side fast diagonalization); all return the primal point together
+with the unique multiplier vector satisfying  A x - b = C.T lam,
 checked by one residual contract (``checked_solution``).  C is factored
 once, by the rank test's SVD: it splits the primal space into Ker C and
 range(C.T), and gives the minimum-norm feasible point, the multiplier, the
@@ -221,24 +222,25 @@ def solve_nullspace(problem, tol=DEFAULT_TOL):
                             multiplier, "nullspace", tol)
 
 
-def schur_complement(A, C, kernel=None, a_solve=None):
-    """The Schur complement C A^-1 C.T as an operator.
+def _factored_spd(A):
+    """A^-1 by one sparse LU (``factorized``); a singular A fails the
+    hypothesis the Schur routes need, and the error names it."""
+    try:
+        return factorized(A)
+    except SingularSystemError as exc:
+        raise SingularSystemError(
+            f"A is not positive definite: {exc}") from exc
 
-    Returns (apply, a_solve).  ``a_solve`` applies A^-1 to a vector or a
-    2-D block of right-hand sides; by default A is factored once
-    (``factorized``), and a caller that knows a faster exact solve for its A
-    passes it instead.  ``kernel``, a known null vector of C.T, is lifted
-    off zero (``lift_null_vector``), so ``apply`` is then positive definite:
-    the one singular direction of a rank-deficient C cannot meet CG or the
-    bottom of an eigen-solve.  A singular A fails the hypothesis these
-    routes need, A positive definite, and the factorization's error names it.
+
+def schur_complement(C, a_solve, kernel=None):
+    """The Schur complement C A^-1 C.T as an operator, given the exact
+    A-solve ``a_solve``.
+
+    ``kernel``, a known null vector of C.T, is lifted off zero
+    (``lift_null_vector``), so the operator is then positive definite: the
+    one singular direction of a rank-deficient C cannot meet CG or the
+    bottom of an eigen-solve.
     """
-    if a_solve is None:
-        try:
-            a_solve = factorized(A)
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                f"A is not positive definite: {exc}") from exc
     c = C.csr
     ct = c.T
 
@@ -247,25 +249,25 @@ def schur_complement(A, C, kernel=None, a_solve=None):
 
     if kernel is not None:
         apply = lift_null_vector(apply, kernel)
-    return apply, a_solve
+    return apply
 
 
-def schur_complement_solve(A, C, b, d, tol, kernel=None, a_solve=None):
+def schur_complement_solve(C, a_solve, b, d, tol, kernel=None):
     """Eliminate x from  A x - b = C.T lam,  C x = d  and solve for lam by CG.
 
-    With an exact A-solve (A factored once, or the caller's ``a_solve``;
-    see ``schur_complement``), CG on  (C A^-1 C.T) lam = d - C A^-1 b
-    applies the Schur complement exactly, and x = A^-1 (b + C.T lam).
-    C need not have full row rank: a consistent right-hand side keeps CG in
-    range(C) in exact arithmetic.  A known null vector of C.T passed as
-    ``kernel`` is lifted (``schur_complement``), so rounding that leaves
-    range(C) cannot end CG on a zero-curvature direction, and a tol below
-    attainable accuracy stops on stagnation.  Returns (x, lam, report) with
-    ``report`` from the CG on the Schur complement.
+    With the exact A-solve ``a_solve``, CG on  (C A^-1 C.T) lam =
+    d - C A^-1 b  applies the Schur complement exactly, and
+    x = A^-1 (b + C.T lam).  C need not have full row rank: a consistent
+    right-hand side keeps CG in range(C) in exact arithmetic.  A known null
+    vector of C.T passed as ``kernel`` is lifted (``schur_complement``), so
+    rounding that leaves range(C) cannot end CG on a zero-curvature
+    direction, and a tol below attainable accuracy stops on stagnation.
+    Returns (x, lam, report) with ``report`` from the CG on the Schur
+    complement.
     """
-    schur_apply, a_solve = schur_complement(A, C, kernel, a_solve)
     c = C.csr
-    lam, report = conjugate_gradient(schur_apply, d - c @ a_solve(b), tol=tol)
+    lam, report = conjugate_gradient(schur_complement(C, a_solve, kernel),
+                                     d - c @ a_solve(b), tol=tol)
     if not report.converged:
         raise ConvergenceError(
             f"CG on the Schur complement failed "
@@ -278,9 +280,9 @@ def schur_complement_solve(A, C, b, d, tol, kernel=None, a_solve=None):
 def solve_schur(problem, tol=DEFAULT_TOL):
     """Eliminate x and solve (C A^-1 C.T) lam = d - C A^-1 b by CG, with A
     factored once (``schur_complement_solve``)."""
-    operands = (problem.A, problem.C, problem.b, problem.d)
-    x, lam, report = schur_complement_solve(*operands, tol)
-    return checked_solution(*operands, x, lam, "schur", tol, report)
+    A, C, b, d = problem.A, problem.C, problem.b, problem.d
+    x, lam, report = schur_complement_solve(C, _factored_spd(A), b, d, tol)
+    return checked_solution(A, C, b, d, x, lam, "schur", tol, report)
 
 
 def check_optimality(problem, x, tol=DEFAULT_TOL):
@@ -305,10 +307,10 @@ def check_optimality(problem, x, tol=DEFAULT_TOL):
 def recover_multiplier(problem, x, tol=DEFAULT_TOL):
     """Least-squares solution lam = u diag(1/s) vh g of C.T lam = A x - b = g.
 
-    Precondition: x passes check_optimality at ``tol``.  If the residual of
-    the least-squares fit exceeds tol times the problem scale, the gradient
-    has a component outside the constraint row space and
-    MultiplierConsistencyError is raised: x is not a constrained minimizer.
+    x must pass check_optimality at ``tol``, else MultiplierConsistencyError
+    is raised: x is not a constrained minimizer.  That test also bounds the
+    residual of the fit, since C.T lam - g = vh.T (vh g) - g is the negated
+    projected gradient it checks.
     """
     x = as_vector(x, length=problem.n_primal, name="x")
     report = check_optimality(problem, x, tol)
@@ -318,14 +320,7 @@ def recover_multiplier(problem, x, tol=DEFAULT_TOL):
             f"gradient {report.projected_gradient_norm:.3e}, "
             f"feasibility {report.feasibility_norm:.3e}")
     u, s, vh = problem.svd
-    g = gradient(problem, x)
-    lam = u @ ((vh @ g) / s)
-    residual = np.linalg.norm(problem.C.csr.T @ lam - g)
-    if residual > tol * residual_scale(problem, x):
-        raise MultiplierConsistencyError(
-            f"gradient is outside the constraint row space: "
-            f"least-squares residual {residual:.3e}")
-    return lam
+    return u @ ((vh @ gradient(problem, x)) / s)
 
 
 def estimate_infsup(C, A, Mq, form="dual_form", tol=1e-10):
@@ -348,9 +343,8 @@ def estimate_infsup(C, A, Mq, form="dual_form", tol=1e-10):
     if m == 0:
         raise ValueError("inf-sup constant of an empty constraint set")
     assert_full_row_rank(C)
-    a_solve = schur_complement(A, C)[1]
-    x = a_solve(C.toarray().T)           # A^-1 C.T, one block solve
-    s = C.csr @ x
+    # every column of S at once: the LU solve takes an (N, m) block
+    s = schur_complement(C, _factored_spd(A))(np.eye(m))
     if form == "dual_form":
         lam, q = smallest_generalized_eigenpair(s, Mq, tol=tol)
     else:
@@ -378,10 +372,10 @@ def load_problem(directory):
             raise FileNotFoundError(f"missing {required} in {directory}")
     a = mmio.read_matrix(directory / "A.mtx")
     if not a.symmetric:
-        diff = (a.csr - a.csr.T).tocoo()
-        if diff.nnz and np.any(diff.data != 0.0):
-            raise ValueError("A.mtx is not symmetric")
-        a = SparseOperator(a.csr, symmetric=True)
+        try:
+            a = SparseOperator(a.csr, symmetric=True)
+        except ValueError as exc:
+            raise ValueError("A.mtx is not symmetric") from exc
     c = mmio.read_matrix(directory / "C.mtx")
     b = mmio.read_vector(directory / "b.txt")
     d_path = directory / "d.txt"

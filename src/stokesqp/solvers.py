@@ -22,9 +22,10 @@ RANK_TOL = 1e-10
 
 DEFAULT_TOL = 1e-10
 
-#: iterations without a new minimum of the CG residual after which the
-#: iteration stops with breakdown_reason "stagnation": the residual has hit
-#: the accuracy rounding allows, and further steps only wander
+#: iterations without a new minimum of the CG residual (once it is below
+#: ||b||) after which the iteration stops with breakdown_reason
+#: "stagnation": the residual has hit the accuracy rounding allows, and
+#: further steps only wander
 STAGNATION_WINDOW = 100
 
 
@@ -50,29 +51,18 @@ class SolverReport:
     breakdown_reason: str | None = None
 
 
-def _matvec(op):
-    """Return a matvec callable for a SparseOperator, ndarray, or callable."""
-    if isinstance(op, SparseOperator):
-        return op.apply
-    if isinstance(op, np.ndarray):
-        return lambda v: op @ v
-    if callable(op):
-        return op
-    raise TypeError(f"cannot interpret {type(op)!r} as a linear operator")
-
-
-def conjugate_gradient(op, b, tol=DEFAULT_TOL, max_iter=None):
-    """Solve ``op @ x = b`` for symmetric positive definite ``op`` by CG.
+def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, max_iter=None):
+    """Solve ``S x = b`` for a symmetric positive definite S by CG.
 
     Parameters
     ----------
-    op : SparseOperator, ndarray, or callable
-        SPD operator (callables receive and return 1-D arrays).
+    apply_op : callable
+        The action v -> S v on 1-D arrays.
     b : array_like
         Right-hand side.
     tol : float
         Relative residual target: convergence means
-        ``||op x - b|| <= tol * ||b||``, verified against the true residual.
+        ``||S x - b|| <= tol * ||b||``, verified against the true residual.
     max_iter : int, optional
         Defaults to ``10 * len(b)``.
 
@@ -82,13 +72,14 @@ def conjugate_gradient(op, b, tol=DEFAULT_TOL, max_iter=None):
         ``report.converged`` is False on iteration exhaustion, when a
         negative-curvature direction reveals an indefinite operator, or when
         the recurrence residual has not reached a new minimum for
-        ``STAGNATION_WINDOW`` iterations (tol below attainable accuracy).
+        ``STAGNATION_WINDOW`` iterations (tol below attainable accuracy),
+        counted from the first iterate below ||b||: the CG residual is not
+        monotone, and can stay above ||b|| longer than that and converge.
     """
     b = as_vector(b, name="b")
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = b.shape[0]
-    apply_op = _matvec(op)
     if max_iter is None:
         max_iter = 10 * max(n, 1)
 
@@ -122,7 +113,7 @@ def conjugate_gradient(op, b, tol=DEFAULT_TOL, max_iter=None):
                 return x, SolverReport(iterations, float(true_res), True)
             r = b - apply_op(x)
             rs_new = float(r @ r)
-        if iterations - best_iter >= STAGNATION_WINDOW:
+        if best_iter and iterations - best_iter >= STAGNATION_WINDOW:
             return x, SolverReport(iterations, np.linalg.norm(apply_op(x) - b),
                                    False, breakdown_reason="stagnation")
         beta = rs_new / rs

@@ -16,8 +16,9 @@ closed-form sine and cosine eigenbases of the 1-D stencils diagonalize them
 A-solve, and each application of the pseudo-inverse (B B.T)^+ that serves
 the projector onto Ker B and the pressure recovery, is four dense n x n
 products and one division.  The pseudo-inverse drops the constant mode, so
-the pressure it returns is already zero-mean.  Both routes end in the
-residual contract of the QP core (``qp.checked_solution``).
+the pressure it returns is already zero-mean.  The QP core's Schur kernel
+takes the A-solve, not A.  Both routes end in the residual contract of the
+QP core (``qp.checked_solution``).
 
 Scaling convention: operators are "integrated", i.e. A represents the
 bilinear form of the velocity gradients (stencil entries O(1)), B maps face
@@ -200,18 +201,31 @@ def _face_difference(n):
                      shape=(n, n - 1), format="csr")
 
 
+def _divergence(grid):
+    """B: the divergence of cell (i, j) is the h-weighted net face flux, so
+    its row has entries +-h and q.T B v approximates the integral of
+    q div v."""
+    n, h = grid.n, grid.h
+    d = _face_difference(n)
+    eye = _sp.identity
+    return SparseOperator(_sp.hstack([h * _sp.kron(d, eye(n)),
+                                      h * _sp.kron(eye(n), d)], format="csr"))
+
+
+def _pressure_mass(grid):
+    """Diagonal of Mp: h^2 per cell."""
+    return np.full(grid.n_pressure, grid.h * grid.h)
+
+
 def assemble_operators(grid):
     """Build the viscous, divergence, and pressure-mass operators.
 
     The viscous operator is the 5-point Laplacian per component: Dirichlet
     rows eliminated where the wall passes through face positions (normal
     direction), ghost-value reflection where the wall lies half a cell away
-    (tangential direction).  The divergence of cell (i, j) is the h-weighted
-    net face flux, so its row has entries +-h and q.T B v approximates the
-    integral of q div v.
+    (tangential direction).
     """
     n = grid.n
-    h = grid.h
     t_dir = _second_difference(n - 1, ghost=False)
     t_ghost = _second_difference(n, ghost=True)
     eye = _sp.identity
@@ -219,11 +233,8 @@ def assemble_operators(grid):
     a_v = _sp.kron(t_ghost, eye(n - 1)) + _sp.kron(eye(n), t_dir)
     a = SparseOperator(_sp.block_diag([a_u, a_v], format="csr"),
                        symmetric=True)
-    d = _face_difference(n)
-    b = _sp.hstack([h * _sp.kron(d, eye(n)), h * _sp.kron(eye(n), d)],
-                   format="csr")
-    mp = SparseOperator.diagonal(np.full(grid.n_pressure, h * h))
-    return StokesOperators(grid, a, SparseOperator(b), mp)
+    return StokesOperators(grid, a, _divergence(grid),
+                           SparseOperator.diagonal(_pressure_mass(grid)))
 
 
 # -- manufactured solutions ------------------------------------------------
@@ -359,8 +370,7 @@ def _cosine_basis(n):
 
 def _kron_sum_solve(y, qa, qb, inverse):
     # Y -> Qa ((Qa.T Y Qb) * inverse) Qb.T: T_a X + X T_b = Y with
-    # T = Q diag(lam) Q.T and inverse = 1 / (lam_a + lam_b); y may be a
-    # stack of such matrices
+    # T = Q diag(lam) Q.T and inverse = 1 / (lam_a + lam_b)
     return qa @ ((qa.T @ y @ qb) * inverse) @ qb.T
 
 
@@ -371,8 +381,7 @@ def _mac_velocity_solve(grid):
     on the (n-1, n) array X of u-faces, and the v-block is the same sum
     transposed.  With the closed-form eigenbases of ``_sine_basis`` each
     block solve is four dense n x n products and one division; no
-    factorization, O(n^3) per solve.  The returned callable accepts a vector
-    or an (N_u, k) block of right-hand sides.
+    factorization, O(n^3) per right-hand-side vector.
     """
     n = grid.n
     lam_d, q_d = _sine_basis(n - 1, ghost=False)
@@ -381,14 +390,9 @@ def _mac_velocity_solve(grid):
     half = n * (n - 1)
 
     def solve(r):
-        r = np.asarray(r, dtype=float)
-        cols = r.reshape(2 * half, -1).T
-        u = _kron_sum_solve(cols[:, :half].reshape(-1, n - 1, n),
-                            q_d, q_g, inverse)
-        v = _kron_sum_solve(cols[:, half:].reshape(-1, n, n - 1),
-                            q_g, q_d, inverse.T)
-        x = np.concatenate([u.reshape(-1, half), v.reshape(-1, half)], axis=1)
-        return x.T.reshape(r.shape)
+        u = _kron_sum_solve(r[:half].reshape(n - 1, n), q_d, q_g, inverse)
+        v = _kron_sum_solve(r[half:].reshape(n, n - 1), q_g, q_d, inverse.T)
+        return np.concatenate([u.ravel(), v.ravel()])
 
     return solve
 
@@ -444,8 +448,8 @@ def solve_stokes_coupled(grid, case, tol=DEFAULT_TOL):
     ops = assemble_operators(grid)
     b = sample_forcing(grid, case)
     u, p, report = schur_complement_solve(
-        ops.A, ops.B, b, 0.0, tol, kernel=np.ones(grid.n_pressure),
-        a_solve=_mac_velocity_solve(grid))
+        ops.B, _mac_velocity_solve(grid), b, 0.0, tol,
+        kernel=np.ones(grid.n_pressure))
     pressure = zero_mean_project(PressureField.from_flat(grid, p))
     saddle = checked_solution(ops.A, ops.B, b, 0.0, u, pressure.flat(),
                               "stokes_coupled", tol, report)
@@ -516,21 +520,20 @@ def estimate_infsup_stokes(grid, tol=1e-10):
     """Discrete inf-sup constant beta(h) of the divergence operator.
 
     beta^2 is the smallest eigenvalue of (B A^-1 B.T, Mp) on zero-mean
-    pressures.  The Schur complement is only applied, never formed: each
-    A-solve is by fast diagonalization (``_mac_velocity_solve``), and
+    pressures.  Only B is assembled; the Schur complement is only applied:
+    each A-solve is by fast diagonalization (``_mac_velocity_solve``), and
     Lanczos (``smallest_eigenpair_matrix_free``) finds the bottom pair.  The
     constant mode, the kernel of B.T, is lifted above the bottom of the
     spectrum by a rank-one update, so the unrestricted solve returns beta and
     a zero-mean attaining vector.
     """
-    ops = assemble_operators(grid)
     # S 1 = 0 and Mp = h^2 I, so the lift c 1 1.T with c = 2 S_00 / N moves
     # only the constant mode, to 2 S_00 / h^2; e_0 - 1/N is zero-mean with
     # Rayleigh quotient S_00 / (h^2 (1 - 1/N)), so that is at least
     # 2 (1 - 1/N) beta^2 > beta^2
-    schur, _ = schur_complement(ops.A, ops.B, kernel=np.ones(grid.n_pressure),
-                                a_solve=_mac_velocity_solve(grid))
-    lam, q = smallest_eigenpair_matrix_free(schur, ops.Mp.csr.diagonal(),
+    schur = schur_complement(_divergence(grid), _mac_velocity_solve(grid),
+                             kernel=np.ones(grid.n_pressure))
+    lam, q = smallest_eigenpair_matrix_free(schur, _pressure_mass(grid),
                                             tol=tol)
     return InfSupEstimate(float(np.sqrt(max(lam, 0.0))), q, "dual_form",
                           float(lam))

@@ -108,6 +108,16 @@ def test_qp_solve_malformed_matrix_names_line(tmp_path, capsys):
     assert ":3:" in capsys.readouterr().err
 
 
+def test_qp_solve_rejects_nonsymmetric_general_matrix(tmp_path, capsys):
+    problem = _write_hand_problem(tmp_path / "prob")
+    (problem / "A.mtx").write_text(
+        "%%MatrixMarket matrix coordinate real general\n2 2 3\n"
+        "1 1 1.0\n2 2 1.0\n1 2 0.5\n")
+    code = run(["qp-solve", "--input", str(problem)])
+    assert code == EXIT_BAD_INPUT
+    assert "A.mtx is not symmetric" in capsys.readouterr().err
+
+
 def test_qp_solve_requires_input(capsys):
     assert run(["qp-solve"]) == EXIT_BAD_INPUT
 

@@ -9,7 +9,7 @@ from stokesqp import (ConvergenceError, RankDeficiencyError,
                       orthonormal_nullspace_basis,
                       smallest_generalized_eigenpair,
                       symmetric_indefinite_solve)
-from stokesqp.solvers import (factorized, lift_null_vector,
+from stokesqp.solvers import (STAGNATION_WINDOW, factorized, lift_null_vector,
                               smallest_eigenpair_matrix_free)
 
 
@@ -23,14 +23,14 @@ def _random_spd(rng, n, shift=1.0):
 
 def test_cg_identity():
     op = SparseOperator.identity(2)
-    x, report = conjugate_gradient(op, [5.0, -2.0])
+    x, report = conjugate_gradient(op.apply, [5.0, -2.0])
     assert report.converged
     assert np.allclose(x, [5.0, -2.0], atol=1e-12)
 
 
 def test_cg_diagonal():
     op = SparseOperator.diagonal([1.0, 2.0])
-    x, report = conjugate_gradient(op, [1.0, 2.0])
+    x, report = conjugate_gradient(op.apply, [1.0, 2.0])
     assert report.converged
     assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
@@ -40,7 +40,7 @@ def test_cg_random_spd_vs_dense_oracle():
     a = _random_spd(rng, 20)
     b = rng.standard_normal(20)
     op = SparseOperator.from_dense(a, symmetric=True)
-    x, report = conjugate_gradient(op, b, tol=1e-13)
+    x, report = conjugate_gradient(op.apply, b, tol=1e-13)
     assert report.converged
     oracle = np.linalg.solve(a, b)
     assert np.linalg.norm(x - oracle) <= 1e-10 * np.linalg.norm(oracle)
@@ -50,7 +50,7 @@ def test_cg_dimension_200():
     rng = np.random.default_rng(200)
     a = _random_spd(rng, 200)
     b = rng.standard_normal(200)
-    x, report = conjugate_gradient(a, b, tol=1e-12)
+    x, report = conjugate_gradient(lambda v: a @ v, b, tol=1e-12)
     assert report.converged
     oracle = np.linalg.solve(a, b)
     assert np.linalg.norm(x - oracle) <= 1e-9 * np.linalg.norm(oracle)
@@ -60,7 +60,7 @@ def test_cg_residual_contract_when_converged():
     rng = np.random.default_rng(3)
     a = _random_spd(rng, 30)
     b = rng.standard_normal(30)
-    x, report = conjugate_gradient(a, b, tol=1e-10)
+    x, report = conjugate_gradient(lambda v: a @ v, b, tol=1e-10)
     assert report.converged
     assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert report.residual_norm <= 1e-10 * np.linalg.norm(b)
@@ -70,7 +70,8 @@ def test_cg_iteration_exhaustion_reported():
     rng = np.random.default_rng(4)
     a = _random_spd(rng, 40, shift=1e-6)
     b = rng.standard_normal(40)
-    x, report = conjugate_gradient(a, b, tol=1e-14, max_iter=2)
+    x, report = conjugate_gradient(lambda v: a @ v, b, tol=1e-14,
+                                   max_iter=2)
     assert not report.converged
     assert report.breakdown_reason == "max_iter"
 
@@ -79,15 +80,29 @@ def test_cg_reports_stagnation_below_attainable_accuracy():
     rng = np.random.default_rng(5)
     a = _random_spd(rng, 40)
     b = rng.standard_normal(40)
-    _x, report = conjugate_gradient(a, b, tol=1e-30)
+    _x, report = conjugate_gradient(lambda v: a @ v, b, tol=1e-30)
     assert not report.converged
     assert report.breakdown_reason == "stagnation"
     assert report.iterations < 10 * 40
 
 
+@pytest.mark.parametrize("lam_min, power", [(1e-6, -0.25), (1e-5, -0.5)])
+def test_cg_converges_while_the_residual_stays_above_b(lam_min, power):
+    # the CG residual is not monotone: on these spectra it stays above ||b||
+    # for more than STAGNATION_WINDOW steps (it first falls below ||b|| at
+    # steps 164 and 125) and only then converges, so the window must not
+    # open before the residual first falls below ||b||
+    lam = np.linspace(lam_min, 1.0, 2000)
+    b = lam ** power
+    x, report = conjugate_gradient(lambda v: lam * v, b, tol=1e-10)
+    assert report.converged, report
+    assert report.iterations > STAGNATION_WINDOW
+    assert np.linalg.norm(lam * x - b) <= 1e-10 * np.linalg.norm(b)
+
+
 def test_cg_detects_indefiniteness():
     op = SparseOperator.diagonal([1.0, -1.0])
-    _x, report = conjugate_gradient(op, [1.0, 1.0], max_iter=50)
+    _x, report = conjugate_gradient(op.apply, [1.0, 1.0], max_iter=50)
     assert not report.converged
     assert report.breakdown_reason == "negative_curvature"
 
