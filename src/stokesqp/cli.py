@@ -8,6 +8,9 @@ Exit codes form the machine contract:
   3  malformed input or violated precondition
   4  study gate failure (convergence order or inf-sup variation out of band)
 
+Commands raise on failure, and ``run`` alone maps the failure's class to
+its code: ValueError or FileNotFoundError to 3, ``_SOLVER_ERRORS`` to 2.
+
 All output files are byte-deterministic for fixed inputs and seed: floats are
 written in shortest round-trip form, JSON keys are sorted, and no timestamps
 or environment data are recorded.
@@ -21,10 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .mmio import MatrixMarketError
 from .qp import (MultiplierConsistencyError, estimate_infsup, load_problem,
                  save_solution, solve_kkt_direct, solve_nullspace, solve_schur)
-from .solvers import ConvergenceError, RankDeficiencyError, SingularSystemError
+from .solvers import ConvergenceError, SingularSystemError
 from .sparse import SparseOperator
 from .stokes import (PressureField, VelocityField, build_grid, error_norms,
                      estimate_infsup_stokes, manufactured_case,
@@ -91,23 +93,15 @@ def _rel(diff, reference):
 
 
 def cmd_qp_solve(config):
-    try:
-        problem = load_problem(config.input_dir)
-    except (FileNotFoundError, MatrixMarketError, ValueError,
-            RankDeficiencyError) as exc:
-        _err(str(exc))
-        return EXIT_BAD_INPUT
-    try:
-        solution = _SOLVERS[config.method](problem, config.tol)
-        beta = None
-        if config.infsup:
-            est = estimate_infsup(
-                problem.C, problem.A,
-                SparseOperator.identity(problem.n_constraints), "dual_form")
-            beta = est.beta
-    except _SOLVER_ERRORS as exc:
-        _err(str(exc))
-        return EXIT_SOLVER_FAILURE
+    if config.input_dir is None:
+        raise ValueError("qp-solve requires --input")
+    problem = load_problem(config.input_dir)
+    solution = _SOLVERS[config.method](problem, config.tol)
+    beta = None
+    if config.infsup:
+        beta = estimate_infsup(
+            problem.C, problem.A,
+            SparseOperator.identity(problem.n_constraints), "dual_form").beta
     config.output_dir.mkdir(parents=True, exist_ok=True)
     save_solution(config.output_dir, solution, beta)
     return EXIT_OK
@@ -125,18 +119,10 @@ def _solve_block(velocity, pressure, saddle, case, grid):
 
 
 def cmd_stokes(config):
-    try:
-        case = manufactured_case(config.case_id)
-        grid = build_grid(config.n if config.n is not None else 16)
-    except (ValueError, TypeError) as exc:
-        _err(str(exc))
-        return EXIT_BAD_INPUT
-    try:
-        v1, p1, s1 = solve_stokes_coupled(grid, case, config.tol)
-        v2, p2, s2 = solve_stokes_minimization(grid, case, config.tol)
-    except _SOLVER_ERRORS as exc:
-        _err(str(exc))
-        return EXIT_SOLVER_FAILURE
+    case = manufactured_case(config.case_id)
+    grid = build_grid(config.n if config.n is not None else 16)
+    v1, p1, s1 = solve_stokes_coupled(grid, case, config.tol)
+    v2, p2, s2 = solve_stokes_minimization(grid, case, config.tol)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     write_fields_csv(config.output_dir / "fields_coupled.csv", v1, p1)
     write_fields_csv(config.output_dir / "fields_minimization.csv", v2, p2)
@@ -187,29 +173,21 @@ def _injected_fields(grid, case):
 
 def cmd_converge(config):
     if len(config.n_list) < 2:
-        _err("need at least two grid sizes to compute an observed order")
-        return EXIT_BAD_INPUT
+        raise ValueError(
+            "need at least two grid sizes to compute an observed order")
     if list(config.n_list) != sorted(set(config.n_list)):
-        _err(f"grid sizes must be strictly ascending, got {config.n_list}")
-        return EXIT_BAD_INPUT
-    try:
-        case = manufactured_case(config.case_id)
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_BAD_INPUT
+        raise ValueError(
+            f"grid sizes must be strictly ascending, got {config.n_list}")
+    case = manufactured_case(config.case_id)
     rows = []
-    try:
-        for n in config.n_list:
-            grid = build_grid(int(n))
-            if config.inject_exact:
-                velocity, pressure = _injected_fields(grid, case)
-            else:
-                velocity, pressure, _ = solve_stokes_coupled(
-                    grid, case, config.tol)
-            rows.append((grid, error_norms(velocity, pressure, case, grid)))
-    except _SOLVER_ERRORS as exc:
-        _err(str(exc))
-        return EXIT_SOLVER_FAILURE
+    for n in config.n_list:
+        grid = build_grid(int(n))
+        if config.inject_exact:
+            velocity, pressure = _injected_fields(grid, case)
+        else:
+            velocity, pressure, _ = solve_stokes_coupled(
+                grid, case, config.tol)
+        rows.append((grid, error_norms(velocity, pressure, case, grid)))
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     lines = ["n,h,l2_u,l2_p,linf_u,order_u,order_p"]
@@ -245,19 +223,10 @@ def cmd_converge(config):
 def cmd_infsup(config):
     if config.input_dir is not None:
         # constraint block of a problem directory, identity multiplier metric
-        try:
-            problem = load_problem(config.input_dir)
-        except (FileNotFoundError, MatrixMarketError, ValueError,
-                RankDeficiencyError) as exc:
-            _err(str(exc))
-            return EXIT_BAD_INPUT
-        try:
-            mq = SparseOperator.identity(problem.n_constraints)
-            dual = estimate_infsup(problem.C, problem.A, mq, "dual_form")
-            primal = estimate_infsup(problem.C, problem.A, mq, "primal_form")
-        except (*_SOLVER_ERRORS, ValueError) as exc:
-            _err(str(exc))
-            return EXIT_SOLVER_FAILURE
+        problem = load_problem(config.input_dir)
+        mq = SparseOperator.identity(problem.n_constraints)
+        dual = estimate_infsup(problem.C, problem.A, mq, "dual_form")
+        primal = estimate_infsup(problem.C, problem.A, mq, "primal_form")
         config.output_dir.mkdir(parents=True, exist_ok=True)
         _write_json(config.output_dir / "infsup.json", {
             "beta_dual": dual.beta,
@@ -270,22 +239,15 @@ def cmd_infsup(config):
 
     n_list = config.n_list or ((config.n,) if config.n else ())
     if not n_list:
-        _err("need --n-list (or --n, or --input) for an inf-sup study")
-        return EXIT_BAD_INPUT
-    betas = []
-    try:
-        for n in n_list:
-            est = estimate_infsup_stokes(build_grid(int(n)))
-            betas.append((int(n), 1.0 / int(n), est.beta))
-    except ConvergenceError as exc:
-        _err(str(exc))
-        return EXIT_SOLVER_FAILURE
+        raise ValueError(
+            "need --n-list (or --n, or --input) for an inf-sup study")
+    values = [estimate_infsup_stokes(build_grid(n)).beta for n in n_list]
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["n,h,beta"] + [f"{n},{h!r},{b!r}" for n, h, b in betas]
+    lines = ["n,h,beta"] + [f"{n},{1.0 / n!r},{b!r}"
+                            for n, b in zip(n_list, values)]
     with open(config.output_dir / "infsup.csv", "w",
               encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    values = [b for _, _, b in betas]
     spread = max(values) / min(values) if min(values) > 0.0 else np.inf
     if min(values) <= 0.0 or spread >= 1.1:
         _err(f"inf-sup gate failed: min beta {min(values)!r}, "
@@ -415,13 +377,15 @@ def run(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-    except ValueError as exc:
+        return _COMMANDS[config.command](config)
+    except (ValueError, FileNotFoundError) as exc:
+        # ValueError covers MatrixMarketError, RankDeficiencyError and
+        # numpy.linalg.LinAlgError
         _err(str(exc))
         return EXIT_BAD_INPUT
-    if config.command == "qp-solve" and config.input_dir is None:
-        _err("qp-solve requires --input")
-        return EXIT_BAD_INPUT
-    return _COMMANDS[config.command](config)
+    except _SOLVER_ERRORS as exc:
+        _err(str(exc))
+        return EXIT_SOLVER_FAILURE
 
 
 def main():

@@ -24,7 +24,7 @@ from scipy import sparse as _sp
 
 from . import mmio
 from .sparse import SparseOperator, as_vector
-from .solvers import (DEFAULT_TOL, RANK_TOL, ConvergenceError, SolverReport,
+from .solvers import (DEFAULT_TOL, ConvergenceError, SolverReport,
                       assert_full_row_rank, conjugate_gradient, factorized,
                       kernel_basis, lift_null_vector,
                       smallest_generalized_eigenpair,
@@ -76,7 +76,7 @@ class QpProblem:
             x = rng.standard_normal(n)
             if float(x @ A.apply(x)) <= 0.0:
                 raise ValueError("A failed the positive-definiteness spot check")
-        object.__setattr__(self, "svd", assert_full_row_rank(C, RANK_TOL))
+        object.__setattr__(self, "svd", assert_full_row_rank(C))
 
     @property
     def n_primal(self):
@@ -336,6 +336,10 @@ def estimate_infsup(C, A, Mq, form="dual_form", tol=1e-10):
     Both forms agree up to eigensolver tolerance (the classical equivalence
     of the two variational characterizations).  The attaining vector is
     returned Mq-normalized in multiplier space for either form.
+
+    beta is defined only when A is a norm.  S is checked once by Cholesky;
+    with C of full row rank (else RankDeficiencyError), a failure means A
+    is not positive definite: SingularSystemError, for either form.
     """
     if form not in ("dual_form", "primal_form"):
         raise ValueError(f"unknown form {form!r}")
@@ -345,6 +349,11 @@ def estimate_infsup(C, A, Mq, form="dual_form", tol=1e-10):
     assert_full_row_rank(C)
     # every column of S at once: the LU solve takes an (N, m) block
     s = schur_complement(C, _factored_spd(A))(np.eye(m))
+    try:
+        sla.cho_factor(0.5 * (s + s.T))   # the symmetric part eigh factors
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError("A is not positive definite: C A^-1 C.T "
+                                  f"fails Cholesky ({exc})") from exc
     if form == "dual_form":
         lam, q = smallest_generalized_eigenpair(s, Mq, tol=tol)
     else:

@@ -189,22 +189,22 @@ def symmetric_indefinite_solve(op, b):
     return x, SolverReport(iterations, float(residual), True)
 
 
-def assert_full_row_rank(C, rank_tol=RANK_TOL):
+def assert_full_row_rank(C):
     """Raise RankDeficiencyError unless ``C`` has full numerical row rank,
     else return the economy SVD ``(u, s, vh)`` of ``C``.
 
-    The threshold is on singular values: smallest >= rank_tol * largest.
+    The threshold is on singular values: smallest >= RANK_TOL * largest.
     The rows of vh span range(C.T), their complement Ker C (``kernel_basis``).
     """
     m, n = C.shape
     dense = C.toarray() if isinstance(C, SparseOperator) else np.asarray(C, dtype=float)
     u, sv, vh = sla.svd(dense, full_matrices=False)
     sv_max = sv[0] if sv.size else 0.0
-    if m and (m > n or sv_max == 0.0 or sv[-1] < rank_tol * sv_max):
+    if m and (m > n or sv_max == 0.0 or sv[-1] < RANK_TOL * sv_max):
         smallest = sv[-1] if sv.size else 0.0
         raise RankDeficiencyError(
             f"constraint operator is rank deficient: smallest singular value "
-            f"{smallest:.3e} vs largest {sv_max:.3e} (tol {rank_tol:g})")
+            f"{smallest:.3e} vs largest {sv_max:.3e} (tol {RANK_TOL:g})")
     return u, sv, vh
 
 
@@ -215,15 +215,15 @@ def kernel_basis(vh):
     return q[:, vh.shape[0]:]
 
 
-def orthonormal_nullspace_basis(C, rank_tol=RANK_TOL):
+def orthonormal_nullspace_basis(C):
     """Orthonormal basis of Ker C as columns of an (N, N - M) array, the
     complement of vh's rows in the SVD of C (``kernel_basis``).
 
     ``C`` must have full row rank: if the smallest singular value falls below
-    ``rank_tol`` times the largest, RankDeficiencyError is raised (multipliers
+    ``RANK_TOL`` times the largest, RankDeficiencyError is raised (multipliers
     against such constraints are not unique).
     """
-    return kernel_basis(assert_full_row_rank(C, rank_tol)[2])
+    return kernel_basis(assert_full_row_rank(C)[2])
 
 
 def _to_dense_symmetric(op):

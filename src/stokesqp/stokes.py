@@ -169,17 +169,16 @@ def zero_mean_project(p):
 
 @dataclass(frozen=True)
 class StokesOperators:
-    """A (viscous form), B (divergence), Mp (pressure mass) for one grid.
+    """A (viscous form) and B (divergence) for one grid.
 
     A is symmetric positive definite of size N_u; B is N_p x N_u with
     B.T @ ones == 0 exactly (constants span Ker B.T); the discrete gradient
-    is G = -B.T.  Mp = h^2 I.
+    is G = -B.T.  The pressure mass Mp = h^2 I is ``_pressure_mass``.
     """
 
     grid: MacGrid
     A: SparseOperator
     B: SparseOperator
-    Mp: SparseOperator
 
 
 def _second_difference(k, ghost):
@@ -218,7 +217,7 @@ def _pressure_mass(grid):
 
 
 def assemble_operators(grid):
-    """Build the viscous, divergence, and pressure-mass operators.
+    """Build the viscous and divergence operators.
 
     The viscous operator is the 5-point Laplacian per component: Dirichlet
     rows eliminated where the wall passes through face positions (normal
@@ -233,8 +232,7 @@ def assemble_operators(grid):
     a_v = _sp.kron(t_ghost, eye(n - 1)) + _sp.kron(eye(n), t_dir)
     a = SparseOperator(_sp.block_diag([a_u, a_v], format="csr"),
                        symmetric=True)
-    return StokesOperators(grid, a, _divergence(grid),
-                           SparseOperator.diagonal(_pressure_mass(grid)))
+    return StokesOperators(grid, a, _divergence(grid))
 
 
 # -- manufactured solutions ------------------------------------------------

@@ -12,6 +12,7 @@ from stokesqp import SparseOperator, build_grid
 from stokesqp.cli import (EXIT_BAD_INPUT, EXIT_OK, EXIT_PROPERTY_FAILURE,
                           EXIT_SOLVER_FAILURE, EXIT_STUDY_GATE, run)
 from stokesqp.mmio import read_vector, write_matrix, write_vector
+from stokesqp.solvers import ConvergenceError, SingularSystemError
 from stokesqp.stokes import (ManufacturedCase, solve_stokes_coupled,
                              solve_stokes_minimization)
 
@@ -426,6 +427,114 @@ def test_verify_reports_are_byte_identical(tmp_path):
     assert run(["verify", "--seed", "5", "--output", str(out2)]) == EXIT_OK
     assert (out1 / "verify_report.json").read_bytes() == \
         (out2 / "verify_report.json").read_bytes()
+
+
+# -- one exit-code map: the class of a failure decides its code -----------
+
+
+def _write_unconstrained_problem(directory):
+    directory.mkdir()
+    write_matrix(directory / "A.mtx",
+                 SparseOperator.from_dense(2.0 * np.eye(3), symmetric=True))
+    (directory / "C.mtx").write_text(
+        "%%MatrixMarket matrix coordinate real general\n0 3 0\n")
+    write_vector(directory / "b.txt", np.array([1.0, 2.0, 3.0]))
+    return directory
+
+
+def _write_indefinite_problem(directory):
+    # A = diag(1, 1, -1e-3) passes QpProblem's spot check and is positive
+    # definite on Ker C = span(e1, e2): the saddle problem is solvable, but
+    # A is no norm, so the inf-sup constant is undefined
+    directory.mkdir()
+    write_matrix(directory / "A.mtx",
+                 SparseOperator.diagonal([1.0, 1.0, -1e-3]))
+    write_matrix(directory / "C.mtx",
+                 SparseOperator.from_dense([[0.0, 0.0, 1.0]]))
+    write_vector(directory / "b.txt", np.ones(3))
+    return directory
+
+
+@pytest.mark.parametrize("method", ["direct", "nullspace", "schur"])
+def test_infsup_of_empty_constraint_set_is_bad_input(tmp_path, capsys,
+                                                     method):
+    problem = _write_unconstrained_problem(tmp_path / "prob")
+    code = run(["qp-solve", "--input", str(problem), "--method", method,
+                "--infsup", "--output", str(tmp_path / "infsup")])
+    assert code == EXIT_BAD_INPUT
+    assert "empty constraint set" in capsys.readouterr().err
+    # the solve alone needs no constraints
+    assert run(["qp-solve", "--input", str(problem), "--method", method,
+                "--output", str(tmp_path / "plain")]) == EXIT_OK
+
+
+def test_infsup_input_without_constraints_is_bad_input(tmp_path, capsys):
+    problem = _write_unconstrained_problem(tmp_path / "prob")
+    code = run(["infsup", "--input", str(problem),
+                "--output", str(tmp_path / "out")])
+    assert code == EXIT_BAD_INPUT
+    assert "empty constraint set" in capsys.readouterr().err
+
+
+def test_empty_constraint_set_exits_without_traceback(tmp_path):
+    problem = _write_unconstrained_problem(tmp_path / "prob")
+    proc = subprocess.run(
+        [sys.executable, "-m", "stokesqp.cli", "qp-solve",
+         "--input", str(problem), "--infsup"],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "Traceback" not in proc.stderr
+    assert "error: inf-sup constant of an empty constraint set" in proc.stderr
+
+
+@pytest.mark.parametrize("method", ["direct", "nullspace"])
+def test_qp_solve_infsup_with_indefinite_a_is_solver_failure(tmp_path,
+                                                             capsys, method):
+    problem = _write_indefinite_problem(tmp_path / "prob")
+    assert run(["qp-solve", "--input", str(problem), "--method", method,
+                "--output", str(tmp_path / "plain")]) == EXIT_OK
+    capsys.readouterr()
+    code = run(["qp-solve", "--input", str(problem), "--method", method,
+                "--infsup", "--output", str(tmp_path / "infsup")])
+    assert code == EXIT_SOLVER_FAILURE
+    assert "A is not positive definite" in capsys.readouterr().err
+    assert not (tmp_path / "infsup" / "report.json").exists()
+
+
+def test_qp_solve_schur_with_indefinite_a_is_solver_failure(tmp_path):
+    # CG on S = C A^-1 C.T = -1000 meets negative curvature at once
+    problem = _write_indefinite_problem(tmp_path / "prob")
+    for extra in ([], ["--infsup"]):
+        assert run(["qp-solve", "--input", str(problem), "--method", "schur",
+                    "--output", str(tmp_path / "out"), *extra]) == \
+            EXIT_SOLVER_FAILURE
+
+
+def test_infsup_input_with_indefinite_a_is_solver_failure(tmp_path, capsys):
+    # a failed hypothesis on A is a solver failure (2), not bad input (3)
+    problem = _write_indefinite_problem(tmp_path / "prob")
+    code = run(["infsup", "--input", str(problem),
+                "--output", str(tmp_path / "out")])
+    assert code == EXIT_SOLVER_FAILURE
+    assert "A is not positive definite" in capsys.readouterr().err
+
+
+def test_every_solver_error_is_solver_failure(tmp_path, capsys, monkeypatch):
+    import stokesqp.cli as cli
+
+    def singular(grid):
+        raise SingularSystemError("injected singular system")
+
+    def no_convergence(seed, corrupt=False):
+        raise ConvergenceError("injected non-convergence")
+
+    monkeypatch.setattr(cli, "estimate_infsup_stokes", singular)
+    monkeypatch.setattr(cli, "run_property_suite", no_convergence)
+    assert run(["infsup", "--n", "8",
+                "--output", str(tmp_path)]) == EXIT_SOLVER_FAILURE
+    assert "error: injected singular system" in capsys.readouterr().err
+    assert run(["verify", "--seed", "0"]) == EXIT_SOLVER_FAILURE
+    assert "error: injected non-convergence" in capsys.readouterr().err
 
 
 # -- entry point -----------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 import scipy.linalg as sla
 
 from stokesqp import (MultiplierConsistencyError, QpProblem,
-                      RankDeficiencyError, SparseOperator, assemble_kkt,
+                      RankDeficiencyError, SingularSystemError,
+                      SparseOperator, assemble_kkt,
                       check_optimality, estimate_infsup, gradient,
                       load_problem, objective, recover_multiplier,
                       residual_scale, save_solution, solve_kkt_direct,
@@ -452,6 +453,17 @@ def test_infsup_rejects_unknown_form():
     eye = SparseOperator.identity
     with pytest.raises(ValueError):
         estimate_infsup(c, eye(2), eye(1), "weird_form")
+
+
+@pytest.mark.parametrize("form", ["dual_form", "primal_form"])
+def test_infsup_indefinite_a_names_the_failed_hypothesis(form):
+    # A = diag(1, 1, -1e-3) is positive definite on Ker C = span(e1, e2),
+    # so the saddle problem is solvable, but A is no norm and beta is
+    # undefined: S = C A^-1 C.T = -1000 must not come out as beta = 0
+    c = SparseOperator.from_dense([[0.0, 0.0, 1.0]])
+    a = SparseOperator.diagonal([1.0, 1.0, -1e-3])
+    with pytest.raises(SingularSystemError, match="A is not positive definite"):
+        estimate_infsup(c, a, SparseOperator.identity(1), form)
 
 
 # -- problem directory round trip ------------------------------------------
