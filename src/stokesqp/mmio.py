@@ -2,16 +2,34 @@
 
 Operators travel as Matrix Market coordinate files (1-based indices, real
 entries, ``general`` or ``symmetric``); vectors as one-value-per-line text.
-The reader reports malformed input with the offending line number.
+
+``read_matrix`` parses the header and the size line itself, then hands the
+entry lines to one C call, ``numpy.loadtxt``, and checks ranges, finiteness,
+the lower triangle and the entry count on whole columns.  The fast parse
+accepts only bodies made of digits, signs, ``.``, ``e``/``E``, blanks and
+line breaks; whatever it declines (a comment line after the size line,
+``nan``, an out-of-range index, any malformed line) goes to the line-by-line
+loop, which accepts it or reports the offending line number.  What the fast
+parse accepts, the loop accepts too with the same triples, so the file's
+content alone picks the path and never changes the result.
+
+Both readers name the file and the line of a non-ASCII byte.
 """
 
+import io
 import math
+import warnings
 
 import numpy as np
 
 from .sparse import SparseOperator
 
 _HEADER_PREFIX = "%%matrixmarket"
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+# every byte a body may hold for the fast parse; anything else (letters of
+# nan/inf, '%', '_', control characters that str.splitlines breaks at but
+# loadtxt does not) leaves the file to the loop
+_ENTRY_BYTES = b"0123456789+-.eE \t\r\n"
 
 
 class MatrixMarketError(ValueError):
@@ -23,10 +41,29 @@ class MatrixMarketError(ValueError):
         self.lineno = lineno
 
 
+def _decode(path, data, split_lines):
+    """``data`` as ASCII text; a non-ASCII byte raises MatrixMarketError on
+    its line, with lines counted as ``split_lines`` counts them."""
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # the lines before the byte, plus the one it starts or continues
+        lineno = len(split_lines(data[:exc.start].decode("ascii") + "x"))
+        raise MatrixMarketError(
+            path, lineno, f"non-ASCII byte 0x{data[exc.start]:02x}") from None
+
+
 def read_matrix(path):
-    """Read a coordinate-format Matrix Market file into a SparseOperator."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    """Read a coordinate-format Matrix Market file into a SparseOperator.
+
+    The entries are parsed in one C call when the body allows it, else line
+    by line; either way the triples, and so the operator, are the same, and a
+    malformed file raises MatrixMarketError naming its first bad line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    text = _decode(path, data, str.splitlines)
+    lines = text.splitlines()
     if not lines:
         raise MatrixMarketError(path, 1, "empty file, missing header")
 
@@ -42,30 +79,91 @@ def read_matrix(path):
         raise MatrixMarketError(path, 1, f"unsupported symmetry '{symmetry}'")
     symmetric = symmetry == "symmetric"
 
-    lineno = 1
-    size = None
-    entries_expected = 0
+    first, nrows, ncols, nnz = _size_line(path, lines)
+    triples = _entries_vectorized(data, lines, first, nrows, ncols, nnz,
+                                  symmetric)
+    if triples is None:
+        triples = _entries_by_line(path, lines, first, nrows, ncols, nnz,
+                                   symmetric)
+    return SparseOperator.from_triples(nrows, ncols, *triples,
+                                       symmetric=symmetric)
+
+
+def _size_line(path, lines):
+    """Index and ``(nrows, ncols, nnz)`` of the size line: the first line
+    after the header that is neither blank nor a ``%`` comment."""
+    for k in range(1, len(lines)):
+        line = lines[k].strip()
+        if not line or line.startswith("%"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise MatrixMarketError(
+                path, k + 1, "size line must be 'nrows ncols nnz'")
+        try:
+            nrows, ncols, nnz = (int(p) for p in parts)
+        except ValueError:
+            raise MatrixMarketError(
+                path, k + 1, f"non-integer size line '{line}'") from None
+        if nrows < 0 or ncols < 0 or nnz < 0:
+            raise MatrixMarketError(path, k + 1, "negative dimension")
+        return k, nrows, ncols, nnz
+    raise MatrixMarketError(path, len(lines), "missing size line")
+
+
+def _entries_vectorized(data, lines, first, nrows, ncols, nnz, symmetric):
+    """The 0-based triples of the entry lines after ``lines[first]``, parsed
+    in one ``numpy.loadtxt`` call, or None to leave the file to the loop.
+
+    None whenever the body holds a byte outside ``_ENTRY_BYTES``, loadtxt
+    fails or warns, or a column check fails; so every body this accepts, the
+    loop accepts with the same triples in the same order.
+    """
+    if nnz == 0:
+        return None
+    start = 0   # of the body in ``data``: the head's lines and their breaks
+    for line in lines[:first + 1]:
+        start += len(line)
+        start += 2 if data.startswith(b"\r\n", start) else 1
+    if data[start:].translate(None, _ENTRY_BYTES):
+        return None
+    with warnings.catch_warnings():
+        # an older numpy parses '1.0' as an index with a DeprecationWarning
+        # and warns on an empty body; the loop decides both
+        warnings.simplefilter("error")
+        try:
+            entries = np.loadtxt(lines[first + 1:], dtype=_ENTRY,
+                                 comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    i, j, v = entries["i"], entries["j"], entries["v"]
+    if (entries.size != nnz or i.min() < 1 or i.max() > nrows
+            or j.min() < 1 or j.max() > ncols or not np.isfinite(v).all()
+            or (symmetric and (j > i).any())):
+        return None
+    rows, cols = i - 1, j - 1
+    if not symmetric:
+        return rows, cols, v
+    # the loop's order: (i, j), then its mirror (j, i) when off the diagonal
+    k = np.repeat(np.arange(nnz), np.where(i != j, 2, 1))
+    mirror = np.zeros(k.size, dtype=bool)
+    mirror[1:] = k[1:] == k[:-1]
+    return (np.where(mirror, cols[k], rows[k]),
+            np.where(mirror, rows[k], cols[k]), v[k])
+
+
+def _entries_by_line(path, lines, first, nrows, ncols, nnz, symmetric):
+    """The 0-based triples of the entry lines after ``lines[first]``, one
+    line at a time; raises MatrixMarketError at the first bad line."""
+    lineno = first + 1
     entries_seen = 0
     rows, cols, vals = [], [], []
-    for raw in lines[1:]:
+    for raw in lines[first + 1:]:
         lineno += 1
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
         parts = line.split()
-        if size is None:
-            if len(parts) != 3:
-                raise MatrixMarketError(
-                    path, lineno, "size line must be 'nrows ncols nnz'")
-            try:
-                nrows, ncols, entries_expected = (int(p) for p in parts)
-            except ValueError:
-                raise MatrixMarketError(
-                    path, lineno, f"non-integer size line '{line}'") from None
-            if nrows < 0 or ncols < 0 or entries_expected < 0:
-                raise MatrixMarketError(path, lineno, "negative dimension")
-            size = (nrows, ncols)
-            continue
         if len(parts) != 3:
             raise MatrixMarketError(
                 path, lineno, f"entry line must be 'row col value', got '{line}'")
@@ -75,9 +173,9 @@ def read_matrix(path):
         except ValueError:
             raise MatrixMarketError(
                 path, lineno, f"cannot parse entry '{line}'") from None
-        if not (1 <= i <= size[0]) or not (1 <= j <= size[1]):
+        if not (1 <= i <= nrows) or not (1 <= j <= ncols):
             raise MatrixMarketError(
-                path, lineno, f"index ({i}, {j}) outside {size[0]}x{size[1]}")
+                path, lineno, f"index ({i}, {j}) outside {nrows}x{ncols}")
         if not math.isfinite(v):
             raise MatrixMarketError(path, lineno, f"non-finite value '{parts[2]}'")
         if symmetric and j > i:
@@ -92,14 +190,11 @@ def read_matrix(path):
             cols.append(i - 1)
             vals.append(v)
 
-    if size is None:
-        raise MatrixMarketError(path, lineno, "missing size line")
-    if entries_seen != entries_expected:
+    if entries_seen != nnz:
         raise MatrixMarketError(
-            path, lineno, f"header promised {entries_expected} entries, "
+            path, lineno, f"header promised {nnz} entries, "
             f"file holds {entries_seen}")
-    return SparseOperator.from_triples(size[0], size[1], rows, cols, vals,
-                                       symmetric=symmetric)
+    return rows, cols, vals
 
 
 def write_matrix(path, op):
@@ -115,33 +210,40 @@ def write_matrix(path, op):
         qualifier = "symmetric"
     else:
         qualifier = "general"
+    lines = [f"%%MatrixMarket matrix coordinate real {qualifier}\n",
+             f"{op.nrows} {op.ncols} {len(vals)}\n"]
+    lines.extend(f"{i + 1} {j + 1} {v!r}\n" for i, j, v in
+                 zip(rows.tolist(), cols.tolist(), vals.tolist()))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"%%MatrixMarket matrix coordinate real {qualifier}\n")
-        fh.write(f"{op.nrows} {op.ncols} {len(vals)}\n")
-        for i, j, v in zip(rows, cols, vals):
-            fh.write(f"{int(i) + 1} {int(j) + 1} {float(v)!r}\n")
+        fh.write("".join(lines))
+
+
+def _vector_lines(text):
+    # the line breaks of a text file opened in universal-newlines mode
+    return io.StringIO(text, newline=None).readlines()
 
 
 def read_vector(path):
     """Read a one-value-per-line text vector."""
+    with open(path, "rb") as fh:
+        text = _decode(path, fh.read(), _vector_lines)
     values = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            try:
-                v = float(line)
-            except ValueError:
-                raise MatrixMarketError(
-                    path, lineno, f"cannot parse value '{line}'") from None
-            if not math.isfinite(v):
-                raise MatrixMarketError(path, lineno, f"non-finite value '{line}'")
-            values.append(v)
+    for lineno, raw in enumerate(_vector_lines(text), start=1):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        try:
+            v = float(line)
+        except ValueError:
+            raise MatrixMarketError(
+                path, lineno, f"cannot parse value '{line}'") from None
+        if not math.isfinite(v):
+            raise MatrixMarketError(path, lineno, f"non-finite value '{line}'")
+        values.append(v)
     return np.array(values, dtype=float)
 
 
 def write_vector(path, v):
+    values = np.asarray(v, dtype=float).tolist()
     with open(path, "w", encoding="ascii") as fh:
-        for x in np.asarray(v, dtype=float):
-            fh.write(f"{float(x)!r}\n")
+        fh.write("".join(f"{x!r}\n" for x in values))

@@ -109,6 +109,16 @@ def test_qp_solve_malformed_matrix_names_line(tmp_path, capsys):
     assert ":3:" in capsys.readouterr().err
 
 
+def test_qp_solve_non_ascii_matrix_names_file_and_line(tmp_path, capsys):
+    problem = _write_hand_problem(tmp_path / "prob")
+    (problem / "A.mtx").write_bytes(
+        b"%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n"
+        b"1 1 1.\xc3\xa90\n")
+    code = run(["qp-solve", "--input", str(problem)])
+    assert code == EXIT_BAD_INPUT
+    assert "A.mtx:3: non-ASCII byte 0xc3" in capsys.readouterr().err
+
+
 def test_qp_solve_rejects_nonsymmetric_general_matrix(tmp_path, capsys):
     problem = _write_hand_problem(tmp_path / "prob")
     (problem / "A.mtx").write_text(
