@@ -100,8 +100,7 @@ def cmd_qp_solve(config):
     beta = None
     if config.infsup:
         beta = estimate_infsup(
-            problem.C, problem.A,
-            SparseOperator.identity(problem.n_constraints), "dual_form").beta
+            problem, SparseOperator.identity(problem.n_constraints)).beta
     config.output_dir.mkdir(parents=True, exist_ok=True)
     save_solution(config.output_dir, solution, beta)
     return EXIT_OK
@@ -225,8 +224,8 @@ def cmd_infsup(config):
         # constraint block of a problem directory, identity multiplier metric
         problem = load_problem(config.input_dir)
         mq = SparseOperator.identity(problem.n_constraints)
-        dual = estimate_infsup(problem.C, problem.A, mq, "dual_form")
-        primal = estimate_infsup(problem.C, problem.A, mq, "primal_form")
+        dual = estimate_infsup(problem, mq, "dual_form")
+        primal = estimate_infsup(problem, mq, "primal_form")
         config.output_dir.mkdir(parents=True, exist_ok=True)
         _write_json(config.output_dir / "infsup.json", {
             "beta_dual": dual.beta,

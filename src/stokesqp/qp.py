@@ -9,9 +9,11 @@ with the unique multiplier vector satisfying  A x - b = C.T lam,
 checked by one residual contract (``checked_solution``).  C is factored
 once, by the rank test's SVD: it splits the primal space into Ker C and
 range(C.T), and gives the minimum-norm feasible point, the multiplier, the
-optimality certificate and the kernel basis.  The inf-sup constant governing
-multiplier uniqueness can be estimated from either of its two equivalent
-variational forms.
+optimality certificate and the kernel basis.  A failed solve raises where it
+is decided: CG's non-convergence in ``conjugate_gradient``, a broken residual
+contract in ``checked_solution``.  The inf-sup constant governing multiplier
+uniqueness can be estimated for a QpProblem, whose rank test it trusts, from
+either of its two equivalent variational forms.
 """
 
 import json
@@ -261,19 +263,13 @@ def schur_complement_solve(C, a_solve, b, d, tol, kernel=None):
     right-hand side keeps CG in range(C) in exact arithmetic.  A known null
     vector of C.T passed as ``kernel`` is lifted (``schur_complement``), so
     rounding that leaves range(C) cannot end CG on a zero-curvature
-    direction, and a tol below attainable accuracy stops on stagnation.
-    Returns (x, lam, report) with ``report`` from the CG on the Schur
-    complement.
+    direction, and a tol below attainable accuracy ends CG on stagnation
+    (ConvergenceError, raised by ``conjugate_gradient``).  Returns
+    (x, lam, report) with ``report`` from the CG on the Schur complement.
     """
     c = C.csr
     lam, report = conjugate_gradient(schur_complement(C, a_solve, kernel),
                                      d - c @ a_solve(b), tol=tol)
-    if not report.converged:
-        raise ConvergenceError(
-            f"CG on the Schur complement failed "
-            f"(reason: {report.breakdown_reason} after "
-            f"{report.iterations} iterations, "
-            f"residual {report.residual_norm:.3e})")
     return a_solve(b + c.T @ lam), lam, report
 
 
@@ -323,8 +319,9 @@ def recover_multiplier(problem, x, tol=DEFAULT_TOL):
     return u @ ((vh @ gradient(problem, x)) / s)
 
 
-def estimate_infsup(C, A, Mq, form="dual_form", tol=1e-10):
-    """Estimate the inf-sup constant of C with respect to the A- and Mq-norms.
+def estimate_infsup(problem, Mq, form="dual_form", tol=1e-10):
+    """Estimate the inf-sup constant of the constraint block C of ``problem``
+    (a QpProblem) with respect to the A- and Mq-norms.
 
     dual_form:   beta = sqrt(smallest eigenvalue of (C A^-1 C.T, Mq)),
                  the discretization of  inf_q sup_v (q.T C v)/(|v|_A |q|_Mq).
@@ -338,17 +335,16 @@ def estimate_infsup(C, A, Mq, form="dual_form", tol=1e-10):
     returned Mq-normalized in multiplier space for either form.
 
     beta is defined only when A is a norm.  S is checked once by Cholesky;
-    with C of full row rank (else RankDeficiencyError), a failure means A
-    is not positive definite: SingularSystemError, for either form.
+    with C of full row rank (tested when ``problem`` was built), a failure
+    means A is not positive definite: SingularSystemError, for either form.
     """
     if form not in ("dual_form", "primal_form"):
         raise ValueError(f"unknown form {form!r}")
-    m = C.nrows
+    m = problem.n_constraints
     if m == 0:
         raise ValueError("inf-sup constant of an empty constraint set")
-    assert_full_row_rank(C)
     # every column of S at once: the LU solve takes an (N, m) block
-    s = schur_complement(C, _factored_spd(A))(np.eye(m))
+    s = schur_complement(problem.C, _factored_spd(problem.A))(np.eye(m))
     try:
         sla.cho_factor(0.5 * (s + s.T))   # the symmetric part eigh factors
     except np.linalg.LinAlgError as exc:

@@ -23,15 +23,14 @@ RANK_TOL = 1e-10
 DEFAULT_TOL = 1e-10
 
 #: iterations without a new minimum of the CG residual (once it is below
-#: ||b||) after which the iteration stops with breakdown_reason
-#: "stagnation": the residual has hit the accuracy rounding allows, and
-#: further steps only wander
+#: ||b||) after which CG fails with reason "stagnation": the residual has
+#: hit the accuracy rounding allows, and further steps only wander
 STAGNATION_WINDOW = 100
 
 
 class ConvergenceError(RuntimeError):
-    """A solver failed to meet its tolerance: an iterative method ran out of
-    iterations, or a computed eigenpair failed its residual check."""
+    """A solver failed to meet its tolerance: CG stopped short of it (the
+    message names why), or a computed eigenpair failed its residual check."""
 
 
 class SingularSystemError(RuntimeError):
@@ -47,8 +46,6 @@ class RankDeficiencyError(ValueError):
 class SolverReport:
     iterations: int
     residual_norm: float
-    converged: bool
-    breakdown_reason: str | None = None
 
 
 def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, max_iter=None):
@@ -69,8 +66,10 @@ def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, max_iter=None):
     Returns
     -------
     (x, report) : (ndarray, SolverReport)
-        ``report.converged`` is False on iteration exhaustion, when a
-        negative-curvature direction reveals an indefinite operator, or when
+        Only a solution that met ``tol``.  Otherwise ConvergenceError names
+        the reason, the iteration count, the number of unknowns and the true
+        residual: "max_iter" on iteration exhaustion, "negative_curvature"
+        when a direction reveals an indefinite operator, "stagnation" when
         the recurrence residual has not reached a new minimum for
         ``STAGNATION_WINDOW`` iterations (tol below attainable accuracy),
         counted from the first iterate below ||b||: the CG residual is not
@@ -86,19 +85,20 @@ def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, max_iter=None):
     x = np.zeros(n)
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
-        return x, SolverReport(0, 0.0, True)
+        return x, SolverReport(0, 0.0)
 
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
     best, best_iter = rs, 0
     iterations = 0
+    reason = "max_iter"
     while iterations < max_iter:
         ap = apply_op(p)
         p_ap = float(p @ ap)
         if p_ap <= 0.0:
-            return x, SolverReport(iterations, np.linalg.norm(apply_op(x) - b),
-                                   False, breakdown_reason="negative_curvature")
+            reason = "negative_curvature"
+            break
         alpha = rs / p_ap
         x = x + alpha * p
         r = r - alpha * ap
@@ -110,17 +110,19 @@ def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, max_iter=None):
             # recurrence residual can drift from the true one; confirm
             true_res = np.linalg.norm(apply_op(x) - b)
             if true_res <= tol * norm_b:
-                return x, SolverReport(iterations, float(true_res), True)
+                return x, SolverReport(iterations, float(true_res))
             r = b - apply_op(x)
             rs_new = float(r @ r)
         if best_iter and iterations - best_iter >= STAGNATION_WINDOW:
-            return x, SolverReport(iterations, np.linalg.norm(apply_op(x) - b),
-                                   False, breakdown_reason="stagnation")
+            reason = "stagnation"
+            break
         beta = rs_new / rs
         p = r + beta * p
         rs = rs_new
-    return x, SolverReport(max_iter, float(np.linalg.norm(apply_op(x) - b)),
-                           False, breakdown_reason="max_iter")
+    raise ConvergenceError(
+        f"CG on {n} unknowns did not converge (reason: {reason} after "
+        f"{iterations} iterations, residual "
+        f"{np.linalg.norm(apply_op(x) - b):.3e})")
 
 
 def _describe_singular_direction(op):
@@ -186,7 +188,7 @@ def symmetric_indefinite_solve(op, b):
             raise SingularSystemError(
                 f"backward error {residual:.3e} exceeds bound {bound:.3e}; "
                 + _describe_singular_direction(op))
-    return x, SolverReport(iterations, float(residual), True)
+    return x, SolverReport(iterations, float(residual))
 
 
 def assert_full_row_rank(C):

@@ -152,16 +152,17 @@ def test_criterion_4_infsup_two_forms(acceptance):
         mq = SparseOperator.from_dense(g2 @ g2.T + m * np.eye(m),
                                        symmetric=True)
         c = SparseOperator.from_dense(rng.standard_normal((m, n)))
-        dual = estimate_infsup(c, a, mq, "dual_form")
-        primal = estimate_infsup(c, a, mq, "primal_form")
+        problem = QpProblem(a, np.zeros(n), c, np.zeros(m))
+        dual = estimate_infsup(problem, mq, "dual_form")
+        primal = estimate_infsup(problem, mq, "primal_form")
         if abs(dual.beta - primal.beta) > 1e-8:
             failures.append(f"forms disagree by {abs(dual.beta - primal.beta):.2e}")
     # projection special case: orthonormal rows, identity metrics
     q, _ = np.linalg.qr(rng.standard_normal((11, 5)))
-    c = SparseOperator.from_dense(q.T)
+    projection = QpProblem(SparseOperator.identity(11), np.zeros(11),
+                           SparseOperator.from_dense(q.T), np.zeros(5))
     for form in ("dual_form", "primal_form"):
-        est = estimate_infsup(c, SparseOperator.identity(11),
-                              SparseOperator.identity(5), form)
+        est = estimate_infsup(projection, SparseOperator.identity(5), form)
         if abs(est.beta - 1.0) > 1e-12:
             failures.append(f"projection case {form}: beta = {est.beta!r}")
     acceptance.record(4, "inf-sup constant agrees between its two forms",

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -239,6 +240,19 @@ def test_stokes_reports_are_deterministic(tmp_path):
     for name in ("stokes_report.json", "fields_coupled.csv",
                  "fields_minimization.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_stokes_below_attainable_accuracy_is_solver_failure(tmp_path,
+                                                            capsys):
+    # a real CG failure, not an injected one: tol 1e-17 is below what
+    # rounding lets the Schur residual reach, so CG stops on stagnation
+    out = tmp_path / "out"
+    code = run(["stokes", "--n", "16", "--tol", "1e-17",
+                "--output", str(out)])
+    assert code == EXIT_SOLVER_FAILURE
+    assert re.search(r"stagnation after \d+ iterations",
+                     capsys.readouterr().err)
+    assert not out.exists()
 
 
 # -- converge --------------------------------------------------------------

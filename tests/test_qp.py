@@ -351,6 +351,10 @@ def test_rank_test_svd_is_the_only_factorization_of_c(monkeypatch):
     check_optimality(p, x)
     recover_multiplier(p, x)
     assert calls == []
+    # the inf-sup estimate trusts the rank test QpProblem already passed
+    for form in ("dual_form", "primal_form"):
+        estimate_infsup(p, SparseOperator.identity(8), form)
+    assert calls == []
     # the null-space route adds only its kernel basis, a QR of the SVD's
     # row factor
     solve_nullspace(p)
@@ -405,9 +409,8 @@ def test_row_space_shift_moves_multiplier_only():
 
 
 def test_infsup_unit_row():
-    c = SparseOperator.from_dense([[1.0, 0.0]])
-    eye = SparseOperator.identity
-    est = estimate_infsup(c, eye(2), eye(1))
+    est = estimate_infsup(_problem(np.eye(2), [0.0, 0.0], [[1.0, 0.0]]),
+                          SparseOperator.identity(1))
     assert est.beta == pytest.approx(1.0, abs=1e-12)
 
 
@@ -416,10 +419,9 @@ def test_infsup_projection_case_both_forms():
     # constant is exactly one
     rng = np.random.default_rng(42)
     q, _ = np.linalg.qr(rng.standard_normal((9, 4)))
-    c = SparseOperator.from_dense(q.T)
-    eye = SparseOperator.identity
+    problem = _problem(np.eye(9), np.zeros(9), q.T)
     for form in ("dual_form", "primal_form"):
-        est = estimate_infsup(c, eye(9), eye(4), form)
+        est = estimate_infsup(problem, SparseOperator.identity(4), form)
         assert abs(est.beta - 1.0) <= 1e-12
         assert est.form_tag == form
 
@@ -432,11 +434,10 @@ def test_infsup_two_forms_agree_and_match_dense_oracle():
     mq = g2 @ g2.T + 4 * np.eye(4)
     c = rng.standard_normal((4, 12))
 
-    c_op = SparseOperator.from_dense(c)
-    a_op = SparseOperator.from_dense(a, symmetric=True)
+    problem = _problem(a, np.zeros(12), c)
     mq_op = SparseOperator.from_dense(mq, symmetric=True)
-    dual = estimate_infsup(c_op, a_op, mq_op, "dual_form")
-    primal = estimate_infsup(c_op, a_op, mq_op, "primal_form")
+    dual = estimate_infsup(problem, mq_op, "dual_form")
+    primal = estimate_infsup(problem, mq_op, "primal_form")
     assert abs(dual.beta - primal.beta) <= 1e-8
 
     s = c @ np.linalg.solve(a, c.T)
@@ -449,10 +450,9 @@ def test_infsup_two_forms_agree_and_match_dense_oracle():
 
 
 def test_infsup_rejects_unknown_form():
-    c = SparseOperator.from_dense([[1.0, 0.0]])
-    eye = SparseOperator.identity
     with pytest.raises(ValueError):
-        estimate_infsup(c, eye(2), eye(1), "weird_form")
+        estimate_infsup(_hand_instance(), SparseOperator.identity(1),
+                        "weird_form")
 
 
 @pytest.mark.parametrize("form", ["dual_form", "primal_form"])
@@ -460,10 +460,12 @@ def test_infsup_indefinite_a_names_the_failed_hypothesis(form):
     # A = diag(1, 1, -1e-3) is positive definite on Ker C = span(e1, e2),
     # so the saddle problem is solvable, but A is no norm and beta is
     # undefined: S = C A^-1 C.T = -1000 must not come out as beta = 0
-    c = SparseOperator.from_dense([[0.0, 0.0, 1.0]])
-    a = SparseOperator.diagonal([1.0, 1.0, -1e-3])
+    problem = QpProblem(SparseOperator.diagonal([1.0, 1.0, -1e-3]),
+                        np.zeros(3),
+                        SparseOperator.from_dense([[0.0, 0.0, 1.0]]),
+                        np.zeros(1))
     with pytest.raises(SingularSystemError, match="A is not positive definite"):
-        estimate_infsup(c, a, SparseOperator.identity(1), form)
+        estimate_infsup(problem, SparseOperator.identity(1), form)
 
 
 # -- problem directory round trip ------------------------------------------
