@@ -7,10 +7,12 @@ on the Schur complement B A^-1 B.T, each A-solve by fast diagonalization
 (closed-form sine eigenbases of the grid stencils, no factorization).
 Route two never mentions pressure while it solves: it minimizes the
 viscous energy 0.5 u.T A u - f.T u over discretely divergence-free
-velocity fields by projected CG, and then recovers the multiplier of the
-constraint B u = 0 as the least-squares solution of B.T p = A u - f, i.e.
-from the normal equations (B B.T) p = B (A u - f).  Up to the constant mode
-(fixed by zero-mean normalization), the two pressures are the same object.
+velocity fields by projected CG, preconditioned by P A^-1 P + (I - P) with P
+the projector onto Ker B (7 iterations at n = 16, 29 without it), and then
+recovers the multiplier of the constraint B u = 0 as the least-squares
+solution of B.T p = A u - f, i.e. from the normal equations
+(B B.T) p = B (A u - f).  Up to the constant mode (fixed by zero-mean
+normalization), the two pressures are the same object.
 """
 
 import numpy as np
@@ -37,7 +39,8 @@ v2, p2, s2 = solve_stokes_minimization(grid, case, 1e-12)
 print(f"minimization solve   : stationarity residual "
       f"{s2.residual_stationarity:.2e}, feasibility "
       f"{s2.residual_feasibility:.2e}, "
-      f"{s2.inner_report.iterations} projected CG iterations")
+      f"{s2.inner_report.iterations} preconditioned projected CG "
+      "iterations")
 
 ## The two routes agree to solver precision ##
 du = np.linalg.norm(v1.flat() - v2.flat()) / np.linalg.norm(v1.flat())

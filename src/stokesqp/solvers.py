@@ -48,7 +48,8 @@ class SolverReport:
     residual_norm: float
 
 
-def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, max_iter=None):
+def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, max_iter=None,
+                       precondition=None):
     """Solve ``S x = b`` for a symmetric positive definite S by CG.
 
     Parameters
@@ -62,6 +63,13 @@ def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, max_iter=None):
         ``||S x - b|| <= tol * ||b||``, verified against the true residual.
     max_iter : int, optional
         Defaults to ``10 * len(b)``.
+    precondition : callable, optional
+        The action r -> M^-1 r of a symmetric positive definite
+        preconditioner M.  CG then runs the preconditioned recurrence, with
+        z = M^-1 r and r.T z in place of r.T r.  Convergence and the
+        stagnation window are still judged on ||r|| and confirmed on the
+        true residual; after a failed confirmation z is recomputed from the
+        reset residual.
 
     Returns
     -------
@@ -69,7 +77,8 @@ def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, max_iter=None):
         Only a solution that met ``tol``.  Otherwise ConvergenceError names
         the reason, the iteration count, the number of unknowns and the true
         residual: "max_iter" on iteration exhaustion, "negative_curvature"
-        when a direction reveals an indefinite operator, "stagnation" when
+        when a direction reveals an indefinite operator,
+        "indefinite_preconditioner" when r.T M^-1 r <= 0, "stagnation" when
         the recurrence residual has not reached a new minimum for
         ``STAGNATION_WINDOW`` iterations (tol below attainable accuracy),
         counted from the first iterate below ||b||: the CG residual is not
@@ -88,37 +97,44 @@ def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, max_iter=None):
         return x, SolverReport(0, 0.0)
 
     r = b.copy()
-    p = r.copy()
     rs = float(r @ r)
     best, best_iter = rs, 0
+    p = rz = None
     iterations = 0
     reason = "max_iter"
     while iterations < max_iter:
+        if precondition is None:
+            z, rz_new = r, rs
+        else:
+            z = precondition(r)
+            rz_new = float(r @ z)
+            if rz_new <= 0.0:
+                reason = "indefinite_preconditioner"
+                break
+        p = z if p is None else z + (rz_new / rz) * p
+        rz = rz_new
         ap = apply_op(p)
         p_ap = float(p @ ap)
         if p_ap <= 0.0:
             reason = "negative_curvature"
             break
-        alpha = rs / p_ap
+        alpha = rz / p_ap
         x = x + alpha * p
         r = r - alpha * ap
         iterations += 1
-        rs_new = float(r @ r)
-        if rs_new < best:
-            best, best_iter = rs_new, iterations
-        if np.sqrt(rs_new) <= tol * norm_b:
+        rs = float(r @ r)
+        if rs < best:
+            best, best_iter = rs, iterations
+        if np.sqrt(rs) <= tol * norm_b:
             # recurrence residual can drift from the true one; confirm
             true_res = np.linalg.norm(apply_op(x) - b)
             if true_res <= tol * norm_b:
                 return x, SolverReport(iterations, float(true_res))
             r = b - apply_op(x)
-            rs_new = float(r @ r)
+            rs = float(r @ r)
         if best_iter and iterations - best_iter >= STAGNATION_WINDOW:
             reason = "stagnation"
             break
-        beta = rs_new / rs
-        p = r + beta * p
-        rs = rs_new
     raise ConvergenceError(
         f"CG on {n} unknowns did not converge (reason: {reason} after "
         f"{iterations} iterations, residual "

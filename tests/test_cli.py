@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from stokesqp import SparseOperator, build_grid
+from stokesqp import SparseOperator, build_grid, stokes
 from stokesqp.cli import (EXIT_BAD_INPUT, EXIT_OK, EXIT_PROPERTY_FAILURE,
                           EXIT_SOLVER_FAILURE, EXIT_STUDY_GATE, run)
 from stokesqp.mmio import read_vector, write_matrix, write_vector
@@ -220,6 +220,30 @@ def test_stokes_certifies_at_problem_scale(tmp_path, n):
     report = json.loads((tmp_path / "stokes_report.json").read_text())
     assert report["discrepancy"]["velocity_relative"] <= 1e-8
     assert report["discrepancy"]["pressure_relative"] <= 1e-8
+
+
+def test_stokes_command_assembles_once(tmp_path, monkeypatch):
+    # one assembly builds two 1-D stencils; the two routes share it
+    original = stokes._second_difference
+    calls = []
+
+    def counted(k, ghost):
+        calls.append((k, ghost))
+        return original(k, ghost)
+
+    stokes._assemble.cache_clear()
+    monkeypatch.setattr(stokes, "_second_difference", counted)
+    assert run(["stokes", "--n", "8", "--output", str(tmp_path)]) == EXIT_OK
+    assert calls == [(7, False), (8, True)]
+
+
+def test_stokes_default_tol_reaches_n256(tmp_path):
+    # at the default tol 1e-12 both routes meet the residual contract
+    assert run(["stokes", "--n", "256", "--output", str(tmp_path)]) == EXIT_OK
+    report = json.loads((tmp_path / "stokes_report.json").read_text())
+    assert report["tol"] == 1e-12
+    assert report["discrepancy"]["velocity_relative"] <= 1e-10
+    assert report["discrepancy"]["pressure_relative"] <= 1e-10
 
 
 def test_stokes_zero_forcing_pair():

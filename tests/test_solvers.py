@@ -109,6 +109,54 @@ def test_cg_accepts_callable_operator():
     assert np.allclose(a @ x, b, atol=1e-10)
 
 
+def test_pcg_with_the_exact_inverse_converges_in_one_iteration():
+    rng = np.random.default_rng(7)
+    a = _random_spd(rng, 30)
+    b = rng.standard_normal(30)
+    x, report = conjugate_gradient(lambda v: a @ v, b, tol=1e-10,
+                                   precondition=lambda r: sla.solve(a, r))
+    assert report.iterations == 1
+    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_pcg_jacobi_on_a_badly_scaled_matrix_saves_iterations():
+    # D G D with D spanning three decades (cond ~1e6): Jacobi undoes the
+    # scaling
+    rng = np.random.default_rng(8)
+    d = np.logspace(0, 3, 60)
+    a = d[:, None] * _random_spd(rng, 60, shift=60.0) * d
+    b = rng.standard_normal(60)
+    oracle = np.linalg.solve(a, b)
+    diagonal = np.diag(a).copy()
+    plain_x, plain = conjugate_gradient(lambda v: a @ v, b, tol=1e-13)
+    x, jacobi = conjugate_gradient(lambda v: a @ v, b, tol=1e-13,
+                                   precondition=lambda r: r / diagonal)
+    assert np.linalg.norm(plain_x - oracle) <= 1e-10 * np.linalg.norm(oracle)
+    assert np.linalg.norm(x - plain_x) <= 1e-10 * np.linalg.norm(plain_x)
+    assert jacobi.iterations < plain.iterations
+
+
+def test_pcg_identity_preconditioner_repeats_plain_cg_bitwise():
+    # z is r itself, so r.T z is r.T r and every iterate is the same
+    rng = np.random.default_rng(9)
+    a = _random_spd(rng, 40, shift=1e-3)
+    b = rng.standard_normal(40)
+    x, report = conjugate_gradient(lambda v: a @ v, b, tol=1e-12)
+    y, same = conjugate_gradient(lambda v: a @ v, b, tol=1e-12,
+                                 precondition=lambda r: r)
+    assert same == report
+    assert np.array_equal(x, y)
+
+
+def test_pcg_detects_an_indefinite_preconditioner():
+    rng = np.random.default_rng(10)
+    a = _random_spd(rng, 10)
+    with pytest.raises(ConvergenceError,
+                       match="indefinite_preconditioner after 0 iterations"):
+        conjugate_gradient(lambda v: a @ v, rng.standard_normal(10),
+                           precondition=lambda r: -r)
+
+
 # -- symmetric indefinite direct solve -------------------------------------
 
 

@@ -437,6 +437,18 @@ def test_coupled_iterations_do_not_grow_with_the_mesh(case_id):
         assert saddle.inner_report.iterations <= 20
 
 
+@pytest.mark.parametrize("case_id", ["taylor_green", "polynomial"])
+def test_minimization_iterations_grow_slowly(case_id):
+    # the constraint preconditioner P A^-1 P + (I - P) is not spectrally
+    # equivalent to (P A P)^-1 on Ker B, so the count still grows (7, 11,
+    # 17 at n = 16, 32, 64), but far below the ~2n (29, 62, 125) of
+    # projected CG without it
+    case = manufactured_case(case_id)
+    for n in (16, 32, 64):
+        _v, _p, saddle = solve_stokes_minimization(build_grid(n), case, 1e-12)
+        assert saddle.inner_report.iterations <= 20
+
+
 def test_returned_pressures_have_zero_mean():
     grid = build_grid(8)
     case = manufactured_case("polynomial")
