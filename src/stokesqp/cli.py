@@ -8,25 +8,26 @@ Exit codes form the machine contract:
   3  malformed input or violated precondition
   4  study gate failure (convergence order or inf-sup variation out of band)
 
+A default lives in one place: ``_FLAGS`` holds every flag's, and
+``_SUBCOMMANDS`` each command's handler and the defaults it changes.
 Commands raise on failure, and ``run`` alone maps the failure's class to
 its code: ValueError or FileNotFoundError to 3, ``_SOLVER_ERRORS`` to 2.
 
-All output files are byte-deterministic for fixed inputs and seed: floats are
-written in shortest round-trip form, JSON keys are sorted, and no timestamps
-or environment data are recorded.
+All output files are written by ``mmio`` and are byte-deterministic for fixed
+inputs and seed: floats are written in shortest round-trip form, JSON keys
+are sorted, and no timestamps or environment data are recorded.
 """
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .qp import (MultiplierConsistencyError, estimate_infsup, load_problem,
-                 save_solution, solve_kkt_direct, solve_nullspace, solve_schur)
-from .solvers import ConvergenceError, SingularSystemError
+from . import mmio
+from .qp import (estimate_infsup, load_problem, save_solution,
+                 solve_kkt_direct, solve_nullspace, solve_schur)
+from .solvers import DEFAULT_TOL, ConvergenceError, SingularSystemError
 from .sparse import SparseOperator
 from .stokes import (PressureField, VelocityField, build_grid, error_norms,
                      estimate_infsup_stokes, manufactured_case,
@@ -46,63 +47,32 @@ _SOLVERS = {
     "schur": solve_schur,
 }
 
-_SOLVER_ERRORS = (ConvergenceError, SingularSystemError,
-                  MultiplierConsistencyError)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of everything a command needs."""
-
-    command: str
-    input_dir: Path | None = None
-    output_dir: Path = Path(".")
-    n: int | None = None
-    n_list: tuple = ()
-    case_id: str = "taylor_green"
-    tol: float = 1e-10
-    method: str = "direct"
-    seed: int = 0
-    infsup: bool = False
-    corrupt: bool = False
-    inject_exact: bool = False
-    output_given: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.tol < np.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.n is not None and self.n < 2:
-            raise ValueError(f"grid size must be at least 2, got {self.n}")
-        for n in self.n_list:
-            if n < 2:
-                raise ValueError(f"grid size must be at least 2, got {n}")
+_SOLVER_ERRORS = (ConvergenceError, SingularSystemError)
 
 
 def _err(message):
     print(f"error: {message}", file=sys.stderr)
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+def _output_dir(args):
+    """--output, else the input directory, else the working one."""
+    return args.output or vars(args).get("input_dir") or Path(".")
 
 
 def _rel(diff, reference):
     return float(diff / reference) if reference > 0.0 else float(diff)
 
 
-def cmd_qp_solve(config):
-    if config.input_dir is None:
+def cmd_qp_solve(args):
+    if args.input_dir is None:
         raise ValueError("qp-solve requires --input")
-    problem = load_problem(config.input_dir)
-    solution = _SOLVERS[config.method](problem, config.tol)
+    problem = load_problem(args.input_dir)
+    solution = _SOLVERS[args.method](problem, args.tol)
     beta = None
-    if config.infsup:
+    if args.infsup:
         beta = estimate_infsup(
             problem, SparseOperator.identity(problem.n_constraints)).beta
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    save_solution(config.output_dir, solution, beta)
+    save_solution(_output_dir(args), solution, beta)
     return EXIT_OK
 
 
@@ -117,21 +87,21 @@ def _solve_block(velocity, pressure, saddle, case, grid):
     }
 
 
-def cmd_stokes(config):
-    case = manufactured_case(config.case_id)
-    grid = build_grid(config.n if config.n is not None else 16)
-    v1, p1, s1 = solve_stokes_coupled(grid, case, config.tol)
-    v2, p2, s2 = solve_stokes_minimization(grid, case, config.tol)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    write_fields_csv(config.output_dir / "fields_coupled.csv", v1, p1)
-    write_fields_csv(config.output_dir / "fields_minimization.csv", v2, p2)
+def cmd_stokes(args):
+    case = manufactured_case(args.case_id)
+    grid = build_grid(args.n)
+    v1, p1, s1 = solve_stokes_coupled(grid, case, args.tol)
+    v2, p2, s2 = solve_stokes_minimization(grid, case, args.tol)
+    out = _output_dir(args)
+    write_fields_csv(out / "fields_coupled.csv", v1, p1)
+    write_fields_csv(out / "fields_minimization.csv", v2, p2)
     du = float(np.linalg.norm(v1.flat() - v2.flat()))
     dp = float(np.linalg.norm(p1.flat() - p2.flat()))
     report = {
         "case": case.case_id,
         "n": grid.n,
         "h": grid.h,
-        "tol": config.tol,
+        "tol": args.tol,
         "coupled": _solve_block(v1, p1, s1, case, grid),
         "minimization": _solve_block(v2, p2, s2, case, grid),
         "discrepancy": {
@@ -139,7 +109,7 @@ def cmd_stokes(config):
             "pressure_relative": _rel(dp, float(np.linalg.norm(p1.flat()))),
         },
     }
-    _write_json(config.output_dir / "stokes_report.json", report)
+    mmio.write_json(out / "stokes_report.json", report)
     return EXIT_OK
 
 
@@ -170,25 +140,23 @@ def _injected_fields(grid, case):
     return velocity, pressure
 
 
-def cmd_converge(config):
-    if len(config.n_list) < 2:
+def cmd_converge(args):
+    if len(args.n_list) < 2:
         raise ValueError(
             "need at least two grid sizes to compute an observed order")
-    if list(config.n_list) != sorted(set(config.n_list)):
+    if list(args.n_list) != sorted(set(args.n_list)):
         raise ValueError(
-            f"grid sizes must be strictly ascending, got {config.n_list}")
-    case = manufactured_case(config.case_id)
+            f"grid sizes must be strictly ascending, got {args.n_list}")
+    case = manufactured_case(args.case_id)
     rows = []
-    for n in config.n_list:
+    for n in args.n_list:
         grid = build_grid(int(n))
-        if config.inject_exact:
+        if args.inject_exact:
             velocity, pressure = _injected_fields(grid, case)
         else:
-            velocity, pressure, _ = solve_stokes_coupled(
-                grid, case, config.tol)
+            velocity, pressure, _ = solve_stokes_coupled(grid, case, args.tol)
         rows.append((grid, error_norms(velocity, pressure, case, grid)))
 
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     lines = ["n,h,l2_u,l2_p,linf_u,order_u,order_p"]
 
     def observed_order(prev_err, cur_err, ratio):
@@ -210,24 +178,22 @@ def cmd_converge(config):
             op = "" if order_p is None else repr(order_p)
         lines.append(f"{grid.n},{grid.h!r},{err['l2_u']!r},{err['l2_p']!r},"
                      f"{err['linf_u']!r},{ou},{op}")
-    with open(config.output_dir / "convergence.csv", "w",
-              encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    mmio.write_text(_output_dir(args) / "convergence.csv",
+                    "\n".join(lines) + "\n")
     if order_u is None or not 1.8 <= order_u <= 2.2:
         _err(f"observed velocity order {order_u} outside [1.8, 2.2]")
         return EXIT_STUDY_GATE
     return EXIT_OK
 
 
-def cmd_infsup(config):
-    if config.input_dir is not None:
+def cmd_infsup(args):
+    if args.input_dir is not None:
         # constraint block of a problem directory, identity multiplier metric
-        problem = load_problem(config.input_dir)
+        problem = load_problem(args.input_dir)
         mq = SparseOperator.identity(problem.n_constraints)
         dual = estimate_infsup(problem, mq, "dual_form")
         primal = estimate_infsup(problem, mq, "primal_form")
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(config.output_dir / "infsup.json", {
+        mmio.write_json(_output_dir(args) / "infsup.json", {
             "beta_dual": dual.beta,
             "beta_primal": primal.beta,
             "form_difference": abs(dual.beta - primal.beta),
@@ -236,17 +202,14 @@ def cmd_infsup(config):
         })
         return EXIT_OK
 
-    n_list = config.n_list or ((config.n,) if config.n else ())
+    n_list = args.n_list or ((args.n,) if args.n is not None else ())
     if not n_list:
         raise ValueError(
             "need --n-list (or --n, or --input) for an inf-sup study")
     values = [estimate_infsup_stokes(build_grid(n)).beta for n in n_list]
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     lines = ["n,h,beta"] + [f"{n},{1.0 / n!r},{b!r}"
                             for n, b in zip(n_list, values)]
-    with open(config.output_dir / "infsup.csv", "w",
-              encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    mmio.write_text(_output_dir(args) / "infsup.csv", "\n".join(lines) + "\n")
     spread = max(values) / min(values) if min(values) > 0.0 else np.inf
     if min(values) <= 0.0 or spread >= 1.1:
         _err(f"inf-sup gate failed: min beta {min(values)!r}, "
@@ -255,19 +218,18 @@ def cmd_infsup(config):
     return EXIT_OK
 
 
-def cmd_verify(config):
-    results = run_property_suite(config.seed, corrupt=config.corrupt)
+def cmd_verify(args):
+    results = run_property_suite(args.seed, corrupt=args.corrupt)
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         lines.append(f"PROPERTY {r.name}: {status} "
                      f"(worst {r.worst!r}, bound {r.bound!r})")
     print("\n".join(lines))
-    if config.output_given:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(config.output_dir / "verify_report.json", {
-            "seed": config.seed,
-            "corrupt": config.corrupt,
+    if args.output is not None:
+        mmio.write_json(args.output / "verify_report.json", {
+            "seed": args.seed,
+            "corrupt": args.corrupt,
             "properties": [
                 {"name": r.name, "passed": r.passed,
                  "worst": r.worst if np.isfinite(r.worst) else None,
@@ -292,12 +254,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
+        _err(message)
         raise SystemExit(EXIT_BAD_INPUT)
 
 
-#: every flag with its argparse settings; each subcommand takes a subset,
-#: and a flag left out keeps RunConfig's default
+#: every flag with its argparse settings and default (None where none is
+#: given); each subcommand takes a subset
 _FLAGS = {
     "--input": dict(type=Path, dest="input_dir",
                     help="problem directory (A.mtx, C.mtx, b.txt[, d.txt])"),
@@ -305,12 +267,13 @@ _FLAGS = {
                      help="directory for reports and fields (default: the "
                           "input directory if given, else the working one)"),
     "--n": dict(type=int, help="cells per side"),
-    "--n-list": dict(type=_parse_n_list,
+    "--n-list": dict(type=_parse_n_list, default=(),
                      help="comma-separated grid sizes, e.g. 8,16,32"),
-    "--case": dict(dest="case_id", choices=("taylor_green", "polynomial")),
-    "--tol": dict(type=float),
-    "--method": dict(choices=tuple(_SOLVERS)),
-    "--seed": dict(type=int),
+    "--case": dict(dest="case_id", default="taylor_green",
+                   choices=("taylor_green", "polynomial")),
+    "--tol": dict(type=float, default=DEFAULT_TOL),
+    "--method": dict(default="direct", choices=tuple(_SOLVERS)),
+    "--seed": dict(type=int, default=0),
     "--infsup": dict(action="store_true",
                      help="also estimate the constraint inf-sup constant"),
     "--corrupt": dict(action="store_true",
@@ -319,22 +282,24 @@ _FLAGS = {
                            "grade exact-field sampling"),
 }
 
-#: subcommand defaults that differ from RunConfig's
-_DEFAULTS = {"stokes": {"tol": 1e-12}}
-
-#: (help, flags read) per subcommand; any other flag is a usage error, and
-#: flags joined by "|" exclude one another
+#: (handler, help, flags read, defaults that differ from _FLAGS') per
+#: subcommand; any other flag is a usage error, and flags joined by "|"
+#: exclude one another
 _SUBCOMMANDS = {
-    "qp-solve": ("solve a problem directory and write the solution",
-                 "--input --output --method --tol --infsup"),
-    "stokes": ("run both Stokes formulations and report their agreement",
-               "--n --case --tol --output"),
-    "converge": ("refinement study with observed convergence orders",
-                 "--n-list --case --tol --inject-exact --output"),
-    "infsup": ("inf-sup constants across grids or for a problem directory",
-               "--n-list|--n|--input --output"),
-    "verify": ("seeded randomized property suites",
-               "--seed --corrupt --output"),
+    "qp-solve": (cmd_qp_solve,
+                 "solve a problem directory and write the solution",
+                 "--input --output --method --tol --infsup", {}),
+    "stokes": (cmd_stokes,
+               "run both Stokes formulations and report their agreement",
+               "--n --case --tol --output", {"n": 16, "tol": 1e-12}),
+    "converge": (cmd_converge,
+                 "refinement study with observed convergence orders",
+                 "--n-list --case --tol --inject-exact --output", {}),
+    "infsup": (cmd_infsup,
+               "inf-sup constants across grids or for a problem directory",
+               "--n-list|--n|--input --output", {}),
+    "verify": (cmd_verify, "seeded randomized property suites",
+               "--seed --corrupt --output", {}),
 }
 
 
@@ -344,39 +309,33 @@ def build_parser():
         description="Constrained quadratic minimization and staggered-grid "
                     "Stokes studies with Lagrange-multiplier verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text,
-                           argument_default=argparse.SUPPRESS)
+    for name, (handler, help_text, flags, defaults) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         for group in flags.split():
             names = group.split("|")
             target = p.add_mutually_exclusive_group() if len(names) > 1 else p
             for flag in names:
                 target.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(**_DEFAULTS.get(name, {}))
+        p.set_defaults(handler=handler, **defaults)
     return parser
 
 
-def config_from_args(args):
-    opts = dict(vars(args))          # the command and the flags it takes
-    output = opts.pop("output", None)
-    return RunConfig(output_dir=output or opts.get("input_dir") or Path("."),
-                     output_given=output is not None, **opts)
-
-
-_COMMANDS = {
-    "qp-solve": cmd_qp_solve,
-    "stokes": cmd_stokes,
-    "converge": cmd_converge,
-    "infsup": cmd_infsup,
-    "verify": cmd_verify,
-}
+def _check_ranges(opts):
+    """The range checks argparse cannot express, on the flags parsed."""
+    tol = opts.get("tol", DEFAULT_TOL)
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    n = opts.get("n")
+    for size in opts.get("n_list", ()) + (() if n is None else (n,)):
+        if size < 2:
+            raise ValueError(f"grid size must be at least 2, got {size}")
 
 
 def run(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        return _COMMANDS[config.command](config)
+        _check_ranges(vars(args))
+        return args.handler(args)
     except (ValueError, FileNotFoundError) as exc:
         # ValueError covers MatrixMarketError, RankDeficiencyError and
         # numpy.linalg.LinAlgError

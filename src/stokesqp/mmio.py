@@ -13,12 +13,15 @@ loop, which accepts it or reports the offending line number.  What the fast
 parse accepts, the loop accepts too with the same triples, so the file's
 content alone picks the path and never changes the result.
 
-Both readers name the file and the line of a non-ASCII byte.
+Both readers name the file and the line of a non-ASCII byte.  Every file
+the package writes, report or field, goes through ``write_text``.
 """
 
 import io
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -214,8 +217,7 @@ def write_matrix(path, op):
              f"{op.nrows} {op.ncols} {len(vals)}\n"]
     lines.extend(f"{i + 1} {j + 1} {v!r}\n" for i, j, v in
                  zip(rows.tolist(), cols.tolist(), vals.tolist()))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("".join(lines))
+    write_text(path, "".join(lines))
 
 
 def _vector_lines(text):
@@ -245,5 +247,18 @@ def read_vector(path):
 
 def write_vector(path, v):
     values = np.asarray(v, dtype=float).tolist()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("".join(f"{x!r}\n" for x in values))
+    write_text(path, "".join(f"{x!r}\n" for x in values))
+
+
+def write_text(path, text):
+    """Write ``text`` as ASCII with ``\\n`` line ends, creating the parent
+    directory; a non-ASCII character raises UnicodeEncodeError."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
+
+
+def write_json(path, payload):
+    """Write ``payload`` as strict JSON, keys sorted, indent 2, and "\\n"."""
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True,
+                                allow_nan=False) + "\n")

@@ -16,7 +16,6 @@ uniqueness can be estimated for a QpProblem, whose rank test it trusts, from
 either of its two equivalent variational forms.
 """
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -206,8 +205,8 @@ def solve_nullspace(problem, tol=DEFAULT_TOL):
     """Reduce to the constraint kernel, minimize there, then recover lam.
 
     A feasible point x0 (minimum norm) plus an orthonormal kernel basis Z
-    turn the problem into the SPD system (Z.T A Z) y = Z.T (b - A x0); the
-    multiplier is recovered afterwards from the gradient at the minimizer.
+    turn the problem into the SPD system (Z.T A Z) y = Z.T (b - A x0); lam is
+    fitted to the gradient there and certified once, by ``checked_solution``.
     """
     z = kernel_basis(problem.svd[2])
     x0 = _min_norm_particular(problem)
@@ -219,7 +218,7 @@ def solve_nullspace(problem, tol=DEFAULT_TOL):
         raise SingularSystemError(
             f"reduced system singular: {_NOT_DEFINITE_ON_KERNEL}") from exc
     x = x0 + z @ y
-    multiplier = recover_multiplier(problem, x, tol)
+    multiplier = _least_squares_multiplier(problem, gradient(problem, x))
     return checked_solution(problem.A, problem.C, problem.b, problem.d, x,
                             multiplier, "nullspace", tol)
 
@@ -315,8 +314,13 @@ def recover_multiplier(problem, x, tol=DEFAULT_TOL):
             f"point is not a constrained minimizer at tol {tol:g}: projected "
             f"gradient {report.projected_gradient_norm:.3e}, "
             f"feasibility {report.feasibility_norm:.3e}")
+    return _least_squares_multiplier(problem, gradient(problem, x))
+
+
+def _least_squares_multiplier(problem, g):
+    """lam = u diag(1/s) vh g, the least-squares solution of C.T lam = g."""
     u, s, vh = problem.svd
-    return u @ ((vh @ gradient(problem, x)) / s)
+    return u @ ((vh @ g) / s)
 
 
 def estimate_infsup(problem, Mq, form="dual_form", tol=1e-10):
@@ -391,7 +395,6 @@ def load_problem(directory):
 def save_solution(directory, solution, beta=None):
     """Write x.txt, lambda.txt, and report.json for a SaddleSolution."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     mmio.write_vector(directory / "x.txt", solution.x)
     mmio.write_vector(directory / "lambda.txt", solution.multiplier)
     report = {
@@ -403,7 +406,5 @@ def save_solution(directory, solution, beta=None):
     }
     if beta is not None:
         report["infsup_beta"] = float(beta)
-    with open(directory / "report.json", "w", encoding="ascii") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    mmio.write_json(directory / "report.json", report)
     return report

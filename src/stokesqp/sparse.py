@@ -136,9 +136,6 @@ class SparseOperator:
     def frobenius_norm(self):
         return float(np.sqrt(np.sum(self._csr.data ** 2)))
 
-    def __matmul__(self, x):
-        return self.apply(x)
-
     def __repr__(self):
         tag = "symmetric" if self._symmetric else "general"
         return (f"SparseOperator({self.nrows}x{self.ncols}, "

@@ -38,6 +38,7 @@ from scipy import sparse as _sp
 # unused here; kept bound because the benchmark tracer's tests check it
 from scipy.sparse.linalg import splu  # noqa: F401
 
+from . import mmio
 from .qp import (InfSupEstimate, checked_solution, schur_complement,
                  schur_complement_solve)
 # unused here; kept bound because the benchmark tracer's tests check it
@@ -490,18 +491,16 @@ def solve_stokes_minimization(grid, case, tol=DEFAULT_TOL):
     ops = assemble_operators(grid)
     b = sample_forcing(grid, case)
     project = divergence_free_projector(ops)
-    a_solve = _mac_velocity_solve(grid)
 
-    def lifted_apply(v):
-        pv = project(v)
-        return project(ops.A.apply(pv)) + (v - pv)
+    def lifted(op):                  # P op P + (I - P)
+        def apply(v):
+            pv = project(v)
+            return project(op(pv)) + (v - pv)
+        return apply
 
-    def precondition(r):
-        pr = project(r)
-        return project(a_solve(pr)) + (r - pr)
-
-    u, report = conjugate_gradient(lifted_apply, project(b), tol=tol,
-                                   precondition=precondition)
+    u, report = conjugate_gradient(
+        lifted(ops.A.apply), project(b), tol=tol,
+        precondition=lifted(_mac_velocity_solve(grid)))
     u = project(u)                   # scrub rounding drift out of Ker B
     p = _mac_pressure_solve(grid)(ops.B.csr @ (ops.A.apply(u) - b))
     pressure = PressureField.from_flat(grid, p)
@@ -575,5 +574,4 @@ def write_fields_csv(path, velocity, pressure):
         for i, row in enumerate(values.tolist()):
             lines.extend(f"{kind},{i},{j},{x_text[i]},{y},{v!r}\n"
                          for j, (y, v) in enumerate(zip(y_text, row)))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("".join(lines))
+    mmio.write_text(path, "".join(lines))

@@ -33,9 +33,9 @@ class PropertyResult:
         object.__setattr__(self, "bound", float(self.bound))
 
 
-def random_problem(rng, n_max=50):
+def random_problem(rng):
     """Random SPD quadratic with a full-row-rank Gaussian constraint block."""
-    n = int(rng.integers(4, n_max + 1))
+    n = int(rng.integers(4, 51))
     m = int(rng.integers(1, n))
     g = rng.standard_normal((n, n))
     a = g @ g.T + n * np.eye(n)

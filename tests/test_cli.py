@@ -11,9 +11,11 @@ import pytest
 
 from stokesqp import SparseOperator, build_grid, stokes
 from stokesqp.cli import (EXIT_BAD_INPUT, EXIT_OK, EXIT_PROPERTY_FAILURE,
-                          EXIT_SOLVER_FAILURE, EXIT_STUDY_GATE, run)
+                          EXIT_SOLVER_FAILURE, EXIT_STUDY_GATE, build_parser,
+                          run)
 from stokesqp.mmio import read_vector, write_matrix, write_vector
-from stokesqp.solvers import ConvergenceError, SingularSystemError
+from stokesqp.solvers import (DEFAULT_TOL, ConvergenceError,
+                              SingularSystemError)
 from stokesqp.stokes import (ManufacturedCase, solve_stokes_coupled,
                              solve_stokes_minimization)
 
@@ -172,9 +174,28 @@ def test_foreign_flag_rejected(argv):
     assert excinfo.value.code == EXIT_BAD_INPUT
 
 
-def test_invalid_grid_size_rejected(tmp_path):
+def test_invalid_grid_size_rejected(tmp_path, capsys):
     assert run(["stokes", "--n", "1",
                 "--output", str(tmp_path)]) == EXIT_BAD_INPUT
+    # --n 0 is given, not absent: the check must not test truthiness
+    assert run(["infsup", "--n", "0",
+                "--output", str(tmp_path)]) == EXIT_BAD_INPUT
+    assert "grid size must be at least 2, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("stokes", {"n": 16, "tol": 1e-12, "case_id": "taylor_green"}),
+    ("qp-solve", {"method": "direct", "tol": DEFAULT_TOL, "input_dir": None,
+                  "output": None, "infsup": False}),
+    ("converge", {"tol": DEFAULT_TOL, "n_list": (),
+                  "case_id": "taylor_green", "inject_exact": False}),
+    ("infsup", {"n": None, "n_list": (), "input_dir": None}),
+    ("verify", {"seed": 0, "corrupt": False, "output": None}),
+], ids=lambda v: v if isinstance(v, str) else "defaults")
+def test_parse_level_defaults(command, expected):
+    # each default lives in the parser's tables, nowhere else
+    args = vars(build_parser().parse_args([command]))
+    assert {key: args[key] for key in expected} == expected
 
 
 # -- stokes ----------------------------------------------------------------
@@ -583,6 +604,35 @@ def test_every_solver_error_is_solver_failure(tmp_path, capsys, monkeypatch):
     assert "error: injected singular system" in capsys.readouterr().err
     assert run(["verify", "--seed", "0"]) == EXIT_SOLVER_FAILURE
     assert "error: injected non-convergence" in capsys.readouterr().err
+
+
+# -- output format: every file goes through mmio's writers ---------------
+
+
+def test_every_written_file_is_ascii_lf_and_canonical_json(tmp_path):
+    problem = _write_random_problem(tmp_path / "prob")
+    out = tmp_path / "out"
+    for argv in (["qp-solve", "--input", str(problem), "--infsup",
+                  "--output", str(out / "qp")],
+                 ["stokes", "--n", "4", "--output", str(out / "stokes")],
+                 ["converge", "--n-list", "4,8", "--output",
+                  str(out / "converge")],
+                 ["infsup", "--n", "4", "--output", str(out / "infsup")],
+                 ["infsup", "--input", str(problem), "--output",
+                  str(out / "infsup_input")],
+                 ["verify", "--seed", "0", "--output", str(out / "verify")]):
+        assert run(argv) == EXIT_OK, argv
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    assert sorted(p.name for p in files) == sorted([
+        "x.txt", "lambda.txt", "report.json", "fields_coupled.csv",
+        "fields_minimization.csv", "stokes_report.json", "convergence.csv",
+        "infsup.csv", "infsup.json", "verify_report.json"])
+    for path in files:
+        text = path.read_bytes().decode("ascii")
+        assert text.endswith("\n") and "\r" not in text, path.name
+        if path.suffix == ".json":
+            assert text == json.dumps(json.loads(text), indent=2,
+                                      sort_keys=True) + "\n", path.name
 
 
 # -- entry point -----------------------------------------------------------

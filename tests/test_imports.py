@@ -1,0 +1,54 @@
+"""Import hygiene: every name a package module imports is used there.
+
+No linter is part of the toolchain, so this reads each module's syntax tree:
+a name bound by an import must be read somewhere in the module or be listed
+in its ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import stokesqp
+
+PACKAGE = Path(stokesqp.__file__).parent
+
+#: imported but unused on purpose: bench/tests/test_bench_spans.py checks
+#: that the benchmark tracer wraps these two bindings of ``stokes``
+KEPT_FOR_TRACER = {"stokes": ["recover_multiplier", "splu"]}
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="ascii"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(alias.asname or alias.name
+                            for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - read - exported)
+
+
+@pytest.mark.parametrize("module",
+                         sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_every_import_is_used(module):
+    assert _unused_imports(PACKAGE / f"{module}.py") == \
+        KEPT_FOR_TRACER.get(module, [])
+
+
+def test_unused_import_is_caught(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("import json\nimport numpy as np\n"
+                      "from dataclasses import dataclass, field\n"
+                      "__all__ = ['field']\nnp.zeros(1)\n", encoding="ascii")
+    assert _unused_imports(source) == ["dataclass", "json"]

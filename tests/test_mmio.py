@@ -307,3 +307,21 @@ def test_writers_match_per_line_format(tmp_path):
                             for i, j, v in zip(rows, cols, vals))
         write_matrix(path, op)
         assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_write_text_creates_parent_and_writes_ascii_lf(tmp_path):
+    path = tmp_path / "missing" / "deeper" / "r.csv"
+    mmio.write_text(path, "a,b\n1,2\n")
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    with pytest.raises(UnicodeEncodeError):
+        mmio.write_text(tmp_path / "u.txt", "\u00e9\n")
+
+
+def test_write_json_is_strict_sorted_and_newline_terminated(tmp_path):
+    path = tmp_path / "r.json"
+    mmio.write_json(path, {"b": 0.1, "a": [1, None]})
+    assert path.read_bytes() == \
+        b'{\n  "a": [\n    1,\n    null\n  ],\n  "b": 0.1\n}\n'
+    with pytest.raises(ValueError):
+        mmio.write_json(tmp_path / "nan.json", {"x": float("nan")})
+    assert not (tmp_path / "nan.json").exists()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from stokesqp import (MultiplierConsistencyError, QpProblem,
+from stokesqp import (ConvergenceError, MultiplierConsistencyError, QpProblem,
                       RankDeficiencyError, SingularSystemError,
                       SparseOperator, assemble_kkt,
                       check_optimality, estimate_infsup, gradient,
@@ -327,6 +327,24 @@ def test_recovered_multiplier_matches_direct_solver():
         lam = recover_multiplier(p, direct.x)
         scale = max(np.linalg.norm(direct.multiplier), 1.0)
         assert np.linalg.norm(lam - direct.multiplier) <= 1e-8 * scale
+
+
+def test_nullspace_certifies_once(monkeypatch):
+    # the residual contract alone certifies the null-space solution; below
+    # attainable accuracy it, not the optimality gate, names the failure
+    import stokesqp.qp as qp
+
+    def no_gate(*args, **kwargs):
+        raise AssertionError("check_optimality called")
+
+    p = _random_instance(np.random.default_rng(40), inhomogeneous=True)
+    monkeypatch.setattr(qp, "check_optimality", no_gate)
+    solution = solve_nullspace(p, 1e-10)
+    assert np.array_equal(solution.multiplier,
+                          qp._least_squares_multiplier(
+                              p, gradient(p, solution.x)))
+    with pytest.raises(ConvergenceError, match="nullspace solve violated"):
+        solve_nullspace(p, 1e-20)
 
 
 # -- one factorization of C -----------------------------------------------
