@@ -184,34 +184,35 @@ class StokesOperators:
     B: SparseOperator
 
 
-def _second_difference(k, ghost):
-    """1-D stencil tridiag(-1, 2, -1); with ghost=True the end rows use the
-    reflected-value closure (diagonal 3; 4 when k = 1, one cell between two
-    walls) for walls half a cell beyond."""
-    main = np.full(k, 2.0)
-    if ghost:
-        main[0] += 1.0
-        main[-1] += 1.0
-    off = -np.ones(k - 1)
-    return _sp.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
+def _stencil_rows(nx, ny, ghost_x, ghost_y):
+    """(row_nnz, indices, data) of the 5-point second difference on an nx x ny
+    grid in C order, columns -ny, -1, 0, +1, +ny where on the grid: per
+    direction tridiag(-1, 2, -1), end rows closed by reflection if ghost."""
+    ix, iy = np.indices((nx, ny), np.int32, sparse=True)
+    west, east, south, north = ix > 0, ix < nx - 1, iy > 0, iy < ny - 1
+    keep = np.stack(np.broadcast_arrays(west, south, True, north, east), -1)
+    diag = 4 + ghost_x * (2 - west - east) + ghost_y * (2 - south - north)
+    data = np.stack(np.broadcast_arrays(-1.0, -1.0, diag, -1.0, -1.0), -1)
+    cols = (ny * ix + iy)[..., None] + np.int32([-ny, -1, 0, 1, ny])
+    return keep.sum(-1).ravel(), cols[keep], data[keep]
 
 
-def _face_difference(n):
-    # n x (n-1): cell i gets +(east face i) - (west face i-1)
-    ones = np.ones(n - 1)
-    return _sp.diags([ones, -ones], offsets=[0, -1],
-                     shape=(n, n - 1), format="csr")
+def _csr(row_nnz, indices, data, ncols):
+    indptr = np.cumsum(np.r_[0, row_nnz], dtype=np.int32)
+    return _sp.csr_array((data, indices, indptr), (len(row_nnz), ncols))
 
 
 def _divergence(grid):
     """B: the divergence of cell (i, j) is the h-weighted net face flux, so
-    its row has entries +-h and q.T B v approximates the integral of
-    q div v."""
-    n, h = grid.n, grid.h
-    d = _face_difference(n)
-    eye = _sp.identity
-    return SparseOperator(_sp.hstack([h * _sp.kron(d, eye(n)),
-                                      h * _sp.kron(eye(n), d)], format="csr"))
+    its row has entries +-h (west u, east u, south v, north v) and q.T B v
+    approximates the integral of q div v."""
+    n, m, h = grid.n, grid.n - 1, grid.h
+    ix, iy = np.indices((n, n), np.int32, sparse=True)
+    keep = np.stack(np.broadcast_arrays(ix > 0, ix < m, iy > 0, iy < m), -1)
+    u, v = n * ix + iy, n * m + m * ix + iy
+    cols = np.stack(np.broadcast_arrays(u - n, u, v - 1, v), -1)[keep]
+    data = np.broadcast_to([-h, h, -h, h], keep.shape)[keep]
+    return SparseOperator(_csr(keep.sum(-1).ravel(), cols, data, 2 * n * m))
 
 
 def _pressure_mass(grid):
@@ -225,9 +226,11 @@ def assemble_operators(grid):
     The viscous operator is the 5-point Laplacian per component: Dirichlet
     rows eliminated where the wall passes through face positions (normal
     direction), ghost-value reflection where the wall lies half a cell away
-    (tangential direction).  The last grid's operators are kept, so the two
-    Stokes routes on one grid assemble once; grid and operators are
-    immutable, so the shared instance is safe.
+    (tangential direction).  Rows of A and B go straight into int32 CSR by
+    index arithmetic (``_stencil_rows``, ``_divergence``), storing no zeros;
+    A's symmetry is still checked entry by entry.  The last grid's operators
+    are kept, so the two Stokes routes on one grid assemble once; grid and
+    operators are immutable, so the shared instance is safe.
     """
     return _assemble(grid)
 
@@ -238,14 +241,12 @@ def assemble_operators(grid):
 @functools.lru_cache(maxsize=1)
 def _assemble(grid):
     n = grid.n
-    t_dir = _second_difference(n - 1, ghost=False)
-    t_ghost = _second_difference(n, ghost=True)
-    eye = _sp.identity
-    a_u = _sp.kron(t_dir, eye(n)) + _sp.kron(eye(n - 1), t_ghost)
-    a_v = _sp.kron(t_ghost, eye(n - 1)) + _sp.kron(eye(n), t_dir)
-    a = SparseOperator(_sp.block_diag([a_u, a_v], format="csr"),
-                       symmetric=True)
-    return StokesOperators(grid, a, _divergence(grid))
+    nnz_u, cols_u, data_u = _stencil_rows(n - 1, n, False, True)
+    nnz_v, cols_v, data_v = _stencil_rows(n, n - 1, True, False)
+    a = _csr(np.r_[nnz_u, nnz_v], np.r_[cols_u, cols_v + n * (n - 1)],
+             np.r_[data_u, data_v], grid.n_velocity)
+    return StokesOperators(grid, SparseOperator(a, symmetric=True),
+                           _divergence(grid))
 
 
 # -- manufactured solutions ------------------------------------------------
@@ -350,13 +351,12 @@ def sample_forcing(grid, case):
 
 
 def _sine_basis(k, ghost):
-    """Orthonormal eigenpairs (lam, Q) of ``_second_difference(k, ghost)``.
-
-    Dirichlet (ghost=False): Q[j, m] ~ sin((j+1)(m+1) pi / (k+1)).  Ghost-
-    closed: Q[j, m] ~ sin((m+1) pi (j+1/2) / k), the last column (the
-    alternating mode) scaled by 1/sqrt(2).  lam = 2 - 2 cos(theta), written
-    4 sin^2(theta/2) to keep the small eigenvalues to full relative accuracy.
-    """
+    """Orthonormal eigenpairs (lam, Q) of the k x k tridiag(-1, 2, -1), with
+    ghost=True its end rows closed by reflection (diagonal 3; 4 when k = 1).
+    Dirichlet: Q[j, m] ~ sin((j+1)(m+1) pi / (k+1)).  Ghost-closed: Q[j, m] ~
+    sin((m+1) pi (j+1/2) / k), the last column (the alternating mode) scaled
+    by 1/sqrt(2).  lam = 2 - 2 cos(theta), written 4 sin^2(theta/2) to keep
+    the small eigenvalues to full relative accuracy."""
     j = np.arange(k)[:, None]
     m = np.arange(1, k + 1)
     if ghost:
@@ -370,9 +370,9 @@ def _sine_basis(k, ghost):
 
 
 def _cosine_basis(n):
-    """Orthonormal eigenpairs (lam, Q) of the Neumann second difference
-    D D.T, D = ``_face_difference(n)``: Q[j, m] ~ cos(m pi (j+1/2) / n), the
-    first column (the constant, lam = 0) scaled by 1/sqrt(2)."""
+    """Orthonormal eigenpairs (lam, Q) of the Neumann second difference D D.T
+    with D[i, i] = 1, D[i, i-1] = -1 (n x (n-1)): Q[j, m] ~ cos(m pi (j+1/2)
+    / n), the first column (the constant, lam = 0) scaled by 1/sqrt(2)."""
     theta = np.arange(n) * math.pi / n
     q = np.sqrt(2.0 / n) * np.cos(theta * (np.arange(n)[:, None] + 0.5))
     q[:, 0] /= math.sqrt(2.0)

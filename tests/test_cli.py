@@ -244,18 +244,19 @@ def test_stokes_certifies_at_problem_scale(tmp_path, n):
 
 
 def test_stokes_command_assembles_once(tmp_path, monkeypatch):
-    # one assembly builds two 1-D stencils; the two routes share it
-    original = stokes._second_difference
+    # one assembly builds A's stencil rows once per velocity block; the two
+    # routes share it
+    original = stokes._stencil_rows
     calls = []
 
-    def counted(k, ghost):
-        calls.append((k, ghost))
-        return original(k, ghost)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
     stokes._assemble.cache_clear()
-    monkeypatch.setattr(stokes, "_second_difference", counted)
+    monkeypatch.setattr(stokes, "_stencil_rows", counted)
     assert run(["stokes", "--n", "8", "--output", str(tmp_path)]) == EXIT_OK
-    assert calls == [(7, False), (8, True)]
+    assert calls == [(7, 8, False, True), (8, 7, True, False)]
 
 
 def test_stokes_default_tol_reaches_n256(tmp_path):

@@ -18,11 +18,11 @@ from stokesqp import (ConvergenceError, ManufacturedCase, PressureField,
                       solve_stokes_coupled, solve_stokes_minimization,
                       symmetric_indefinite_solve, write_fields_csv,
                       zero_mean_project)
+from stokesqp import stokes
 from stokesqp.qp import schur_complement_solve
 from stokesqp.solvers import conjugate_gradient, factorized
-from stokesqp.stokes import (_cosine_basis, _face_difference,
-                             _mac_pressure_solve, _mac_velocity_solve,
-                             _pressure_mass, _second_difference, _sine_basis)
+from stokesqp.stokes import (_cosine_basis, _divergence, _mac_pressure_solve,
+                             _mac_velocity_solve, _pressure_mass, _sine_basis)
 
 # frozen first-run baselines for the taylor_green coupled solve (regression
 # guards; the convergence study re-derives their h^2 trend independently)
@@ -112,6 +112,79 @@ def test_zero_mean_projection_of_sampled_cosine():
 
 
 # -- operator assembly -----------------------------------------------------
+
+
+def _second_difference(k, ghost):
+    """1-D stencil tridiag(-1, 2, -1); with ghost=True the end rows use the
+    reflected-value closure (diagonal 3; 4 when k = 1, one cell between two
+    walls) for walls half a cell beyond."""
+    main = np.full(k, 2.0)
+    if ghost:
+        main[0] += 1.0
+        main[-1] += 1.0
+    off = -np.ones(k - 1)
+    return sp.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
+
+
+def _face_difference(n):
+    # n x (n-1): cell i gets +(east face i) - (west face i-1)
+    ones = np.ones(n - 1)
+    return sp.diags([ones, -ones], offsets=[0, -1],
+                    shape=(n, n - 1), format="csr")
+
+
+def _kronecker_operators(n):
+    """Oracle: A and B as Kronecker sums and products of the 1-D stencils,
+    in canonical CSR without explicit zeros."""
+    h, eye = 1.0 / n, sp.identity
+    t_dir = _second_difference(n - 1, ghost=False)
+    t_ghost = _second_difference(n, ghost=True)
+    a_u = sp.kron(t_dir, eye(n)) + sp.kron(eye(n - 1), t_ghost)
+    a_v = sp.kron(t_ghost, eye(n - 1)) + sp.kron(eye(n), t_dir)
+    d = _face_difference(n)
+    b = sp.hstack([h * sp.kron(d, eye(n)), h * sp.kron(eye(n), d)])
+    out = []
+    for m in (sp.block_diag([a_u, a_v]), b):
+        m = sp.csr_array(m)
+        m.sum_duplicates()
+        m.eliminate_zeros()
+        out.append(m)
+    return out
+
+
+def _same_csr(actual, expected):
+    return all(np.array_equal(getattr(actual, name), getattr(expected, name))
+               for name in ("indptr", "indices", "data"))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 16, 33, 96])
+def test_stencil_assembly_matches_kronecker_oracle(n):
+    a, b = _kronecker_operators(n)
+    grid = build_grid(n)
+    ops = assemble_operators(grid)
+    assert _same_csr(ops.A.csr, a)
+    assert _same_csr(ops.B.csr, b)
+    assert _same_csr(_divergence(grid).csr, b)
+    for m in (ops.A.csr, ops.B.csr):
+        assert m.indices.dtype == m.indptr.dtype == np.int32
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_operators_store_no_explicit_zeros(n):
+    ops = assemble_operators(build_grid(n))
+    for op in (ops.A, ops.B):
+        assert (op.csr.data != 0).all()
+
+
+def test_assembly_uses_no_sparse_constructors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse constructor called")
+
+    for name in ("kron", "hstack", "block_diag", "diags", "identity"):
+        monkeypatch.setattr(sp, name, refuse)
+    stokes._assemble.cache_clear()
+    ops = assemble_operators(build_grid(6))
+    assert ops.A.shape == (60, 60) and ops.B.shape == (36, 60)
 
 
 def test_viscous_operator_hand_assembled_n2():
@@ -588,8 +661,8 @@ def test_infsup_assembles_no_viscous_operator(monkeypatch):
     def no_viscous_operator(*args, **kwargs):
         raise AssertionError("viscous operator assembled")
 
-    monkeypatch.setattr("stokesqp.stokes._second_difference",
-                        no_viscous_operator)
+    stokes._assemble.cache_clear()
+    monkeypatch.setattr(stokes, "_stencil_rows", no_viscous_operator)
     # the n=8 value acceptance criterion 8 freezes
     assert estimate_infsup_stokes(build_grid(8)).beta == \
         pytest.approx(0.5565585975735114, abs=1e-9)
