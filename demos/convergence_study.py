@@ -22,8 +22,8 @@ print(f"{'n':>4s} {'h':>10s} {'l2_u':>12s} {'order':>7s} "
 previous = None
 for n in levels:
     grid = build_grid(n)
-    velocity, pressure, _ = solve_stokes_coupled(grid, case, 1e-12)
-    err = error_norms(velocity, pressure, case, grid)
+    saddle = solve_stokes_coupled(grid, case, 1e-12)
+    err = error_norms(saddle.x, saddle.multiplier, case, grid)
     beta = estimate_infsup_stokes(grid).beta
     if previous is None:
         order_u = order_p = "-"

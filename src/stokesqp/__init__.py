@@ -12,12 +12,11 @@ from .qp import (InfSupEstimate, MultiplierConsistencyError, OptimalityReport,
                  estimate_infsup, gradient, load_problem, objective,
                  recover_multiplier, residual_scale, save_solution,
                  solve_kkt_direct, solve_nullspace, solve_schur)
-from .stokes import (MacGrid, ManufacturedCase, PressureField, StokesOperators,
-                     VelocityField, assemble_operators, build_grid,
-                     divergence_free_projector, error_norms,
-                     estimate_infsup_stokes, manufactured_case, sample_forcing,
-                     solve_stokes_coupled, solve_stokes_minimization,
-                     write_fields_csv, zero_mean_project)
+from .stokes import (MacGrid, ManufacturedCase, StokesOperators,
+                     assemble_operators, build_grid, divergence_free_projector,
+                     error_norms, estimate_infsup_stokes, manufactured_case,
+                     sample_forcing, solve_stokes_coupled,
+                     solve_stokes_minimization, write_fields_csv)
 
 __version__ = "0.1.0"
 
@@ -34,10 +33,9 @@ __all__ = [
     "recover_multiplier",
     "residual_scale", "save_solution", "solve_kkt_direct",
     "solve_nullspace", "solve_schur",
-    "MacGrid", "ManufacturedCase", "PressureField", "StokesOperators",
-    "VelocityField", "assemble_operators", "build_grid",
-    "divergence_free_projector", "error_norms", "estimate_infsup_stokes",
-    "manufactured_case", "sample_forcing", "solve_stokes_coupled",
-    "solve_stokes_minimization", "write_fields_csv", "zero_mean_project",
+    "MacGrid", "ManufacturedCase", "StokesOperators", "assemble_operators",
+    "build_grid", "divergence_free_projector", "error_norms",
+    "estimate_infsup_stokes", "manufactured_case", "sample_forcing",
+    "solve_stokes_coupled", "solve_stokes_minimization", "write_fields_csv",
     "__version__",
 ]

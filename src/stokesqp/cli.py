@@ -29,10 +29,9 @@ from .qp import (estimate_infsup, load_problem, save_solution,
                  solve_kkt_direct, solve_nullspace, solve_schur)
 from .solvers import DEFAULT_TOL, ConvergenceError, SingularSystemError
 from .sparse import SparseOperator
-from .stokes import (PressureField, VelocityField, build_grid, error_norms,
-                     estimate_infsup_stokes, manufactured_case,
-                     solve_stokes_coupled, solve_stokes_minimization,
-                     write_fields_csv)
+from .stokes import (build_grid, error_norms, estimate_infsup_stokes,
+                     manufactured_case, solve_stokes_coupled,
+                     solve_stokes_minimization, write_fields_csv)
 from .verify import run_property_suite
 
 EXIT_OK = 0
@@ -76,37 +75,38 @@ def cmd_qp_solve(args):
     return EXIT_OK
 
 
-def _solve_block(velocity, pressure, saddle, case, grid):
-    u = velocity.flat()
+def _solve_block(saddle, case, grid):
     return {
         "residual_stationarity": saddle.residual_stationarity,
         "residual_feasibility": saddle.residual_feasibility,
         "divergence_relative": _rel(saddle.residual_feasibility,
-                                    float(np.linalg.norm(u))),
-        "errors": error_norms(velocity, pressure, case, grid),
+                                    float(np.linalg.norm(saddle.x))),
+        "errors": error_norms(saddle.x, saddle.multiplier, case, grid),
     }
 
 
 def cmd_stokes(args):
     case = manufactured_case(args.case_id)
     grid = build_grid(args.n)
-    v1, p1, s1 = solve_stokes_coupled(grid, case, args.tol)
-    v2, p2, s2 = solve_stokes_minimization(grid, case, args.tol)
+    s1 = solve_stokes_coupled(grid, case, args.tol)
+    s2 = solve_stokes_minimization(grid, case, args.tol)
     out = _output_dir(args)
-    write_fields_csv(out / "fields_coupled.csv", v1, p1)
-    write_fields_csv(out / "fields_minimization.csv", v2, p2)
-    du = float(np.linalg.norm(v1.flat() - v2.flat()))
-    dp = float(np.linalg.norm(p1.flat() - p2.flat()))
+    write_fields_csv(out / "fields_coupled.csv", grid, s1.x, s1.multiplier)
+    write_fields_csv(out / "fields_minimization.csv", grid, s2.x,
+                     s2.multiplier)
+    du = float(np.linalg.norm(s1.x - s2.x))
+    dp = float(np.linalg.norm(s1.multiplier - s2.multiplier))
     report = {
         "case": case.case_id,
         "n": grid.n,
         "h": grid.h,
         "tol": args.tol,
-        "coupled": _solve_block(v1, p1, s1, case, grid),
-        "minimization": _solve_block(v2, p2, s2, case, grid),
+        "coupled": _solve_block(s1, case, grid),
+        "minimization": _solve_block(s2, case, grid),
         "discrepancy": {
-            "velocity_relative": _rel(du, float(np.linalg.norm(v1.flat()))),
-            "pressure_relative": _rel(dp, float(np.linalg.norm(p1.flat()))),
+            "velocity_relative": _rel(du, float(np.linalg.norm(s1.x))),
+            "pressure_relative": _rel(
+                dp, float(np.linalg.norm(s1.multiplier))),
         },
     }
     mmio.write_json(out / "stokes_report.json", report)
@@ -124,7 +124,8 @@ def _face_average(func, xs, ys, h):
 
 
 def _injected_fields(grid, case):
-    """Cell-averaged exact fields: differ from point samples at O(h^2).
+    """Cell-averaged exact fields as flat (velocity, pressure): they differ
+    from point samples at O(h^2).
 
     Used as a harness self-test: the order pipeline must report the known
     order of this sampling discrepancy without any solver in the loop.
@@ -132,12 +133,9 @@ def _injected_fields(grid, case):
     ux, uy = grid.u_coordinates()
     vx, vy = grid.v_coordinates()
     px, py = grid.p_coordinates()
-    velocity = VelocityField(grid,
-                             _face_average(case.u_exact, ux, uy, grid.h),
-                             _face_average(case.v_exact, vx, vy, grid.h))
-    pressure = PressureField(grid,
-                             _face_average(case.p_exact, px, py, grid.h))
-    return velocity, pressure
+    u = np.concatenate([_face_average(case.u_exact, ux, uy, grid.h).ravel(),
+                        _face_average(case.v_exact, vx, vy, grid.h).ravel()])
+    return u, _face_average(case.p_exact, px, py, grid.h).ravel()
 
 
 def cmd_converge(args):
@@ -152,10 +150,11 @@ def cmd_converge(args):
     for n in args.n_list:
         grid = build_grid(int(n))
         if args.inject_exact:
-            velocity, pressure = _injected_fields(grid, case)
+            u, p = _injected_fields(grid, case)
         else:
-            velocity, pressure, _ = solve_stokes_coupled(grid, case, args.tol)
-        rows.append((grid, error_norms(velocity, pressure, case, grid)))
+            saddle = solve_stokes_coupled(grid, case, args.tol)
+            u, p = saddle.x, saddle.multiplier
+        rows.append((grid, error_norms(u, p, case, grid)))
 
     lines = ["n,h,l2_u,l2_p,linf_u,order_u,order_p"]
 

@@ -323,7 +323,7 @@ def _least_squares_multiplier(problem, g):
     return u @ ((vh @ g) / s)
 
 
-def estimate_infsup(problem, Mq, form="dual_form", tol=1e-10):
+def estimate_infsup(problem, Mq, form="dual_form"):
     """Estimate the inf-sup constant of the constraint block C of ``problem``
     (a QpProblem) with respect to the A- and Mq-norms.
 
@@ -355,12 +355,12 @@ def estimate_infsup(problem, Mq, form="dual_form", tol=1e-10):
         raise SingularSystemError("A is not positive definite: C A^-1 C.T "
                                   f"fails Cholesky ({exc})") from exc
     if form == "dual_form":
-        lam, q = smallest_generalized_eigenpair(s, Mq, tol=tol)
+        lam, q = smallest_generalized_eigenpair(s, Mq)
     else:
         mq_dense = Mq.toarray() if isinstance(Mq, SparseOperator) else np.asarray(Mq)
         y = sla.cho_solve(sla.cho_factor(mq_dense), s)
         s1 = s @ y                        # S Mq^-1 S
-        lam, q = smallest_generalized_eigenpair(s1, s, tol=tol)
+        lam, q = smallest_generalized_eigenpair(s1, s)
         q = q / np.sqrt(q @ (mq_dense @ q))
     beta = float(np.sqrt(max(lam, 0.0)))
     return InfSupEstimate(beta, q, form, float(lam))

@@ -19,7 +19,10 @@ the projector onto Ker B and the pressure recovery, is four dense n x n
 products and one division.  The pseudo-inverse drops the constant mode, so
 the pressure it returns is already zero-mean.  The QP core's Schur kernel
 takes the A-solve, not A.  Both routes end in the residual contract of the
-QP core (``qp.checked_solution``).
+QP core (``qp.checked_solution``) and return its SaddleSolution, the type
+the QP solvers return: the flat velocity is its ``x`` and the zero-mean
+pressure its ``multiplier``.  ``MacGrid.split_velocity`` gives the 2-D face
+views of a flat velocity.
 
 Scaling convention: operators are "integrated", i.e. A represents the
 bilinear form of the velocity gradients (stencil entries O(1)), B maps face
@@ -45,7 +48,7 @@ from .qp import (InfSupEstimate, checked_solution, schur_complement,
 from .qp import recover_multiplier  # noqa: F401
 from .solvers import (DEFAULT_TOL, conjugate_gradient,
                       smallest_eigenpair_matrix_free)
-from .sparse import SparseOperator, as_vector
+from .sparse import SparseOperator
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,13 @@ class MacGrid:
     def n_pressure(self):
         return self.n * self.n
 
+    def split_velocity(self, vec):
+        """Views of a flat velocity's u-faces and v-faces, as (n-1, n) and
+        (n, n-1) arrays."""
+        half = self.n * (self.n - 1)
+        return (vec[:half].reshape(self.u_shape),
+                vec[half:].reshape(self.v_shape))
+
     def u_coordinates(self):
         x = np.arange(1, self.n) * self.h
         y = (np.arange(self.n) + 0.5) * self.h
@@ -103,71 +113,6 @@ def build_grid(n):
     if n < 2:
         raise ValueError(f"need at least 2 cells per side, got n={n}")
     return MacGrid(int(n), 1.0 / n)
-
-
-def _frozen(a):
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True)
-class VelocityField:
-    """Horizontal and vertical face velocities on a grid's interior faces."""
-
-    grid: MacGrid
-    u_faces: np.ndarray
-    v_faces: np.ndarray
-
-    def __post_init__(self):
-        if self.u_faces.shape != self.grid.u_shape:
-            raise ValueError(f"u_faces shape {self.u_faces.shape}, "
-                             f"expected {self.grid.u_shape}")
-        if self.v_faces.shape != self.grid.v_shape:
-            raise ValueError(f"v_faces shape {self.v_faces.shape}, "
-                             f"expected {self.grid.v_shape}")
-        object.__setattr__(self, "u_faces", _frozen(self.u_faces))
-        object.__setattr__(self, "v_faces", _frozen(self.v_faces))
-
-    @classmethod
-    def from_flat(cls, grid, vec):
-        vec = as_vector(vec, length=grid.n_velocity, name="velocity")
-        nu = grid.n * (grid.n - 1)
-        return cls(grid, vec[:nu].reshape(grid.u_shape),
-                   vec[nu:].reshape(grid.v_shape))
-
-    def flat(self):
-        return np.concatenate([self.u_faces.ravel(), self.v_faces.ravel()])
-
-
-@dataclass(frozen=True)
-class PressureField:
-    """Cell-centered pressures."""
-
-    grid: MacGrid
-    p_cells: np.ndarray
-
-    def __post_init__(self):
-        if self.p_cells.shape != self.grid.p_shape:
-            raise ValueError(f"p_cells shape {self.p_cells.shape}, "
-                             f"expected {self.grid.p_shape}")
-        object.__setattr__(self, "p_cells", _frozen(self.p_cells))
-
-    @classmethod
-    def from_flat(cls, grid, vec):
-        vec = as_vector(vec, length=grid.n_pressure, name="pressure")
-        return cls(grid, vec.reshape(grid.p_shape))
-
-    def flat(self):
-        return self.p_cells.ravel().copy()
-
-    def mean(self):
-        return float(self.p_cells.mean())
-
-
-def zero_mean_project(p):
-    """Subtract the cell average; idempotent, leaves zero-mean fields fixed."""
-    return PressureField(p.grid, p.p_cells - p.p_cells.mean())
 
 
 @dataclass(frozen=True)
@@ -398,11 +343,11 @@ def _mac_velocity_solve(grid):
     lam_d, q_d = _sine_basis(n - 1, ghost=False)
     lam_g, q_g = _sine_basis(n, ghost=True)
     inverse = 1.0 / (lam_d[:, None] + lam_g)
-    half = n * (n - 1)
 
     def solve(r):
-        u = _kron_sum_solve(r[:half].reshape(n - 1, n), q_d, q_g, inverse)
-        v = _kron_sum_solve(r[half:].reshape(n, n - 1), q_g, q_d, inverse.T)
+        ru, rv = grid.split_velocity(r)
+        u = _kron_sum_solve(ru, q_d, q_g, inverse)
+        v = _kron_sum_solve(rv, q_g, q_d, inverse.T)
         return np.concatenate([u.ravel(), v.ravel()])
 
     return solve
@@ -452,19 +397,17 @@ def solve_stokes_coupled(grid, case, tol=DEFAULT_TOL):
     with the mesh.  B is rank deficient by exactly the constant pressure
     mode, which needs no border: the reduced right-hand side lies in
     range(B), and the constant mode is lifted off zero (``kernel``), so
-    rounding that leaves range(B) meets no singular direction.  Returns
-    (VelocityField, PressureField, SaddleSolution) with the pressure
-    zero-mean projected.
+    rounding that leaves range(B) meets no singular direction.  Returns the
+    SaddleSolution of the residual contract: the velocity is its ``x``, and
+    the pressure, made zero-mean, its ``multiplier``.
     """
     ops = assemble_operators(grid)
     b = sample_forcing(grid, case)
     u, p, report = schur_complement_solve(
         ops.B, _mac_velocity_solve(grid), b, 0.0, tol,
         kernel=np.ones(grid.n_pressure))
-    pressure = zero_mean_project(PressureField.from_flat(grid, p))
-    saddle = checked_solution(ops.A, ops.B, b, 0.0, u, pressure.flat(),
-                              "stokes_coupled", tol, report)
-    return VelocityField.from_flat(grid, u), pressure, saddle
+    return checked_solution(ops.A, ops.B, b, 0.0, u, p - p.mean(),
+                            "stokes_coupled", tol, report)
 
 
 def solve_stokes_minimization(grid, case, tol=DEFAULT_TOL):
@@ -485,8 +428,8 @@ def solve_stokes_minimization(grid, case, tol=DEFAULT_TOL):
     and 128 (tol 1e-12), against about 2n without it.  The pressure is the
     minimum-norm least-squares solution of B.T p = A u - b,
     p = (B B.T)^+ B (A u - b) (``_mac_pressure_solve``), zero-mean by
-    construction, and is checked by the residual contract.
-    Returns (VelocityField, PressureField, SaddleSolution).
+    construction.  Returns the SaddleSolution of the residual contract:
+    the velocity is its ``x``, the pressure its ``multiplier``.
     """
     ops = assemble_operators(grid)
     b = sample_forcing(grid, case)
@@ -503,28 +446,27 @@ def solve_stokes_minimization(grid, case, tol=DEFAULT_TOL):
         precondition=lifted(_mac_velocity_solve(grid)))
     u = project(u)                   # scrub rounding drift out of Ker B
     p = _mac_pressure_solve(grid)(ops.B.csr @ (ops.A.apply(u) - b))
-    pressure = PressureField.from_flat(grid, p)
-    saddle = checked_solution(ops.A, ops.B, b, 0.0, u, pressure.flat(),
-                              "stokes_minimization", tol, report)
-    return VelocityField.from_flat(grid, u), pressure, saddle
+    return checked_solution(ops.A, ops.B, b, 0.0, u, p,
+                            "stokes_minimization", tol, report)
 
 
-def error_norms(velocity, pressure, case, grid):
-    """Discrete L2 / max errors against the exact fields at grid points.
+def error_norms(u, p, case, grid):
+    """Discrete L2 / max errors of a flat velocity u and pressure p against
+    the exact fields at grid points.
 
-    Pressure error is computed after zero-mean projection of both the
+    Pressure error is computed after subtracting the mean of both the
     numeric and the sampled exact field (comparison modulo constants).
     Returns {"l2_u", "l2_p", "linf_u"}.
     """
     h2 = grid.h * grid.h
     ux, uy = grid.u_coordinates()
     vx, vy = grid.v_coordinates()
-    du = velocity.u_faces - case.u_exact(ux, uy)
-    dv = velocity.v_faces - case.v_exact(vx, vy)
+    u_faces, v_faces = grid.split_velocity(u)
+    du = u_faces - case.u_exact(ux, uy)
+    dv = v_faces - case.v_exact(vx, vy)
     px, py = grid.p_coordinates()
-    exact_p = zero_mean_project(
-        PressureField(grid, np.asarray(case.p_exact(px, py), dtype=float)))
-    dp = zero_mean_project(pressure).p_cells - exact_p.p_cells
+    exact_p = np.asarray(case.p_exact(px, py), dtype=float).ravel()
+    dp = (p - p.mean()) - (exact_p - exact_p.mean())
     return {
         "l2_u": float(np.sqrt(h2 * (np.sum(du * du) + np.sum(dv * dv)))),
         "l2_p": float(np.sqrt(h2 * np.sum(dp * dp))),
@@ -532,7 +474,7 @@ def error_norms(velocity, pressure, case, grid):
     }
 
 
-def estimate_infsup_stokes(grid, tol=1e-10):
+def estimate_infsup_stokes(grid):
     """Discrete inf-sup constant beta(h) of the divergence operator.
 
     beta^2 is the smallest eigenvalue of (B A^-1 B.T, Mp) on zero-mean
@@ -549,8 +491,7 @@ def estimate_infsup_stokes(grid, tol=1e-10):
     # 2 (1 - 1/N) beta^2 > beta^2
     schur = schur_complement(_divergence(grid), _mac_velocity_solve(grid),
                              kernel=np.ones(grid.n_pressure))
-    lam, q = smallest_eigenpair_matrix_free(schur, _pressure_mass(grid),
-                                            tol=tol)
+    lam, q = smallest_eigenpair_matrix_free(schur, _pressure_mass(grid))
     return InfSupEstimate(float(np.sqrt(max(lam, 0.0))), q, "dual_form",
                           float(lam))
 
@@ -558,13 +499,14 @@ def estimate_infsup_stokes(grid, tol=1e-10):
 # -- export ----------------------------------------------------------------
 
 
-def write_fields_csv(path, velocity, pressure):
-    """CSV rows (kind, i, j, x, y, value) for u, v, then p, row-major."""
-    grid = velocity.grid
+def write_fields_csv(path, grid, u, p):
+    """CSV rows (kind, i, j, x, y, value) of a flat velocity u and pressure p
+    on ``grid``: u-faces, v-faces, then cells, each row-major."""
+    u_faces, v_faces = grid.split_velocity(u)
     blocks = [
-        ("u", velocity.u_faces, grid.u_coordinates()),
-        ("v", velocity.v_faces, grid.v_coordinates()),
-        ("p", pressure.p_cells, grid.p_coordinates()),
+        ("u", u_faces, grid.u_coordinates()),
+        ("v", v_faces, grid.v_coordinates()),
+        ("p", np.reshape(p, grid.p_shape), grid.p_coordinates()),
     ]
     lines = ["kind,i,j,x,y,value\n"]
     for kind, values, (xs, ys) in blocks:

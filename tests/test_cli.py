@@ -16,8 +16,6 @@ from stokesqp.cli import (EXIT_BAD_INPUT, EXIT_OK, EXIT_PROPERTY_FAILURE,
 from stokesqp.mmio import read_vector, write_matrix, write_vector
 from stokesqp.solvers import (DEFAULT_TOL, ConvergenceError,
                               SingularSystemError)
-from stokesqp.stokes import (ManufacturedCase, solve_stokes_coupled,
-                             solve_stokes_minimization)
 
 
 def _write_hand_problem(directory):
@@ -266,17 +264,6 @@ def test_stokes_default_tol_reaches_n256(tmp_path):
     assert report["tol"] == 1e-12
     assert report["discrepancy"]["velocity_relative"] <= 1e-10
     assert report["discrepancy"]["pressure_relative"] <= 1e-10
-
-
-def test_stokes_zero_forcing_pair():
-    zeros = np.zeros_like
-    case = ManufacturedCase("zero", lambda x, y: zeros(x),
-                            lambda x, y: zeros(x), lambda x, y: zeros(x),
-                            lambda x, y: zeros(x), lambda x, y: zeros(x))
-    v1, p1, _ = solve_stokes_coupled(build_grid(4), case, 1e-12)
-    v2, p2, _ = solve_stokes_minimization(build_grid(4), case, 1e-12)
-    for field in (v1.flat(), p1.flat(), v2.flat(), p2.flat()):
-        assert np.max(np.abs(field)) <= 1e-14
 
 
 def test_stokes_reports_are_deterministic(tmp_path):

@@ -1,4 +1,5 @@
-"""Import hygiene: every name a package module imports is used there.
+"""Import hygiene: every name a package module imports is used there, and
+every name the package exports exists.
 
 No linter is part of the toolchain, so this reads each module's syntax tree:
 a name bound by an import must be read somewhere in the module or be listed
@@ -52,3 +53,10 @@ def test_unused_import_is_caught(tmp_path):
                       "from dataclasses import dataclass, field\n"
                       "__all__ = ['field']\nnp.zeros(1)\n", encoding="ascii")
     assert _unused_imports(source) == ["dataclass", "json"]
+
+
+def test_every_exported_name_resolves():
+    # the import check above catches an import missing from __all__, not an
+    # __all__ entry whose name the package no longer binds
+    assert [name for name in stokesqp.__all__
+            if not hasattr(stokesqp, name)] == []

@@ -2,6 +2,7 @@
 solve formulations, and the discrete inf-sup constant."""
 
 import csv
+import dataclasses
 import re
 
 import numpy as np
@@ -10,14 +11,14 @@ import scipy.linalg as sla
 from scipy import sparse as sp
 from scipy.sparse.linalg import splu
 
-from stokesqp import (ConvergenceError, ManufacturedCase, PressureField,
-                      SparseOperator, VelocityField, assemble_operators,
-                      build_grid, divergence_free_projector, error_norms,
+from stokesqp import (ConvergenceError, ManufacturedCase, QpProblem,
+                      SparseOperator, assemble_operators, build_grid,
+                      divergence_free_projector, error_norms,
                       estimate_infsup_stokes, manufactured_case,
                       sample_forcing, smallest_generalized_eigenpair,
-                      solve_stokes_coupled, solve_stokes_minimization,
-                      symmetric_indefinite_solve, write_fields_csv,
-                      zero_mean_project)
+                      solve_kkt_direct, solve_stokes_coupled,
+                      solve_stokes_minimization, symmetric_indefinite_solve,
+                      write_fields_csv)
 from stokesqp import stokes
 from stokesqp.qp import schur_complement_solve
 from stokesqp.solvers import conjugate_gradient, factorized
@@ -73,42 +74,14 @@ def test_coordinates_hand_checked_n2():
     assert np.allclose(px, [[0.25, 0.25], [0.75, 0.75]])
 
 
-def test_velocity_field_round_trip_and_validation():
+def test_split_velocity_views_the_flat_vector():
     grid = build_grid(3)
-    rng = np.random.default_rng(50)
-    vec = rng.standard_normal(grid.n_velocity)
-    field = VelocityField.from_flat(grid, vec)
-    assert np.array_equal(field.flat(), vec)
-    with pytest.raises(ValueError):
-        VelocityField(grid, np.zeros((3, 3)), np.zeros(grid.v_shape))
-    with pytest.raises(ValueError):
-        field.u_faces[0, 0] = 1.0  # frozen after construction
-
-
-def test_pressure_zero_mean_projection():
-    grid = build_grid(4)
-    constant = PressureField(grid, np.full(grid.p_shape, 3.7))
-    assert np.array_equal(zero_mean_project(constant).p_cells,
-                          np.zeros(grid.p_shape))
-
-    rng = np.random.default_rng(51)
-    cells = rng.standard_normal(grid.p_shape)
-    cells -= cells.mean()
-    balanced = PressureField(grid, cells)
-    projected = zero_mean_project(balanced)
-    assert np.max(np.abs(projected.p_cells - cells)) <= 1e-15
-    twice = zero_mean_project(projected)
-    assert np.max(np.abs(twice.p_cells - projected.p_cells)) <= 1e-15
-
-
-def test_zero_mean_projection_of_sampled_cosine():
-    grid = build_grid(16)
-    px, py = grid.p_coordinates()
-    sampled = PressureField(grid, np.cos(np.pi * px) * np.cos(np.pi * py))
-    assert abs(sampled.mean()) <= 1e-3
-    projected = zero_mean_project(sampled)
-    norm = np.linalg.norm(projected.flat())
-    assert abs(projected.p_cells.sum()) <= 1e-12 * norm
+    vec = np.random.default_rng(50).standard_normal(grid.n_velocity)
+    u_faces, v_faces = grid.split_velocity(vec)
+    assert u_faces.shape == grid.u_shape
+    assert v_faces.shape == grid.v_shape
+    assert np.array_equal(np.concatenate([u_faces.ravel(), v_faces.ravel()]),
+                          vec)
 
 
 # -- operator assembly -----------------------------------------------------
@@ -390,33 +363,30 @@ def test_zero_forcing_gives_zero_fields():
     grid = build_grid(4)
     case = _zero_case()
     for solve in (solve_stokes_coupled, solve_stokes_minimization):
-        velocity, pressure, saddle = solve(grid, case, 1e-12)
-        assert np.max(np.abs(velocity.flat())) <= 1e-14
-        assert np.max(np.abs(pressure.flat())) <= 1e-14
+        saddle = solve(grid, case, 1e-12)
+        assert np.max(np.abs(saddle.x)) <= 1e-14
+        assert np.max(np.abs(saddle.multiplier)) <= 1e-14
         assert saddle.residual_feasibility <= 1e-14
 
 
 def test_coupled_solution_is_discretely_divergence_free():
     grid = build_grid(16)
-    velocity, _p, _s = solve_stokes_coupled(
-        grid, manufactured_case("taylor_green"), 1e-12)
-    ops = assemble_operators(grid)
-    div = ops.B.apply(velocity.flat())
+    u = solve_stokes_coupled(grid, manufactured_case("taylor_green"),
+                             1e-12).x
+    div = assemble_operators(grid).B.apply(u)
     assert np.linalg.norm(div) <= 1e-10
-    assert np.linalg.norm(div) <= 1e-10 * np.linalg.norm(velocity.flat())
+    assert np.linalg.norm(div) <= 1e-10 * np.linalg.norm(u)
 
 
 @pytest.mark.parametrize("case_id", ["taylor_green", "polynomial"])
 def test_formulation_equivalence(case_id):
     grid = build_grid(8)
     case = manufactured_case(case_id)
-    v1, p1, _ = solve_stokes_coupled(grid, case, 1e-12)
-    v2, p2, _ = solve_stokes_minimization(grid, case, 1e-12)
-    du = np.linalg.norm(v1.flat() - v2.flat())
-    assert du <= 1e-8 * np.linalg.norm(v1.flat())
-    q1 = zero_mean_project(p1).flat()
-    q2 = zero_mean_project(p2).flat()
-    assert np.linalg.norm(q1 - q2) <= 1e-8 * np.linalg.norm(q1)
+    s1 = solve_stokes_coupled(grid, case, 1e-12)
+    s2 = solve_stokes_minimization(grid, case, 1e-12)
+    assert np.linalg.norm(s1.x - s2.x) <= 1e-8 * np.linalg.norm(s1.x)
+    assert np.linalg.norm(s1.multiplier - s2.multiplier) <= \
+        1e-8 * np.linalg.norm(s1.multiplier)
 
 
 def _bordered_kkt_solve(grid, case):
@@ -441,9 +411,9 @@ def _bordered_kkt_solve(grid, case):
 def test_coupled_route_matches_bordered_kkt_oracle(n, case_id):
     grid = build_grid(n)
     case = manufactured_case(case_id)
-    velocity, pressure, _ = solve_stokes_coupled(grid, case, 1e-12)
+    saddle = solve_stokes_coupled(grid, case, 1e-12)
     u_ref, p_ref = _bordered_kkt_solve(grid, case)
-    u, p = velocity.flat(), pressure.flat()
+    u, p = saddle.x, saddle.multiplier
     assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
     assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
 
@@ -454,13 +424,12 @@ def test_minimization_pressure_matches_dense_least_squares(n, case_id):
     # oracle: the dense least-squares multiplier of B.T p = A u - b
     grid = build_grid(n)
     case = manufactured_case(case_id)
-    velocity, pressure, _ = solve_stokes_minimization(grid, case, 1e-12)
+    saddle = solve_stokes_minimization(grid, case, 1e-12)
     ops = assemble_operators(grid)
-    u = velocity.flat()
-    g = ops.A.apply(u) - sample_forcing(grid, case)
+    g = ops.A.apply(saddle.x) - sample_forcing(grid, case)
     p_ref = np.linalg.lstsq(ops.B.toarray().T, g, rcond=None)[0]
     p_ref = p_ref - p_ref.mean()
-    assert np.linalg.norm(pressure.flat() - p_ref) <= \
+    assert np.linalg.norm(saddle.multiplier - p_ref) <= \
         1e-10 * np.linalg.norm(p_ref)
 
 
@@ -469,12 +438,11 @@ def test_minimization_matches_coupled_route_on_a_fine_grid():
     # met negative curvature once rounding left Ker B
     grid = build_grid(80)
     case = manufactured_case("polynomial")
-    v1, p1, _ = solve_stokes_coupled(grid, case, 1e-12)
-    v2, p2, _ = solve_stokes_minimization(grid, case, 1e-12)
-    assert np.linalg.norm(v2.flat() - v1.flat()) <= \
-        1e-10 * np.linalg.norm(v1.flat())
-    assert np.linalg.norm(p2.flat() - p1.flat()) <= \
-        1e-10 * np.linalg.norm(p1.flat())
+    s1 = solve_stokes_coupled(grid, case, 1e-12)
+    s2 = solve_stokes_minimization(grid, case, 1e-12)
+    assert np.linalg.norm(s2.x - s1.x) <= 1e-10 * np.linalg.norm(s1.x)
+    assert np.linalg.norm(s2.multiplier - s1.multiplier) <= \
+        1e-10 * np.linalg.norm(s1.multiplier)
 
 
 def test_minimization_fails_fast_below_attainable_accuracy():
@@ -506,7 +474,7 @@ def test_coupled_iterations_do_not_grow_with_the_mesh(case_id):
     # zero-mean pressures by 1/beta^2 at every h
     case = manufactured_case(case_id)
     for n in (16, 32, 64):
-        _v, _p, saddle = solve_stokes_coupled(build_grid(n), case, 1e-12)
+        saddle = solve_stokes_coupled(build_grid(n), case, 1e-12)
         assert saddle.inner_report.iterations <= 20
 
 
@@ -518,7 +486,7 @@ def test_minimization_iterations_grow_slowly(case_id):
     # projected CG without it
     case = manufactured_case(case_id)
     for n in (16, 32, 64):
-        _v, _p, saddle = solve_stokes_minimization(build_grid(n), case, 1e-12)
+        saddle = solve_stokes_minimization(build_grid(n), case, 1e-12)
         assert saddle.inner_report.iterations <= 20
 
 
@@ -526,19 +494,17 @@ def test_returned_pressures_have_zero_mean():
     grid = build_grid(8)
     case = manufactured_case("polynomial")
     for solve in (solve_stokes_coupled, solve_stokes_minimization):
-        _v, pressure, _s = solve(grid, case, 1e-12)
-        assert abs(pressure.p_cells.sum()) <= \
-            1e-12 * max(np.linalg.norm(pressure.flat()), 1e-30)
+        p = solve(grid, case, 1e-12).multiplier
+        assert abs(p.sum()) <= 1e-12 * max(np.linalg.norm(p), 1e-30)
 
 
 def test_minimizer_beats_divergence_free_perturbations():
     grid = build_grid(8)
     case = manufactured_case("taylor_green")
-    velocity, _p, _s = solve_stokes_minimization(grid, case, 1e-12)
+    u = solve_stokes_minimization(grid, case, 1e-12).x
     ops = assemble_operators(grid)
     project = divergence_free_projector(ops)
     b = sample_forcing(grid, case)
-    u = velocity.flat()
 
     def j(v):
         return 0.5 * float(v @ (ops.A.csr @ v)) - float(b @ v)
@@ -633,13 +599,13 @@ def _sparse_lu_routes(grid, case, tol):
 def test_routes_match_their_sparse_lu_versions(n, case_id):
     grid = build_grid(n)
     case = manufactured_case(case_id)
-    fast = [solve(grid, case, 1e-12)[:2]
+    fast = [solve(grid, case, 1e-12)
             for solve in (solve_stokes_coupled, solve_stokes_minimization)]
-    for (velocity, pressure), (u_ref, p_ref) in zip(
-            fast, _sparse_lu_routes(grid, case, 1e-12)):
-        assert np.linalg.norm(velocity.flat() - u_ref) <= \
+    for saddle, (u_ref, p_ref) in zip(fast,
+                                      _sparse_lu_routes(grid, case, 1e-12)):
+        assert np.linalg.norm(saddle.x - u_ref) <= \
             1e-12 * np.linalg.norm(u_ref)
-        assert np.linalg.norm(pressure.flat() - p_ref) <= \
+        assert np.linalg.norm(saddle.multiplier - p_ref) <= \
             1e-12 * np.linalg.norm(p_ref)
 
 
@@ -672,12 +638,14 @@ def test_infsup_assembles_no_viscous_operator(monkeypatch):
 
 
 def _exact_fields(grid, case):
+    """The exact fields sampled at grid points, as flat (velocity,
+    pressure)."""
     ux, uy = grid.u_coordinates()
     vx, vy = grid.v_coordinates()
     px, py = grid.p_coordinates()
-    velocity = VelocityField(grid, case.u_exact(ux, uy), case.v_exact(vx, vy))
-    pressure = PressureField(grid, case.p_exact(px, py))
-    return velocity, pressure
+    u = np.concatenate([case.u_exact(ux, uy).ravel(),
+                        case.v_exact(vx, vy).ravel()])
+    return u, np.asarray(case.p_exact(px, py), dtype=float).ravel()
 
 
 def test_error_norms_vanish_on_exact_samples():
@@ -694,7 +662,7 @@ def test_error_norms_ignore_constant_pressure_shift():
     grid = build_grid(8)
     case = manufactured_case("taylor_green")
     velocity, pressure = _exact_fields(grid, case)
-    shifted = PressureField(grid, pressure.p_cells + 42.0)
+    shifted = pressure + 42.0
     base = error_norms(velocity, pressure, case, grid)
     moved = error_norms(velocity, shifted, case, grid)
     assert moved["l2_p"] == pytest.approx(base["l2_p"], abs=1e-12)
@@ -704,8 +672,8 @@ def test_taylor_green_baseline_errors():
     case = manufactured_case("taylor_green")
     for n, frozen in L2_U_BASELINE.items():
         grid = build_grid(n)
-        velocity, pressure, _ = solve_stokes_coupled(grid, case, 1e-12)
-        err = error_norms(velocity, pressure, case, grid)
+        saddle = solve_stokes_coupled(grid, case, 1e-12)
+        err = error_norms(saddle.x, saddle.multiplier, case, grid)
         assert err["l2_u"] == pytest.approx(frozen, rel=1e-8)
 
 
@@ -714,8 +682,9 @@ def test_velocity_error_drops_at_second_order():
     errors = []
     for n in (4, 8):
         grid = build_grid(n)
-        velocity, pressure, _ = solve_stokes_coupled(grid, case, 1e-12)
-        errors.append(error_norms(velocity, pressure, case, grid)["l2_u"])
+        saddle = solve_stokes_coupled(grid, case, 1e-12)
+        errors.append(error_norms(saddle.x, saddle.multiplier, case,
+                                  grid)["l2_u"])
     order = np.log2(errors[0] / errors[1])
     assert 1.7 <= order <= 2.3
 
@@ -822,9 +791,9 @@ def test_infsup_constant_bounds_the_multiplier(n, case_id):
     # multiplier of div u = 0 (ratios 0.061 -> 0.053 and 0.81 -> 0.70)
     grid = build_grid(n)
     case = manufactured_case(case_id)
-    _, pressure, _ = solve_stokes_coupled(grid, case)
+    p = solve_stokes_coupled(grid, case).multiplier
     ratio = _multiplier_ratio(grid, estimate_infsup_stokes(grid).beta,
-                              sample_forcing(grid, case), pressure.flat())
+                              sample_forcing(grid, case), p)
     assert ratio <= 1.0 + 1e-10
 
 
@@ -841,6 +810,51 @@ def test_infsup_bound_is_attained_by_the_attaining_pressure(n):
     assert ratio == pytest.approx(1.0, abs=1e-10)
 
 
+def _gaussian_load_case(grid, seed):
+    """A case whose load is b = h^2 xi with xi seeded standard Gaussian:
+    f1 and f2 return fixed arrays, so ``sample_forcing`` gives h^2 xi."""
+    rng = np.random.default_rng([grid.n, seed])
+    xi_u = rng.standard_normal(grid.u_shape)
+    xi_v = rng.standard_normal(grid.v_shape)
+    return dataclasses.replace(_zero_case(), case_id=f"gaussian_{seed}",
+                               f1=lambda x, y: xi_u, f2=lambda x, y: xi_v)
+
+
+def _pinned_qp_pressure(grid, b):
+    # the generic QP core on B without its last row (that pressure pinned
+    # at 0, so C has full row rank), made zero-mean
+    ops = assemble_operators(grid)
+    problem = QpProblem(ops.A, b, SparseOperator(ops.B.csr[:-1]),
+                        np.zeros(grid.n_pressure - 1))
+    p = np.append(solve_kkt_direct(problem, 1e-12).multiplier, 0.0)
+    return p - p.mean()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 33])
+def test_pressure_identity_under_rough_loads(n, seed):
+    # smooth manufactured cases on even grids are not the only loads the
+    # identity holds for: Gaussian loads on odd and tiny grids, two routes
+    # (and, where its dense SVD is cheap, the QP core) agree on the pressure
+    grid = build_grid(n)
+    case = _gaussian_load_case(grid, seed)
+    b = sample_forcing(grid, case)
+    coupled = solve_stokes_coupled(grid, case, 1e-12)
+    minimized = solve_stokes_minimization(grid, case, 1e-12)
+    p = coupled.multiplier
+    witnesses = [minimized.multiplier]
+    if n <= 16:
+        witnesses.append(_pinned_qp_pressure(grid, b))
+    for q in witnesses:
+        assert np.linalg.norm(q - p) <= 1e-10 * np.linalg.norm(p)
+    div = assemble_operators(grid).B
+    for saddle in (coupled, minimized):
+        assert np.linalg.norm(div.apply(saddle.x)) <= \
+            1e-10 * np.linalg.norm(saddle.x)
+    beta = estimate_infsup_stokes(grid).beta
+    assert _multiplier_ratio(grid, beta, b, p) <= 1.0 + 1e-10
+
+
 # -- field export ----------------------------------------------------------
 
 
@@ -849,7 +863,7 @@ def test_write_fields_csv_round_trip(tmp_path):
     case = manufactured_case("polynomial")
     velocity, pressure = _exact_fields(grid, case)
     path = tmp_path / "fields.csv"
-    write_fields_csv(path, velocity, pressure)
+    write_fields_csv(path, grid, velocity, pressure)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["kind", "i", "j", "x", "y", "value"]
@@ -861,27 +875,26 @@ def test_write_fields_csv_round_trip(tmp_path):
     assert kinds.count("p") == grid.n_pressure
     # spot-check one u row against the stored array
     first_u = body[0]
-    assert float(first_u[5]) == velocity.u_faces[int(first_u[1]),
-                                                 int(first_u[2])]
+    u_faces, _ = grid.split_velocity(velocity)
+    assert float(first_u[5]) == u_faces[int(first_u[1]), int(first_u[2])]
 
 
 def test_write_fields_csv_matches_row_by_row_formula(tmp_path):
     grid = build_grid(5)
     rng = np.random.default_rng(58)
-    velocity = VelocityField.from_flat(grid,
-                                       rng.standard_normal(grid.n_velocity))
-    pressure = PressureField.from_flat(grid,
-                                       rng.standard_normal(grid.n_pressure))
+    velocity = rng.standard_normal(grid.n_velocity)
+    pressure = rng.standard_normal(grid.n_pressure)
+    u_faces, v_faces = grid.split_velocity(velocity)
     expected = ["kind,i,j,x,y,value\n"]
     for kind, values, (xs, ys) in (
-            ("u", velocity.u_faces, grid.u_coordinates()),
-            ("v", velocity.v_faces, grid.v_coordinates()),
-            ("p", pressure.p_cells, grid.p_coordinates())):
+            ("u", u_faces, grid.u_coordinates()),
+            ("v", v_faces, grid.v_coordinates()),
+            ("p", pressure.reshape(grid.p_shape), grid.p_coordinates())):
         for i in range(values.shape[0]):
             for j in range(values.shape[1]):
                 expected.append(f"{kind},{i},{j},{float(xs[i, j])!r},"
                                 f"{float(ys[i, j])!r},"
                                 f"{float(values[i, j])!r}\n")
     path = tmp_path / "fields.csv"
-    write_fields_csv(path, velocity, pressure)
+    write_fields_csv(path, grid, velocity, pressure)
     assert path.read_bytes() == "".join(expected).encode("ascii")
