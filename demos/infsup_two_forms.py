@@ -20,9 +20,9 @@ rng = np.random.default_rng(11)
 n, m = 18, 6
 g1 = rng.standard_normal((n, n))
 g2 = rng.standard_normal((m, m))
-a = SparseOperator.from_dense(g1 @ g1.T + n * np.eye(n), symmetric=True)
-mq = SparseOperator.from_dense(g2 @ g2.T + m * np.eye(m), symmetric=True)
-c = SparseOperator.from_dense(rng.standard_normal((m, n)))
+a = SparseOperator(g1 @ g1.T + n * np.eye(n))
+mq = SparseOperator(g2 @ g2.T + m * np.eye(m))
+c = SparseOperator(rng.standard_normal((m, n)))
 problem = QpProblem(a, np.zeros(n), c, np.zeros(m))
 
 dual = estimate_infsup(problem, mq, "dual_form")
@@ -41,7 +41,7 @@ print(f"  attaining q: |q|_Mq = "
 ## Projection special case: orthonormal rows, identity metrics ##
 basis, _ = np.linalg.qr(rng.standard_normal((9, 4)))
 projection = QpProblem(SparseOperator.identity(9), np.zeros(9),
-                       SparseOperator.from_dense(basis.T), np.zeros(4))
+                       SparseOperator(basis.T), np.zeros(4))
 for form in ("dual_form", "primal_form"):
     est = estimate_infsup(projection, SparseOperator.identity(4), form)
     print(f"projection case, {form:12s}: beta = {est.beta:.15f}")

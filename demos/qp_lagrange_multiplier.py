@@ -16,9 +16,9 @@ from stokesqp import (QpProblem, SparseOperator, gradient, objective,
 
 ## The two-variable instance solvable by hand ##
 problem = QpProblem(
-    SparseOperator.from_dense(np.eye(2), symmetric=True),
+    SparseOperator(np.eye(2)),
     np.array([1.0, 1.0]),
-    SparseOperator.from_dense([[1.0, 0.0]]),
+    SparseOperator([[1.0, 0.0]]),
     np.zeros(1))
 
 print("hand instance: minimize 0.5|x|^2 - (1,1).x  subject to  x_0 = 0")
@@ -41,8 +41,8 @@ print(f"identity residual             : "
 rng = np.random.default_rng(7)
 n, m = 24, 5
 g = rng.standard_normal((n, n))
-a = SparseOperator.from_dense(g @ g.T + n * np.eye(n), symmetric=True)
-c = SparseOperator.from_dense(rng.standard_normal((m, n)))
+a = SparseOperator(g @ g.T + n * np.eye(n))
+c = SparseOperator(rng.standard_normal((m, n)))
 problem = QpProblem(a, rng.standard_normal(n), c, np.zeros(m))
 
 print(f"\nrandom instance with {n} unknowns and {m} constraints")

@@ -14,13 +14,16 @@ solution of B.T p = A u - f, i.e. from the normal equations
 (B B.T) p = B (A u - f).  Both routes return the QP core's SaddleSolution:
 the velocity is its primal point ``x``, the pressure its ``multiplier``.
 Both pressures are zero-mean, which fixes the constant mode, so the two are
-compared as they come: they are the same object.
+compared as they come: they are the same object.  Last, the inf-sup
+constant beta controls that multiplier: beta |p|_Mp <= |b|_A^-1.
 """
 
 import numpy as np
+from scipy.sparse.linalg import spsolve
 
 from stokesqp import (assemble_operators, build_grid, error_norms,
-                      manufactured_case, solve_stokes_coupled,
+                      estimate_infsup_stokes, manufactured_case,
+                      sample_forcing, solve_stokes_coupled,
                       solve_stokes_minimization)
 
 n = 16
@@ -62,3 +65,10 @@ for tag, s in (("coupled", s1), ("minimization", s2)):
     err = error_norms(s.x, s.multiplier, case, grid)
     print(f"errors ({tag:12s}) : l2_u = {err['l2_u']:.6e}, "
           f"l2_p = {err['l2_p']:.6e}")
+
+## The inf-sup constant bounds the multiplier: the ratio is at most 1 ##
+b = sample_forcing(grid, case)
+p = s1.multiplier
+ratio = (estimate_infsup_stokes(grid).beta * np.sqrt(grid.h ** 2 * (p @ p))
+         / np.sqrt(b @ spsolve(ops.A.csr, b)))
+print(f"beta |p|_Mp / |b|_A^-1 : {ratio:.3f} (at most 1)")

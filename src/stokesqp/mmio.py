@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sparse import SparseOperator
+from .sparse import SparseOperator, as_vector
 
 _HEADER_PREFIX = "%%matrixmarket"
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
@@ -88,8 +88,7 @@ def read_matrix(path):
     if triples is None:
         triples = _entries_by_line(path, lines, first, nrows, ncols, nnz,
                                    symmetric)
-    return SparseOperator.from_triples(nrows, ncols, *triples,
-                                       symmetric=symmetric)
+    return SparseOperator.from_triples(nrows, ncols, *triples)
 
 
 def _size_line(path, lines):
@@ -203,8 +202,8 @@ def _entries_by_line(path, lines, first, nrows, ncols, nnz, symmetric):
 def write_matrix(path, op):
     """Write a SparseOperator as a Matrix Market coordinate file.
 
-    Symmetric operators are stored as their lower triangle under the
-    ``symmetric`` qualifier; everything else under ``general``.
+    An operator that measured symmetric is stored as its lower triangle
+    under the ``symmetric`` qualifier; everything else under ``general``.
     """
     rows, cols, vals = op.triples()
     if op.symmetric:
@@ -246,7 +245,9 @@ def read_vector(path):
 
 
 def write_vector(path, v):
-    values = np.asarray(v, dtype=float).tolist()
+    """Write a finite 1-D vector one value per line; anything
+    ``read_vector`` would reject raises ValueError and writes nothing."""
+    values = as_vector(v).tolist()
     write_text(path, "".join(f"{x!r}\n" for x in values))
 
 

@@ -13,7 +13,9 @@ optimality certificate and the kernel basis.  A failed solve raises where it
 is decided: CG's non-convergence in ``conjugate_gradient``, a broken residual
 contract in ``checked_solution``.  The inf-sup constant governing multiplier
 uniqueness can be estimated for a QpProblem, whose rank test it trusts, from
-either of its two equivalent variational forms.
+either of its two equivalent variational forms.  A's symmetry is the one
+hypothesis checked exactly: ``SparseOperator`` measures it, and QpProblem
+and the problem-directory loader read the measurement.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +43,7 @@ class MultiplierConsistencyError(RuntimeError):
 class QpProblem:
     """The quadruple (A, b, C, d).
 
-    A : SparseOperator, N x N symmetric positive definite
+    A : SparseOperator, N x N positive definite, measured symmetric
     b : ndarray, length N
     C : SparseOperator, M x N with M < N and full row rank
     d : ndarray, length M (d = 0 is the homogeneous-subspace case)
@@ -58,10 +60,8 @@ class QpProblem:
         A, C = self.A, self.C
         if not isinstance(A, SparseOperator) or not isinstance(C, SparseOperator):
             raise TypeError("A and C must be SparseOperator instances")
-        if A.nrows != A.ncols:
-            raise ValueError("A must be square")
         if not A.symmetric:
-            raise ValueError("A must carry the symmetric flag")
+            raise ValueError("A must be symmetric")
         n = A.nrows
         object.__setattr__(self, "b", as_vector(self.b, length=n, name="b"))
         m = C.nrows
@@ -114,12 +114,17 @@ class OptimalityReport:
 
 @dataclass(frozen=True)
 class InfSupEstimate:
-    """Estimated inf-sup constant with the multiplier-space vector attaining it."""
+    """Smallest eigenvalue of an inf-sup pencil with the multiplier-space
+    vector attaining it; the inf-sup constant is ``beta``."""
 
-    beta: float
+    eigenvalue: float
     attaining_q: np.ndarray
     form_tag: str
-    eigenvalue: float
+
+    @property
+    def beta(self):
+        """sqrt(eigenvalue), with a rounding-negative eigenvalue read as 0."""
+        return float(np.sqrt(max(self.eigenvalue, 0.0)))
 
 
 def gradient(problem, x):
@@ -155,7 +160,7 @@ def assemble_kkt(problem):
         return problem.A
     c = problem.C.csr
     block = _sp.bmat([[problem.A.csr, c.T], [c, None]], format="csr")
-    return SparseOperator(block, symmetric=True)
+    return SparseOperator(block)
 
 
 def checked_solution(A, C, b, d, x, multiplier, method_tag, tol,
@@ -362,8 +367,7 @@ def estimate_infsup(problem, Mq, form="dual_form"):
         s1 = s @ y                        # S Mq^-1 S
         lam, q = smallest_generalized_eigenpair(s1, s)
         q = q / np.sqrt(q @ (mq_dense @ q))
-    beta = float(np.sqrt(max(lam, 0.0)))
-    return InfSupEstimate(beta, q, form, float(lam))
+    return InfSupEstimate(float(lam), q, form)
 
 
 # -- problem-directory interface ------------------------------------------
@@ -372,8 +376,8 @@ def estimate_infsup(problem, Mq, form="dual_form"):
 def load_problem(directory):
     """Load (A.mtx, C.mtx, b.txt, optional d.txt) from a directory.
 
-    A stored under the ``general`` qualifier is accepted when it is exactly
-    symmetric.
+    A may be stored under the ``general`` or the ``symmetric`` qualifier;
+    either way it must measure exactly symmetric.
     """
     directory = Path(directory)
     for required in ("A.mtx", "C.mtx", "b.txt"):
@@ -381,10 +385,7 @@ def load_problem(directory):
             raise FileNotFoundError(f"missing {required} in {directory}")
     a = mmio.read_matrix(directory / "A.mtx")
     if not a.symmetric:
-        try:
-            a = SparseOperator(a.csr, symmetric=True)
-        except ValueError as exc:
-            raise ValueError("A.mtx is not symmetric") from exc
+        raise ValueError("A.mtx is not symmetric")
     c = mmio.read_matrix(directory / "C.mtx")
     b = mmio.read_vector(directory / "b.txt")
     d_path = directory / "d.txt"

@@ -2,7 +2,9 @@
 
 Everything downstream (QP solvers, the staggered-grid Stokes module) works in
 terms of :class:`SparseOperator` and plain 1-D numpy arrays.  Operators are
-frozen after assembly so they can be shared freely between threads.
+frozen after assembly so they can be shared freely between threads.  An
+operator's symmetry is measured when it is built, never declared by the
+caller.
 """
 
 import numpy as np
@@ -30,10 +32,11 @@ def as_vector(x, length=None, name="vector"):
 class SparseOperator:
     """A real matrix stored in compressed-sparse-row layout.
 
-    Assembly accepts unordered (row, col, value) triples; duplicates are
-    summed and column indices sorted, so the stored layout is canonical
-    regardless of input order.  ``symmetric=True`` asserts exact pairwise
-    equality value(i, j) == value(j, i) and is verified at construction.
+    Built from a 2-D dense array or scipy matrix, which is copied: duplicates
+    are summed and column indices sorted, so the stored layout is canonical
+    regardless of input order, and no later write to the input reaches the
+    operator.  ``symmetric`` is measured at construction: square, and
+    value(i, j) == value(j, i) exactly for every pair.
 
     Instances are immutable: the underlying CSR buffers are marked
     read-only once built.
@@ -41,52 +44,41 @@ class SparseOperator:
 
     __slots__ = ("_csr", "_symmetric")
 
-    def __init__(self, matrix, symmetric=False):
-        csr = _sp.csr_array(matrix, dtype=float)
+    def __init__(self, matrix):
+        csr = _sp.csr_array(matrix, dtype=float, copy=True)
+        if csr.ndim != 2:
+            raise ValueError(f"operator must be 2-D, got shape {csr.shape}")
         csr.sum_duplicates()
         csr.sort_indices()
         if csr.nnz and not np.all(np.isfinite(csr.data)):
             raise ValueError("operator contains non-finite entries")
-        if symmetric:
-            if csr.shape[0] != csr.shape[1]:
-                raise ValueError("symmetric operator must be square")
-            diff = (csr - csr.T).tocoo()
-            if diff.nnz and np.any(diff.data != 0.0):
-                raise ValueError(
-                    "symmetry flag set but value(i,j) != value(j,i)")
         for buf in (csr.data, csr.indices, csr.indptr):
             buf.flags.writeable = False
         self._csr = csr
-        self._symmetric = bool(symmetric)
+        self._symmetric = (csr.shape[0] == csr.shape[1]
+                           and not np.any((csr - csr.T).data != 0.0))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_triples(cls, nrows, ncols, rows, cols, values, symmetric=False):
+    def from_triples(cls, nrows, ncols, rows, cols, values):
         """Assemble from parallel row/col/value sequences (duplicates summed)."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values, dtype=float)
         if not (rows.shape == cols.shape == values.shape):
             raise ValueError("rows, cols, values must have matching lengths")
-        coo = _sp.coo_array((values, (rows, cols)), shape=(nrows, ncols))
-        return cls(coo, symmetric=symmetric)
-
-    @classmethod
-    def from_dense(cls, array, symmetric=False):
-        arr = np.asarray(array, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("dense input must be 2-D")
-        return cls(_sp.csr_array(arr), symmetric=symmetric)
+        return cls(_sp.coo_array((values, (rows, cols)),
+                                 shape=(nrows, ncols)))
 
     @classmethod
     def identity(cls, n):
-        return cls(_sp.identity(n, format="csr"), symmetric=True)
+        return cls(_sp.identity(n, format="csr"))
 
     @classmethod
     def diagonal(cls, values):
         values = as_vector(values, name="diagonal")
-        return cls(_sp.diags_array(values, format="csr"), symmetric=True)
+        return cls(_sp.diags_array(values, format="csr"))
 
     # -- shape -------------------------------------------------------------
 
@@ -121,9 +113,6 @@ class SparseOperator:
         """Return ``self @ x`` for a 1-D vector ``x`` (exact linearity)."""
         x = as_vector(x, length=self.ncols, name="x")
         return self._csr @ x
-
-    def transpose(self):
-        return SparseOperator(self._csr.T.tocsr(), symmetric=self._symmetric)
 
     def toarray(self):
         return self._csr.toarray()

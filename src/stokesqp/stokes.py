@@ -63,7 +63,10 @@ class MacGrid:
     """
 
     n: int
-    h: float
+
+    @property
+    def h(self):
+        return 1 / self.n
 
     @property
     def u_shape(self):
@@ -112,7 +115,7 @@ def build_grid(n):
         raise TypeError(f"n must be an integer, got {type(n).__name__}")
     if n < 2:
         raise ValueError(f"need at least 2 cells per side, got n={n}")
-    return MacGrid(int(n), 1.0 / n)
+    return MacGrid(int(n))
 
 
 @dataclass(frozen=True)
@@ -173,9 +176,9 @@ def assemble_operators(grid):
     direction), ghost-value reflection where the wall lies half a cell away
     (tangential direction).  Rows of A and B go straight into int32 CSR by
     index arithmetic (``_stencil_rows``, ``_divergence``), storing no zeros;
-    A's symmetry is still checked entry by entry.  The last grid's operators
-    are kept, so the two Stokes routes on one grid assemble once; grid and
-    operators are immutable, so the shared instance is safe.
+    ``SparseOperator`` measures A symmetric entry by entry.  The last grid's
+    operators are kept, so the two Stokes routes on one grid assemble once;
+    grid and operators are immutable, so the shared instance is safe.
     """
     return _assemble(grid)
 
@@ -190,8 +193,7 @@ def _assemble(grid):
     nnz_v, cols_v, data_v = _stencil_rows(n, n - 1, True, False)
     a = _csr(np.r_[nnz_u, nnz_v], np.r_[cols_u, cols_v + n * (n - 1)],
              np.r_[data_u, data_v], grid.n_velocity)
-    return StokesOperators(grid, SparseOperator(a, symmetric=True),
-                           _divergence(grid))
+    return StokesOperators(grid, SparseOperator(a), _divergence(grid))
 
 
 # -- manufactured solutions ------------------------------------------------
@@ -492,8 +494,7 @@ def estimate_infsup_stokes(grid):
     schur = schur_complement(_divergence(grid), _mac_velocity_solve(grid),
                              kernel=np.ones(grid.n_pressure))
     lam, q = smallest_eigenpair_matrix_free(schur, _pressure_mass(grid))
-    return InfSupEstimate(float(np.sqrt(max(lam, 0.0))), q, "dual_form",
-                          float(lam))
+    return InfSupEstimate(float(lam), q, "dual_form")
 
 
 # -- export ----------------------------------------------------------------

@@ -70,9 +70,9 @@ def taylor_green_refinement():
 def test_criterion_1_hand_instance_exact(acceptance):
     start = time.perf_counter()
     problem = QpProblem(
-        SparseOperator.from_dense(np.eye(2), symmetric=True),
+        SparseOperator(np.eye(2)),
         np.array([1.0, 1.0]),
-        SparseOperator.from_dense([[1.0, 0.0]]),
+        SparseOperator([[1.0, 0.0]]),
         np.zeros(1))
     failures = []
     for tag, solve in ALL_SOLVERS.items():
@@ -145,11 +145,9 @@ def test_criterion_4_infsup_two_forms(acceptance):
         m = int(rng.integers(1, min(n, 8)))
         g1 = rng.standard_normal((n, n))
         g2 = rng.standard_normal((m, m))
-        a = SparseOperator.from_dense(g1 @ g1.T + n * np.eye(n),
-                                      symmetric=True)
-        mq = SparseOperator.from_dense(g2 @ g2.T + m * np.eye(m),
-                                       symmetric=True)
-        c = SparseOperator.from_dense(rng.standard_normal((m, n)))
+        a = SparseOperator(g1 @ g1.T + n * np.eye(n))
+        mq = SparseOperator(g2 @ g2.T + m * np.eye(m))
+        c = SparseOperator(rng.standard_normal((m, n)))
         problem = QpProblem(a, np.zeros(n), c, np.zeros(m))
         dual = estimate_infsup(problem, mq, "dual_form")
         primal = estimate_infsup(problem, mq, "primal_form")
@@ -158,7 +156,7 @@ def test_criterion_4_infsup_two_forms(acceptance):
     # projection special case: orthonormal rows, identity metrics
     q, _ = np.linalg.qr(rng.standard_normal((11, 5)))
     projection = QpProblem(SparseOperator.identity(11), np.zeros(11),
-                           SparseOperator.from_dense(q.T), np.zeros(5))
+                           SparseOperator(q.T), np.zeros(5))
     for form in ("dual_form", "primal_form"):
         est = estimate_infsup(projection, SparseOperator.identity(5), form)
         if abs(est.beta - 1.0) > 1e-12:

@@ -21,9 +21,9 @@ from stokesqp.solvers import (DEFAULT_TOL, ConvergenceError,
 def _write_hand_problem(directory):
     directory.mkdir(exist_ok=True)
     write_matrix(directory / "A.mtx",
-                 SparseOperator.from_dense(np.eye(2), symmetric=True))
+                 SparseOperator(np.eye(2)))
     write_matrix(directory / "C.mtx",
-                 SparseOperator.from_dense([[1.0, 0.0]]))
+                 SparseOperator([[1.0, 0.0]]))
     write_vector(directory / "b.txt", np.array([1.0, 1.0]))
     return directory
 
@@ -33,10 +33,9 @@ def _write_random_problem(directory, seed=60, n=14, m=4):
     g = rng.standard_normal((n, n))
     directory.mkdir(exist_ok=True)
     write_matrix(directory / "A.mtx",
-                 SparseOperator.from_dense(g @ g.T + n * np.eye(n),
-                                           symmetric=True))
+                 SparseOperator(g @ g.T + n * np.eye(n)))
     write_matrix(directory / "C.mtx",
-                 SparseOperator.from_dense(rng.standard_normal((m, n))))
+                 SparseOperator(rng.standard_normal((m, n))))
     write_vector(directory / "b.txt", rng.standard_normal(n))
     write_vector(directory / "d.txt", rng.standard_normal(m))
     return directory
@@ -87,7 +86,7 @@ def test_qp_solve_a_not_definite_on_kernel_is_solver_failure(tmp_path, capsys,
         write_matrix(problem / "A.mtx",
                      SparseOperator.diagonal(np.r_[np.ones(n - 1), 0.0]))
         write_matrix(problem / "C.mtx",
-                     SparseOperator.from_dense(np.eye(1, n)))
+                     SparseOperator(np.eye(1, n)))
         write_vector(problem / "b.txt", np.ones(n))
         code = run(["qp-solve", "--input", str(problem), "--method", method])
         assert code == EXIT_SOLVER_FAILURE
@@ -411,9 +410,8 @@ def test_infsup_singular_a_is_solver_failure(tmp_path, capsys):
     # A = diag(0, 1, 1) passes QpProblem's spot check but cannot be factored
     problem = tmp_path / "prob"
     problem.mkdir()
-    write_matrix(problem / "A.mtx", SparseOperator.from_dense(
-        np.diag([0.0, 1.0, 1.0]), symmetric=True))
-    write_matrix(problem / "C.mtx", SparseOperator.from_dense([[1.0, 0.0, 0.0]]))
+    write_matrix(problem / "A.mtx", SparseOperator(np.diag([0.0, 1.0, 1.0])))
+    write_matrix(problem / "C.mtx", SparseOperator([[1.0, 0.0, 0.0]]))
     write_vector(problem / "b.txt", np.ones(3))
     code = run(["infsup", "--input", str(problem),
                 "--output", str(tmp_path / "out")])
@@ -434,8 +432,8 @@ def test_infsup_projection_case_problem_directory(tmp_path):
     problem = tmp_path / "prob"
     problem.mkdir()
     write_matrix(problem / "A.mtx",
-                 SparseOperator.from_dense(np.eye(9), symmetric=True))
-    write_matrix(problem / "C.mtx", SparseOperator.from_dense(q.T))
+                 SparseOperator(np.eye(9)))
+    write_matrix(problem / "C.mtx", SparseOperator(q.T))
     write_vector(problem / "b.txt", rng.standard_normal(9))
     code = run(["infsup", "--input", str(problem)])
     assert code == EXIT_OK
@@ -492,7 +490,7 @@ def test_verify_reports_are_byte_identical(tmp_path):
 def _write_unconstrained_problem(directory):
     directory.mkdir()
     write_matrix(directory / "A.mtx",
-                 SparseOperator.from_dense(2.0 * np.eye(3), symmetric=True))
+                 SparseOperator(2.0 * np.eye(3)))
     (directory / "C.mtx").write_text(
         "%%MatrixMarket matrix coordinate real general\n0 3 0\n")
     write_vector(directory / "b.txt", np.array([1.0, 2.0, 3.0]))
@@ -507,7 +505,7 @@ def _write_indefinite_problem(directory):
     write_matrix(directory / "A.mtx",
                  SparseOperator.diagonal([1.0, 1.0, -1e-3]))
     write_matrix(directory / "C.mtx",
-                 SparseOperator.from_dense([[0.0, 0.0, 1.0]]))
+                 SparseOperator([[0.0, 0.0, 1.0]]))
     write_vector(directory / "b.txt", np.ones(3))
     return directory
 

@@ -14,6 +14,8 @@ import pytest
 import stokesqp
 
 PACKAGE = Path(stokesqp.__file__).parent
+TRACER_TEST = (Path(__file__).resolve().parent.parent / "bench" / "tests"
+               / "test_bench_spans.py")
 
 #: imported but unused on purpose: bench/tests/test_bench_spans.py checks
 #: that the benchmark tracer wraps these two bindings of ``stokes``
@@ -45,6 +47,16 @@ def _unused_imports(path):
 def test_every_import_is_used(module):
     assert _unused_imports(PACKAGE / f"{module}.py") == \
         KEPT_FOR_TRACER.get(module, [])
+
+
+def test_kept_imports_are_still_read_by_the_tracer_test():
+    # a kept import goes as soon as the tracer's test stops reading it
+    tree = ast.parse(TRACER_TEST.read_text(encoding="utf-8"))
+    read = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)}
+    assert [(module, name) for module, names in KEPT_FOR_TRACER.items()
+            for name in names if (module, name) not in read] == []
 
 
 def test_unused_import_is_caught(tmp_path):

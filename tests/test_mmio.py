@@ -13,7 +13,7 @@ def test_general_matrix_round_trip(tmp_path):
     dense = np.round(rng.standard_normal((4, 6)), 3)
     dense[np.abs(dense) < 0.4] = 0.0
     path = tmp_path / "m.mtx"
-    write_matrix(path, SparseOperator.from_dense(dense))
+    write_matrix(path, SparseOperator(dense))
     back = read_matrix(path)
     assert not back.symmetric
     assert np.array_equal(back.toarray(), dense)
@@ -24,7 +24,7 @@ def test_symmetric_matrix_round_trip(tmp_path):
     g = np.round(rng.standard_normal((5, 5)), 3)
     dense = g + g.T
     path = tmp_path / "s.mtx"
-    write_matrix(path, SparseOperator.from_dense(dense, symmetric=True))
+    write_matrix(path, SparseOperator(dense))
     text = path.read_text()
     assert text.startswith("%%MatrixMarket matrix coordinate real symmetric\n")
     back = read_matrix(path)
@@ -35,7 +35,7 @@ def test_symmetric_matrix_round_trip(tmp_path):
 def test_symmetric_file_stores_lower_triangle_only(tmp_path):
     dense = np.array([[2.0, 1.0], [1.0, 3.0]])
     path = tmp_path / "s.mtx"
-    write_matrix(path, SparseOperator.from_dense(dense, symmetric=True))
+    write_matrix(path, SparseOperator(dense))
     body = path.read_text().splitlines()[2:]
     for line in body:
         i, j, _ = line.split()
@@ -44,7 +44,7 @@ def test_symmetric_file_stores_lower_triangle_only(tmp_path):
 
 def test_indices_are_one_based(tmp_path):
     path = tmp_path / "m.mtx"
-    write_matrix(path, SparseOperator.from_dense([[0.0, 7.0], [0.0, 0.0]]))
+    write_matrix(path, SparseOperator([[0.0, 7.0], [0.0, 0.0]]))
     assert path.read_text().splitlines()[2] == "1 2 7.0"
 
 
@@ -55,6 +55,14 @@ def test_vector_round_trip(tmp_path):
     assert np.array_equal(read_vector(path), v)
 
 
+@pytest.mark.parametrize("bad", [np.ones((2, 2)), [1.0, np.nan]])
+def test_write_vector_rejects_what_read_vector_rejects(tmp_path, bad):
+    path = tmp_path / "v.txt"
+    with pytest.raises(ValueError):
+        write_vector(path, bad)
+    assert not path.exists()
+
+
 def test_full_precision_survives_round_trip(tmp_path):
     rng = np.random.default_rng(43)
     v = rng.standard_normal(50)
@@ -63,7 +71,7 @@ def test_full_precision_survives_round_trip(tmp_path):
     assert np.array_equal(read_vector(path), v)
     dense = rng.standard_normal((7, 7))
     mpath = tmp_path / "m.mtx"
-    write_matrix(mpath, SparseOperator.from_dense(dense))
+    write_matrix(mpath, SparseOperator(dense))
     assert np.array_equal(read_matrix(mpath).toarray(), dense)
 
 
@@ -294,8 +302,7 @@ def test_writers_match_per_line_format(tmp_path):
         f"{float(x)!r}\n" for x in values).encode("ascii")
 
     g = np.round(rng.standard_normal((6, 6)), 2)
-    for op in (SparseOperator.from_dense(g),
-               SparseOperator.from_dense(g + g.T, symmetric=True)):
+    for op in (SparseOperator(g), SparseOperator(g + g.T)):
         rows, cols, vals = op.triples()
         if op.symmetric:
             keep = rows >= cols

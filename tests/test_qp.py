@@ -26,9 +26,9 @@ def _problem(a, b, c, d=None):
     c = np.atleast_2d(np.asarray(c, dtype=float))
     if d is None:
         d = np.zeros(c.shape[0])
-    return QpProblem(SparseOperator.from_dense(a, symmetric=True),
+    return QpProblem(SparseOperator(a),
                      np.asarray(b, dtype=float),
-                     SparseOperator.from_dense(c),
+                     SparseOperator(c),
                      np.asarray(d, dtype=float))
 
 
@@ -52,7 +52,7 @@ def _random_instance(rng, n=None, m=None, inhomogeneous=False):
 def _unconstrained(a, b):
     n = np.asarray(a).shape[0]
     empty_c = SparseOperator.from_triples(0, n, [], [], [])
-    return QpProblem(SparseOperator.from_dense(a, symmetric=True),
+    return QpProblem(SparseOperator(a),
                      np.asarray(b, dtype=float), empty_c, np.zeros(0))
 
 
@@ -113,10 +113,15 @@ def test_objective_matches_naive_double_loop():
 # -- problem validation ----------------------------------------------------
 
 
-def test_problem_rejects_unflagged_a():
-    with pytest.raises(ValueError):
-        QpProblem(SparseOperator.from_dense(np.eye(2)), np.ones(2),
-                  SparseOperator.from_dense([[1.0, 0.0]]), np.zeros(1))
+def test_problem_rejects_asymmetric_a():
+    a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    c = SparseOperator([[1.0, 0.0]])
+    problem = QpProblem(SparseOperator(a), np.ones(2), c, np.zeros(1))
+    assert problem.A.symmetric
+    a[0, 1] = np.nextafter(1.0, 2.0)
+    for bad in (a, np.ones((2, 3))):
+        with pytest.raises(ValueError, match="A must be symmetric"):
+            QpProblem(SparseOperator(bad), np.ones(2), c, np.zeros(1))
 
 
 def test_problem_rejects_square_constraints():
@@ -386,7 +391,7 @@ def test_constraint_svd_memory_is_order_m_n():
     tracemalloc.start()
     try:
         p = QpProblem(SparseOperator.identity(n), np.ones(n),
-                      SparseOperator.from_dense(np.ones((1, n))), np.ones(1))
+                      SparseOperator(np.ones((1, n))), np.ones(1))
         solve_schur(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -453,7 +458,7 @@ def test_infsup_two_forms_agree_and_match_dense_oracle():
     c = rng.standard_normal((4, 12))
 
     problem = _problem(a, np.zeros(12), c)
-    mq_op = SparseOperator.from_dense(mq, symmetric=True)
+    mq_op = SparseOperator(mq)
     dual = estimate_infsup(problem, mq_op, "dual_form")
     primal = estimate_infsup(problem, mq_op, "primal_form")
     assert abs(dual.beta - primal.beta) <= 1e-8
@@ -480,7 +485,7 @@ def test_infsup_indefinite_a_names_the_failed_hypothesis(form):
     # undefined: S = C A^-1 C.T = -1000 must not come out as beta = 0
     problem = QpProblem(SparseOperator.diagonal([1.0, 1.0, -1e-3]),
                         np.zeros(3),
-                        SparseOperator.from_dense([[0.0, 0.0, 1.0]]),
+                        SparseOperator([[0.0, 0.0, 1.0]]),
                         np.zeros(1))
     with pytest.raises(SingularSystemError, match="A is not positive definite"):
         estimate_infsup(problem, SparseOperator.identity(1), form)

@@ -39,7 +39,7 @@ def test_cg_random_spd_vs_dense_oracle():
     rng = np.random.default_rng(20)
     a = _random_spd(rng, 20)
     b = rng.standard_normal(20)
-    op = SparseOperator.from_dense(a, symmetric=True)
+    op = SparseOperator(a)
     x, _ = conjugate_gradient(op.apply, b, tol=1e-13)
     oracle = np.linalg.solve(a, b)
     assert np.linalg.norm(x - oracle) <= 1e-10 * np.linalg.norm(oracle)
@@ -161,7 +161,7 @@ def test_pcg_detects_an_indefinite_preconditioner():
 
 
 def test_indefinite_swap_operator():
-    op = SparseOperator.from_dense([[0.0, 1.0], [1.0, 0.0]], symmetric=True)
+    op = SparseOperator([[0.0, 1.0], [1.0, 0.0]])
     x, _ = symmetric_indefinite_solve(op, [1.0, 2.0])
     assert np.allclose(x, [2.0, 1.0], atol=1e-14)
 
@@ -179,7 +179,7 @@ def test_indefinite_random_vs_dense_oracle():
     a = g + g.T  # indefinite with high probability; check and proceed
     assert np.min(np.linalg.eigvalsh(a)) < 0 < np.max(np.linalg.eigvalsh(a))
     b = rng.standard_normal(10)
-    op = SparseOperator.from_dense(a, symmetric=True)
+    op = SparseOperator(a)
     x, _ = symmetric_indefinite_solve(op, b)
     oracle = np.linalg.solve(a, b)
     assert np.linalg.norm(x - oracle) <= 1e-9 * np.linalg.norm(oracle)
@@ -190,7 +190,7 @@ def test_indefinite_backward_error_contract():
     g = rng.standard_normal((25, 25))
     a = g + g.T
     b = rng.standard_normal(25)
-    op = SparseOperator.from_dense(a, symmetric=True)
+    op = SparseOperator(a)
     x, report = symmetric_indefinite_solve(op, b)
     bound = 1e-10 * (op.frobenius_norm() * np.linalg.norm(x)
                      + np.linalg.norm(b))
@@ -198,7 +198,7 @@ def test_indefinite_backward_error_contract():
 
 
 def test_indefinite_singular_system_is_diagnosed():
-    op = SparseOperator.from_dense([[1.0, 1.0], [1.0, 1.0]], symmetric=True)
+    op = SparseOperator([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularSystemError) as excinfo:
         symmetric_indefinite_solve(op, [1.0, 0.0])
     assert "eigendirection" in str(excinfo.value) or "singular" in str(
@@ -206,22 +206,24 @@ def test_indefinite_singular_system_is_diagnosed():
 
 
 def test_factorized_singular_operator_names_eigendirection():
-    op = SparseOperator.from_dense([[1.0, 1.0], [1.0, 1.0]], symmetric=True)
+    op = SparseOperator([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularSystemError, match="eigendirection"):
         factorized(op)
 
 
-def test_indefinite_requires_symmetric_flag():
-    op = SparseOperator.from_dense([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValueError):
-        symmetric_indefinite_solve(op, [1.0, 2.0])
+def test_indefinite_solve_requires_symmetric_operator():
+    # the swap one entry off; the exact swap, built the same way, is solved
+    # by test_indefinite_swap_operator
+    with pytest.raises(ValueError, match="symmetric operator"):
+        symmetric_indefinite_solve(
+            SparseOperator([[0.0, 1.0], [1.5, 0.0]]), [1.0, 2.0])
 
 
 # -- null-space bases ------------------------------------------------------
 
 
 def test_nullspace_coordinate_hyperplane():
-    c = SparseOperator.from_dense([[1.0, 0.0]])
+    c = SparseOperator([[1.0, 0.0]])
     z = orthonormal_nullspace_basis(c)
     assert z.shape == (2, 1)
     assert np.allclose(np.abs(z[:, 0]), [0.0, 1.0], atol=1e-14)
@@ -235,7 +237,7 @@ def test_nullspace_trivial_kernel():
 def test_nullspace_random_vs_svd_oracle():
     rng = np.random.default_rng(37)
     c_dense = rng.standard_normal((3, 7))
-    c = SparseOperator.from_dense(c_dense)
+    c = SparseOperator(c_dense)
     z = orthonormal_nullspace_basis(c)
     assert z.shape == (7, 4)
     assert np.linalg.norm(c_dense @ z) <= 1e-12 * np.linalg.norm(c_dense)
@@ -247,7 +249,7 @@ def test_nullspace_random_vs_svd_oracle():
 
 
 def test_nullspace_rank_deficient_rejected():
-    c = SparseOperator.from_dense([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
+    c = SparseOperator([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
     with pytest.raises(RankDeficiencyError):
         orthonormal_nullspace_basis(c)
 
@@ -266,7 +268,7 @@ def test_eigenpair_diagonal_spectrum():
 def test_eigenpair_identical_operators():
     rng = np.random.default_rng(15)
     a = _random_spd(rng, 6)
-    op = SparseOperator.from_dense(a, symmetric=True)
+    op = SparseOperator(a)
     lam, q = smallest_generalized_eigenpair(op, op)
     assert abs(lam - 1.0) <= 1e-10
     assert abs(q @ (a @ q) - 1.0) <= 1e-8
@@ -278,8 +280,8 @@ def test_eigenpair_random_vs_dense_oracle():
     s = s_half.T @ s_half
     m = _random_spd(rng, 15)
     lam, q = smallest_generalized_eigenpair(
-        SparseOperator.from_dense(s, symmetric=True),
-        SparseOperator.from_dense(m, symmetric=True))
+        SparseOperator(s),
+        SparseOperator(m))
     oracle = sla.eigh(s, m, eigvals_only=True)[0]
     assert abs(lam - oracle) <= 1e-8 * max(1.0, abs(oracle))
     # normalization and residual contract on the returned pair
@@ -312,7 +314,7 @@ def test_eigenpair_singular_pencil_returns_constant_kernel():
     s_dense = np.array([[2.0, -1.0, -1.0],
                         [-1.0, 2.0, -1.0],
                         [-1.0, -1.0, 2.0]])
-    s = SparseOperator.from_dense(s_dense, symmetric=True)
+    s = SparseOperator(s_dense)
     m = SparseOperator.identity(3)
 
     lam0, q0 = smallest_generalized_eigenpair(s, m)
@@ -329,7 +331,7 @@ def test_eigenpair_clustered_bottom_pair_resolved():
     s = basis @ np.diag(evals) @ basis.T
     s = 0.5 * (s + s.T)
     lam, _q = smallest_generalized_eigenpair(
-        SparseOperator.from_dense(s, symmetric=True),
+        SparseOperator(s),
         SparseOperator.identity(6))
     assert abs(lam - 0.309) <= 1e-9
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from stokesqp import SparseOperator, as_vector
 
@@ -14,18 +15,18 @@ def test_identity_apply():
 
 def test_zero_vector_maps_to_zero():
     rng = np.random.default_rng(7)
-    op = SparseOperator.from_dense(rng.standard_normal((5, 4)))
+    op = SparseOperator(rng.standard_normal((5, 4)))
     assert np.array_equal(op.apply(np.zeros(4)), np.zeros(5))
 
 
 def test_hand_product_2x2():
-    op = SparseOperator.from_dense([[2.0, 0.0], [1.0, 3.0]])
+    op = SparseOperator([[2.0, 0.0], [1.0, 3.0]])
     assert np.allclose(op.apply([1.0, 1.0]), [2.0, 4.0])
 
 
 def test_linearity_random():
     rng = np.random.default_rng(11)
-    op = SparseOperator.from_dense(rng.standard_normal((8, 6)))
+    op = SparseOperator(rng.standard_normal((8, 6)))
     for _ in range(20):
         x = rng.standard_normal(6)
         y = rng.standard_normal(6)
@@ -39,7 +40,7 @@ def test_linearity_random():
 def test_symmetric_pairing_random():
     rng = np.random.default_rng(13)
     g = rng.standard_normal((7, 7))
-    op = SparseOperator.from_dense(g + g.T, symmetric=True)
+    op = SparseOperator(g + g.T)
     for _ in range(20):
         x = rng.standard_normal(7)
         y = rng.standard_normal(7)
@@ -59,24 +60,63 @@ def test_triples_assembly_is_canonical():
     assert np.array_equal(order, np.arange(len(vals)))
 
 
-def test_symmetry_flag_is_verified():
+def test_symmetry_is_measured():
+    assert SparseOperator([[1.0, 2.0], [2.0, 4.0]]).symmetric
+    assert not SparseOperator([[1.0, 2.0], [3.0, 4.0]]).symmetric
+    assert not SparseOperator([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0]]).symmetric
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_measured_symmetry_matches_dense_oracle(seed):
+    # few distinct values, so mirrored draws are common; zeros come as 0.0
+    # and -0.0, stored explicitly by the triples input
+    rng = np.random.default_rng(seed)
+    nrows = int(rng.integers(1, 6))
+    ncols = nrows if rng.random() < 0.7 else int(rng.integers(1, 6))
+    a = rng.choice([0.0, 1.0, -1.0, 2.5], (nrows, ncols))
+    if nrows == ncols and rng.random() < 0.7:
+        a = np.where(np.tri(nrows, dtype=bool), a, a.T)
+        if rng.random() < 0.3:
+            a[rng.integers(nrows), rng.integers(ncols)] += 1.0
+    zeros = a == 0.0
+    a[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+    expected = nrows == ncols and np.array_equal(a, a.T)
+    rows, cols = np.indices(a.shape)
+    stored = SparseOperator.from_triples(nrows, ncols, rows.ravel(),
+                                         cols.ravel(), a.ravel())
+    assert stored.nnz == a.size
+    assert stored.symmetric == SparseOperator(a).symmetric == expected
+
+
+def test_operator_must_be_2d():
+    with pytest.raises(ValueError, match="2-D"):
+        SparseOperator(np.ones(3))
     with pytest.raises(ValueError):
-        SparseOperator.from_dense([[1.0, 2.0], [3.0, 4.0]], symmetric=True)
-    with pytest.raises(ValueError):
-        SparseOperator.from_dense([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0]],
-                                  symmetric=True)
+        SparseOperator(np.ones((2, 2, 2)))
+
+
+def test_operator_copies_a_scipy_input():
+    # row 1 holds its columns unsorted: (1, 3.0) before (0, 1.0)
+    m = sp.csr_array(([4.0, 1.0, 3.0, 1.0], [0, 1, 1, 0], [0, 2, 4]),
+                     shape=(2, 2))
+    indices = m.indices.copy()
+    op = SparseOperator(m)
+    m.data[:] = [100.0, 7.0, 8.0, 9.0]
+    assert np.array_equal(op.toarray(), [[4.0, 1.0], [1.0, 3.0]])
+    assert op.symmetric
+    assert np.array_equal(m.indices, indices)
 
 
 def test_nonfinite_entries_rejected():
     with pytest.raises(ValueError):
-        SparseOperator.from_dense([[np.nan, 0.0], [0.0, 1.0]])
+        SparseOperator([[np.nan, 0.0], [0.0, 1.0]])
     op = SparseOperator.identity(2)
     with pytest.raises(ValueError):
         op.apply([np.inf, 0.0])
 
 
 def test_dimension_mismatch_rejected():
-    op = SparseOperator.from_dense(np.ones((3, 2)))
+    op = SparseOperator(np.ones((3, 2)))
     with pytest.raises(ValueError):
         op.apply([1.0, 2.0, 3.0])
 
@@ -90,11 +130,10 @@ def test_as_vector_validation():
     assert v.dtype == np.float64
 
 
-def test_transpose_and_frobenius():
+def test_frobenius_norm():
     rng = np.random.default_rng(5)
     dense = rng.standard_normal((4, 6))
-    op = SparseOperator.from_dense(dense)
-    assert np.array_equal(op.transpose().toarray(), dense.T)
+    op = SparseOperator(dense)
     assert np.isclose(op.frobenius_norm(), np.linalg.norm(dense, "fro"))
 
 

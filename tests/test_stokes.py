@@ -130,11 +130,12 @@ def _same_csr(actual, expected):
                for name in ("indptr", "indices", "data"))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 16, 33, 96])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 16, 33, 96])
 def test_stencil_assembly_matches_kronecker_oracle(n):
     a, b = _kronecker_operators(n)
     grid = build_grid(n)
     ops = assemble_operators(grid)
+    assert ops.A.symmetric and not ops.B.symmetric
     assert _same_csr(ops.A.csr, a)
     assert _same_csr(ops.B.csr, b)
     assert _same_csr(_divergence(grid).csr, b)
@@ -400,7 +401,7 @@ def _bordered_kkt_solve(grid, case):
     kkt = sp.bmat([[ops.A.csr, ops.B.csr.T, None],
                    [ops.B.csr, None, e],
                    [None, e.T, None]], format="csr")
-    sol, _ = symmetric_indefinite_solve(SparseOperator(kkt, symmetric=True),
+    sol, _ = symmetric_indefinite_solve(SparseOperator(kkt),
                                         np.concatenate([b, np.zeros(npres + 1)]))
     p = -sol[nu:nu + npres]          # multiplier sign: A u - b = B.T p
     return sol[:nu], p - p.mean()
@@ -736,9 +737,8 @@ def test_undeflated_pencil_has_constant_kernel():
     ops = assemble_operators(grid)
     a = ops.A.toarray()
     b = ops.B.toarray()
-    s = SparseOperator.from_dense(0.5 * (b @ np.linalg.solve(a, b.T)
-                                         + (b @ np.linalg.solve(a, b.T)).T),
-                                  symmetric=True)
+    s = SparseOperator(0.5 * (b @ np.linalg.solve(a, b.T)
+                              + (b @ np.linalg.solve(a, b.T)).T))
     lam, q = smallest_generalized_eigenpair(s, np.diag(_pressure_mass(grid)))
     assert abs(lam) <= 1e-10
     direction = q / np.linalg.norm(q)
