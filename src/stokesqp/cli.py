@@ -201,13 +201,11 @@ def cmd_infsup(args):
         })
         return EXIT_OK
 
-    n_list = args.n_list or ((args.n,) if args.n is not None else ())
-    if not n_list:
-        raise ValueError(
-            "need --n-list (or --n, or --input) for an inf-sup study")
-    values = [estimate_infsup_stokes(build_grid(n)).beta for n in n_list]
+    if not args.n_list:
+        raise ValueError("need --n-list or --input for an inf-sup study")
+    values = [estimate_infsup_stokes(build_grid(n)).beta for n in args.n_list]
     lines = ["n,h,beta"] + [f"{n},{1.0 / n!r},{b!r}"
-                            for n, b in zip(n_list, values)]
+                            for n, b in zip(args.n_list, values)]
     mmio.write_text(_output_dir(args) / "infsup.csv", "\n".join(lines) + "\n")
     spread = max(values) / min(values) if min(values) > 0.0 else np.inf
     if min(values) <= 0.0 or spread >= 1.1:
@@ -296,7 +294,7 @@ _SUBCOMMANDS = {
                  "--n-list --case --tol --inject-exact --output", {}),
     "infsup": (cmd_infsup,
                "inf-sup constants across grids or for a problem directory",
-               "--n-list|--n|--input --output", {}),
+               "--n-list|--input --output", {}),
     "verify": (cmd_verify, "seeded randomized property suites",
                "--seed --corrupt --output", {}),
 }
@@ -309,7 +307,8 @@ def build_parser():
                     "Stokes studies with Lagrange-multiplier verification.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, flags, defaults) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        # no abbreviations: a prefix such as --n must not reach --n-list
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for group in flags.split():
             names = group.split("|")
             target = p.add_mutually_exclusive_group() if len(names) > 1 else p

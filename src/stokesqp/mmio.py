@@ -13,8 +13,10 @@ loop, which accepts it or reports the offending line number.  What the fast
 parse accepts, the loop accepts too with the same triples, so the file's
 content alone picks the path and never changes the result.
 
-Both readers name the file and the line of a non-ASCII byte.  Every file
-the package writes, report or field, goes through ``write_text``.
+Both readers name the file and the line of a non-ASCII byte, and refuse
+the ``_`` that Python's ``int`` and ``float`` take as digit grouping.  A
+``symmetric`` file must have a square size line.  Every file the package
+writes, report or field, goes through ``write_text``.
 """
 
 import io
@@ -42,6 +44,14 @@ class MatrixMarketError(ValueError):
         super().__init__(f"{path}:{lineno}: {message}")
         self.path = str(path)
         self.lineno = lineno
+
+
+def _number(kind, text):
+    """``kind(text)`` for ``int`` or ``float``, refusing the ``_`` digit
+    grouping both accept; ValueError on anything they cannot parse."""
+    if "_" in text:
+        raise ValueError(f"digit grouping in {text!r}")
+    return kind(text)
 
 
 def _decode(path, data, split_lines):
@@ -83,6 +93,9 @@ def read_matrix(path):
     symmetric = symmetry == "symmetric"
 
     first, nrows, ncols, nnz = _size_line(path, lines)
+    if symmetric and nrows != ncols:
+        raise MatrixMarketError(path, first + 1, f"symmetric matrix must be "
+                                f"square, got {nrows}x{ncols}")
     triples = _entries_vectorized(data, lines, first, nrows, ncols, nnz,
                                   symmetric)
     if triples is None:
@@ -103,7 +116,7 @@ def _size_line(path, lines):
             raise MatrixMarketError(
                 path, k + 1, "size line must be 'nrows ncols nnz'")
         try:
-            nrows, ncols, nnz = (int(p) for p in parts)
+            nrows, ncols, nnz = (_number(int, p) for p in parts)
         except ValueError:
             raise MatrixMarketError(
                 path, k + 1, f"non-integer size line '{line}'") from None
@@ -170,8 +183,8 @@ def _entries_by_line(path, lines, first, nrows, ncols, nnz, symmetric):
             raise MatrixMarketError(
                 path, lineno, f"entry line must be 'row col value', got '{line}'")
         try:
-            i, j = int(parts[0]), int(parts[1])
-            v = float(parts[2])
+            i, j = _number(int, parts[0]), _number(int, parts[1])
+            v = _number(float, parts[2])
         except ValueError:
             raise MatrixMarketError(
                 path, lineno, f"cannot parse entry '{line}'") from None
@@ -234,7 +247,7 @@ def read_vector(path):
         if not line or line.startswith("%"):
             continue
         try:
-            v = float(line)
+            v = _number(float, line)
         except ValueError:
             raise MatrixMarketError(
                 path, lineno, f"cannot parse value '{line}'") from None

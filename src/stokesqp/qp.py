@@ -119,7 +119,6 @@ class InfSupEstimate:
 
     eigenvalue: float
     attaining_q: np.ndarray
-    form_tag: str
 
     @property
     def beta(self):
@@ -167,11 +166,11 @@ def checked_solution(A, C, b, d, x, multiplier, method_tag, tol,
                      inner_report=None):
     """Assemble a SaddleSolution for  A x - b = C.T lam,  C x = d  and
     enforce the residual contract: both residual norms at most
-    ``tol * residual_scale``, else ConvergenceError."""
+    ``tol * residual_scale``, else ConvergenceError (a NaN fails it)."""
     stat = np.linalg.norm(A.apply(x) - b - C.csr.T @ multiplier)
     feas = np.linalg.norm(C.csr @ x - d)
     bound = tol * _scale(A, b, x)
-    if stat > bound or feas > bound:
+    if not (stat <= bound and feas <= bound):
         raise ConvergenceError(
             f"{method_tag} solve violated the residual contract: "
             f"stationarity {stat:.3e}, feasibility {feas:.3e}, bound {bound:.3e}")
@@ -367,7 +366,7 @@ def estimate_infsup(problem, Mq, form="dual_form"):
         s1 = s @ y                        # S Mq^-1 S
         lam, q = smallest_generalized_eigenpair(s1, s)
         q = q / np.sqrt(q @ (mq_dense @ q))
-    return InfSupEstimate(float(lam), q, form)
+    return InfSupEstimate(float(lam), q)
 
 
 # -- problem-directory interface ------------------------------------------

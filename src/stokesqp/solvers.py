@@ -22,6 +22,9 @@ RANK_TOL = 1e-10
 
 DEFAULT_TOL = 1e-10
 
+#: residual bound of a computed eigenpair, ||S q - lam M q|| <= EIGEN_TOL ||q||
+EIGEN_TOL = 1e-10
+
 #: iterations without a new minimum of the CG residual (once it is below
 #: ||b||) after which CG fails with reason "stagnation": the residual has
 #: hit the accuracy rounding allows, and further steps only wander
@@ -48,9 +51,9 @@ class SolverReport:
     residual_norm: float
 
 
-def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, max_iter=None,
-                       precondition=None):
-    """Solve ``S x = b`` for a symmetric positive definite S by CG.
+def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, precondition=None):
+    """Solve ``S x = b`` for a symmetric positive definite S by
+    preconditioned CG, with z = M^-1 r and r.T z in the recurrence.
 
     Parameters
     ----------
@@ -59,37 +62,37 @@ def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, max_iter=None,
     b : array_like
         Right-hand side.
     tol : float
-        Relative residual target: convergence means
-        ``||S x - b|| <= tol * ||b||``, verified against the true residual.
-    max_iter : int, optional
-        Defaults to ``10 * len(b)``.
+        Relative residual target, 0 < tol < inf (else ValueError):
+        convergence means ``||S x - b|| <= tol * ||b||``, verified against
+        the true residual.
     precondition : callable, optional
         The action r -> M^-1 r of a symmetric positive definite
-        preconditioner M.  CG then runs the preconditioned recurrence, with
-        z = M^-1 r and r.T z in place of r.T r.  Convergence and the
-        stagnation window are still judged on ||r|| and confirmed on the
-        true residual; after a failed confirmation z is recomputed from the
-        reset residual.
+        preconditioner M; without one, z = r and the recurrence is plain CG.
+        Convergence and the stagnation window are judged on ||r|| and
+        confirmed on the true residual; after a failed confirmation z is
+        recomputed from the reset residual.
 
     Returns
     -------
     (x, report) : (ndarray, SolverReport)
         Only a solution that met ``tol``.  Otherwise ConvergenceError names
         the reason, the iteration count, the number of unknowns and the true
-        residual: "max_iter" on iteration exhaustion, "negative_curvature"
-        when a direction reveals an indefinite operator,
-        "indefinite_preconditioner" when r.T M^-1 r <= 0, "stagnation" when
-        the recurrence residual has not reached a new minimum for
-        ``STAGNATION_WINDOW`` iterations (tol below attainable accuracy),
-        counted from the first iterate below ||b||: the CG residual is not
-        monotone, and can stay above ||b|| longer than that and converge.
+        residual: "max_iter" after ``10 * len(b)`` iterations,
+        "negative_curvature" when a direction reveals an indefinite
+        operator, "indefinite_preconditioner" when r.T M^-1 r <= 0,
+        "stagnation" when the recurrence residual has not reached a new
+        minimum for ``STAGNATION_WINDOW`` iterations (tol below attainable
+        accuracy), counted from the first iterate below ||b||: the CG
+        residual is not monotone, and can stay above ||b|| longer than that
+        and converge.
     """
     b = as_vector(b, name="b")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if precondition is None:
+        def precondition(r):
+            return r
     n = b.shape[0]
-    if max_iter is None:
-        max_iter = 10 * max(n, 1)
 
     x = np.zeros(n)
     norm_b = np.linalg.norm(b)
@@ -102,15 +105,12 @@ def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, max_iter=None,
     p = rz = None
     iterations = 0
     reason = "max_iter"
-    while iterations < max_iter:
-        if precondition is None:
-            z, rz_new = r, rs
-        else:
-            z = precondition(r)
-            rz_new = float(r @ z)
-            if rz_new <= 0.0:
-                reason = "indefinite_preconditioner"
-                break
+    while iterations < 10 * n:
+        z = precondition(r)
+        rz_new = float(r @ z)
+        if rz_new <= 0.0:
+            reason = "indefinite_preconditioner"
+            break
         p = z if p is None else z + (rz_new / rz) * p
         rz = rz_new
         ap = apply_op(p)
@@ -249,7 +249,7 @@ def _to_dense_symmetric(op):
     return 0.5 * (arr + arr.T)
 
 
-def smallest_generalized_eigenpair(S, Mop, tol=1e-10):
+def smallest_generalized_eigenpair(S, Mop):
     """Smallest eigenpair of the symmetric-definite pencil ``S q = lam Mop q``
     by one dense LAPACK solve (``scipy.linalg.eigh``, bottom pair only).
 
@@ -262,13 +262,12 @@ def smallest_generalized_eigenpair(S, Mop, tol=1e-10):
     Mop : SparseOperator or ndarray
         Symmetric positive definite (ValueError otherwise); defines the
         normalization ``q @ Mop @ q == 1`` of the returned eigenvector.
-    tol : float
-        Residual check after the solve:
-        ``||S q - lam Mop q|| <= tol * ||q||``, else ConvergenceError.
 
     Returns
     -------
     (lam, q) : (float, ndarray)
+        Checked after the solve: ``||S q - lam Mop q|| <= EIGEN_TOL * ||q||``,
+        else ConvergenceError.
     """
     s_work = _to_dense_symmetric(S)
     m_d = _to_dense_symmetric(Mop)
@@ -277,15 +276,15 @@ def smallest_generalized_eigenpair(S, Mop, tol=1e-10):
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"Mop must be positive definite: {exc}") from exc
     lam, q = float(evals[0]), evecs[:, 0]
-    _check_eigenpair(s_work @ q - lam * (m_d @ q), q, tol)
+    _check_eigenpair(s_work @ q - lam * (m_d @ q), q)
     return lam, q
 
 
-def _check_eigenpair(residual_vector, q, tol):
+def _check_eigenpair(residual_vector, q):
     residual = np.linalg.norm(residual_vector)
-    if not residual <= tol * np.linalg.norm(q):
-        raise ConvergenceError(
-            f"eigenpair residual {residual:.3e} exceeds {tol:g} * ||q||")
+    if not residual <= EIGEN_TOL * np.linalg.norm(q):
+        raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds "
+                               f"{EIGEN_TOL:g} * ||q||")
 
 
 def lift_null_vector(apply, kernel):
@@ -313,7 +312,7 @@ def lift_null_vector(apply, kernel):
     return lifted
 
 
-def smallest_eigenpair_matrix_free(apply, mass_diagonal, tol=1e-10):
+def smallest_eigenpair_matrix_free(apply, mass_diagonal):
     """Smallest eigenpair of ``S q = lam D q`` with S a symmetric operator
     given only by its action and D = diag(``mass_diagonal``) > 0.
 
@@ -321,9 +320,9 @@ def smallest_eigenpair_matrix_free(apply, mass_diagonal, tol=1e-10):
     D^-1/2 S D^-1/2, started from a Gaussian vector of a fixed seed, so equal
     input gives equal output (a structured start can be orthogonal to the
     bottom eigenvector of a symmetric grid problem and miss it).  Residual
-    contract as in ``smallest_generalized_eigenpair``: ``||S q - lam D q|| <= tol * ||q||``
-    with ``q @ D @ q == 1``; an ARPACK failure or a failed check raises
-    ConvergenceError.
+    contract as in ``smallest_generalized_eigenpair``:
+    ``||S q - lam D q|| <= EIGEN_TOL * ||q||`` with ``q @ D @ q == 1``; an
+    ARPACK failure or a failed check raises ConvergenceError.
 
     Returns
     -------
@@ -341,5 +340,5 @@ def smallest_eigenpair_matrix_free(apply, mass_diagonal, tol=1e-10):
         raise ConvergenceError(f"Lanczos eigen-solve failed: {exc}") from exc
     lam = float(evals[0])
     q = scale * evecs[:, 0] / np.linalg.norm(evecs[:, 0])
-    _check_eigenpair(apply(q) - lam * (q / scale ** 2), q, tol)
+    _check_eigenpair(apply(q) - lam * (q / scale ** 2), q)
     return lam, q

@@ -75,11 +75,6 @@ class SparseOperator:
     def identity(cls, n):
         return cls(_sp.identity(n, format="csr"))
 
-    @classmethod
-    def diagonal(cls, values):
-        values = as_vector(values, name="diagonal")
-        return cls(_sp.diags_array(values, format="csr"))
-
     # -- shape -------------------------------------------------------------
 
     @property

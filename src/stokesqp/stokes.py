@@ -494,7 +494,7 @@ def estimate_infsup_stokes(grid):
     schur = schur_complement(_divergence(grid), _mac_velocity_solve(grid),
                              kernel=np.ones(grid.n_pressure))
     lam, q = smallest_eigenpair_matrix_free(schur, _pressure_mass(grid))
-    return InfSupEstimate(float(lam), q, "dual_form")
+    return InfSupEstimate(float(lam), q)
 
 
 # -- export ----------------------------------------------------------------

@@ -57,10 +57,11 @@ def _corrupted(solution, rng):
     return replace(solution, x=solution.x + bump)
 
 
-def run_property_suite(seed, corrupt=False, instances=20):
-    """Run every property; returns a list of PropertyResult in fixed order."""
+def run_property_suite(seed, corrupt=False):
+    """Run every property on 20 random instances; returns a list of
+    PropertyResult in fixed order."""
     rng = np.random.default_rng(seed)
-    problems = [random_problem(rng) for _ in range(instances)]
+    problems = [random_problem(rng) for _ in range(20)]
     solved, clean_direct = [], []
     for problem in problems:
         outs = [solve_kkt_direct(problem), solve_nullspace(problem),

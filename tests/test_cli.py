@@ -84,7 +84,7 @@ def test_qp_solve_a_not_definite_on_kernel_is_solver_failure(tmp_path, capsys,
         problem = tmp_path / f"prob{n}"
         problem.mkdir()
         write_matrix(problem / "A.mtx",
-                     SparseOperator.diagonal(np.r_[np.ones(n - 1), 0.0]))
+                     SparseOperator(np.diag(np.r_[np.ones(n - 1), 0.0])))
         write_matrix(problem / "C.mtx",
                      SparseOperator(np.eye(1, n)))
         write_vector(problem / "b.txt", np.ones(n))
@@ -157,10 +157,12 @@ def test_usage_errors_map_to_bad_input_code(tmp_path):
     ["stokes", "--n", "8", "--input", "/nonexistent"],
     ["stokes", "--n", "8", "--method", "schur"],
     ["converge", "--n-list", "4,8", "--seed", "1"],
-    ["infsup", "--n", "4", "--tol", "1e-8"],
-    ["infsup", "--n", "8", "--n-list", "16,32"],
+    # no abbreviation: --n is not a prefix of --n-list
+    ["converge", "--n", "16,32"],
+    ["infsup", "--n-list", "4", "--tol", "1e-8"],
+    ["infsup", "--input", ".", "--n-list", "16,32"],
     ["infsup", "--n-list", "8,16", "--input", "."],
-    ["infsup", "--input", ".", "--n", "8"],
+    ["infsup", "--n", "8"],
     ["verify", "--n", "64"],
     ["verify", "--tol", "5"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
@@ -175,7 +177,7 @@ def test_invalid_grid_size_rejected(tmp_path, capsys):
     assert run(["stokes", "--n", "1",
                 "--output", str(tmp_path)]) == EXIT_BAD_INPUT
     # --n 0 is given, not absent: the check must not test truthiness
-    assert run(["infsup", "--n", "0",
+    assert run(["stokes", "--n", "0",
                 "--output", str(tmp_path)]) == EXIT_BAD_INPUT
     assert "grid size must be at least 2, got 0" in capsys.readouterr().err
 
@@ -186,7 +188,7 @@ def test_invalid_grid_size_rejected(tmp_path, capsys):
                   "output": None, "infsup": False}),
     ("converge", {"tol": DEFAULT_TOL, "n_list": (),
                   "case_id": "taylor_green", "inject_exact": False}),
-    ("infsup", {"n": None, "n_list": (), "input_dir": None}),
+    ("infsup", {"n_list": (), "input_dir": None}),
     ("verify", {"seed": 0, "corrupt": False, "output": None}),
 ], ids=lambda v: v if isinstance(v, str) else "defaults")
 def test_parse_level_defaults(command, expected):
@@ -356,7 +358,7 @@ def test_infsup_close_grids_pass_gate(tmp_path):
 
 
 def test_infsup_edge_grid_runs(tmp_path):
-    code = run(["infsup", "--n", "2", "--output", str(tmp_path)])
+    code = run(["infsup", "--n-list", "2", "--output", str(tmp_path)])
     assert code == EXIT_OK
     with open(tmp_path / "infsup.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -387,7 +389,8 @@ def test_infsup_reaches_fine_grids(tmp_path):
 
 def test_infsup_fine_grid_value(tmp_path):
     # every A-solve is by fast diagonalization, so n=256 is cheap
-    assert run(["infsup", "--n", "256", "--output", str(tmp_path)]) == EXIT_OK
+    assert run(["infsup", "--n-list", "256",
+                "--output", str(tmp_path)]) == EXIT_OK
     with open(tmp_path / "infsup.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert float(rows[1][2]) == pytest.approx(0.4584300702, abs=1e-9)
@@ -401,7 +404,7 @@ def test_infsup_eigen_solve_failure_is_solver_failure(tmp_path, capsys,
         raise spla.ArpackNoConvergence("ARPACK no convergence", [], [])
 
     monkeypatch.setattr(spla, "eigsh", no_convergence)
-    code = run(["infsup", "--n", "8", "--output", str(tmp_path)])
+    code = run(["infsup", "--n-list", "8", "--output", str(tmp_path)])
     assert code == EXIT_SOLVER_FAILURE
     assert "Lanczos" in capsys.readouterr().err
 
@@ -503,7 +506,7 @@ def _write_indefinite_problem(directory):
     # A is no norm, so the inf-sup constant is undefined
     directory.mkdir()
     write_matrix(directory / "A.mtx",
-                 SparseOperator.diagonal([1.0, 1.0, -1e-3]))
+                 SparseOperator(np.diag([1.0, 1.0, -1e-3])))
     write_matrix(directory / "C.mtx",
                  SparseOperator([[0.0, 0.0, 1.0]]))
     write_vector(directory / "b.txt", np.ones(3))
@@ -585,7 +588,7 @@ def test_every_solver_error_is_solver_failure(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "estimate_infsup_stokes", singular)
     monkeypatch.setattr(cli, "run_property_suite", no_convergence)
-    assert run(["infsup", "--n", "8",
+    assert run(["infsup", "--n-list", "8",
                 "--output", str(tmp_path)]) == EXIT_SOLVER_FAILURE
     assert "error: injected singular system" in capsys.readouterr().err
     assert run(["verify", "--seed", "0"]) == EXIT_SOLVER_FAILURE
@@ -603,7 +606,8 @@ def test_every_written_file_is_ascii_lf_and_canonical_json(tmp_path):
                  ["stokes", "--n", "4", "--output", str(out / "stokes")],
                  ["converge", "--n-list", "4,8", "--output",
                   str(out / "converge")],
-                 ["infsup", "--n", "4", "--output", str(out / "infsup")],
+                 ["infsup", "--n-list", "4", "--output",
+                  str(out / "infsup")],
                  ["infsup", "--input", str(problem), "--output",
                   str(out / "infsup_input")],
                  ["verify", "--seed", "0", "--output", str(out / "verify")]):

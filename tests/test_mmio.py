@@ -155,6 +155,14 @@ def test_vector_bad_line_diagnosed(tmp_path):
     assert ":2:" in str(excinfo.value)
 
 
+def test_vector_digit_grouping_rejected(tmp_path):
+    # float('1_0.5') is 10.5
+    path = tmp_path / "v.txt"
+    path.write_text("1.0\n1_0.5\n")
+    with pytest.raises(MatrixMarketError, match=":2: cannot parse value"):
+        read_vector(path)
+
+
 # -- the C parse against the line loop --------------------------------------
 
 _GENERAL = "%%MatrixMarket matrix coordinate real general\n"
@@ -168,7 +176,12 @@ _BODIES = [
     ("trailing-comment", _GENERAL + "2 2 1\n1 1 2.0 % c\n", 3),
     ("float-index", _GENERAL + "2 2 1\n1.0 1 2.0\n", 3),
     ("exponent-index", _GENERAL + "2 2 1\n1e0 1 2.0\n", 3),
-    ("underscore-index", _GENERAL + "10 10 1\n1_0 1 2.0\n", None),
+    # int() and float() accept Python's digit grouping; a file may not
+    ("underscore-index", _GENERAL + "10 10 1\n1_0 1 2.0\n", 3),
+    ("underscore-value", _GENERAL + "2 2 1\n1 1 2_5.0\n", 3),
+    ("underscore-size-line", _GENERAL + "1_0 10 1\n1 1 2.0\n", 2),
+    ("symmetric-wider-than-tall", _SYMMETRIC + "2 3 1\n1 1 1.0\n", 2),
+    ("symmetric-taller-than-wide", _SYMMETRIC + "3 2 1\n3 1 1.0\n", 2),
     ("no-entries", _GENERAL + "2 3 0\n", None),
     ("no-entries-promised-one-given", _GENERAL + "2 3 0\n1 1 2.0\n", 3),
     ("comment-after-size-line",

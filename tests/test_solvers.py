@@ -11,6 +11,7 @@ from stokesqp import (ConvergenceError, RankDeficiencyError,
                       orthonormal_nullspace_basis,
                       smallest_generalized_eigenpair,
                       symmetric_indefinite_solve)
+from stokesqp import solvers
 from stokesqp.solvers import (STAGNATION_WINDOW, factorized, lift_null_vector,
                               smallest_eigenpair_matrix_free)
 
@@ -30,7 +31,7 @@ def test_cg_identity():
 
 
 def test_cg_diagonal():
-    op = SparseOperator.diagonal([1.0, 2.0])
+    op = SparseOperator(np.diag([1.0, 2.0]))
     x, _ = conjugate_gradient(op.apply, [1.0, 2.0])
     assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
@@ -64,11 +65,21 @@ def test_cg_residual_contract_when_converged():
 
 
 def test_cg_iteration_exhaustion_reported():
+    # the bound is 10 len(b) iterations, reached before the 100-iteration
+    # stagnation window can close
     rng = np.random.default_rng(4)
-    a = _random_spd(rng, 40, shift=1e-6)
-    b = rng.standard_normal(40)
-    with pytest.raises(ConvergenceError, match="max_iter after 2 iterations"):
-        conjugate_gradient(lambda v: a @ v, b, tol=1e-14, max_iter=2)
+    a = _random_spd(rng, 4)
+    b = rng.standard_normal(4)
+    with pytest.raises(ConvergenceError, match="max_iter after 40 iterations"):
+        conjugate_gradient(lambda v: a @ v, b, tol=1e-30)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+def test_cg_rejects_a_tolerance_outside_zero_to_infinity(tol):
+    # a NaN tol would fail every comparison and end CG on a bogus reason
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        conjugate_gradient(lambda v: np.array([1.0, 2.0, 3.0]) * v,
+                           np.ones(3), tol=tol)
 
 
 def test_cg_reports_stagnation_below_attainable_accuracy():
@@ -96,9 +107,9 @@ def test_cg_converges_while_the_residual_stays_above_b(lam_min, power):
 
 
 def test_cg_detects_indefiniteness():
-    op = SparseOperator.diagonal([1.0, -1.0])
+    op = SparseOperator(np.diag([1.0, -1.0]))
     with pytest.raises(ConvergenceError, match="negative_curvature"):
-        conjugate_gradient(op.apply, [1.0, 1.0], max_iter=50)
+        conjugate_gradient(op.apply, [1.0, 1.0])
 
 
 def test_cg_accepts_callable_operator():
@@ -258,7 +269,7 @@ def test_nullspace_rank_deficient_rejected():
 
 
 def test_eigenpair_diagonal_spectrum():
-    s = SparseOperator.diagonal([1.0, 4.0])
+    s = SparseOperator(np.diag([1.0, 4.0]))
     lam, q = smallest_generalized_eigenpair(s, SparseOperator.identity(2))
     assert abs(lam - 1.0) <= 1e-10
     assert abs(abs(q[0]) - 1.0) <= 1e-8
@@ -304,7 +315,7 @@ def test_eigenpair_residual_contract_random_pairs():
 
 def test_eigenpair_requires_definite_mass():
     s = SparseOperator.identity(3)
-    m = SparseOperator.diagonal([1.0, 0.0, 1.0])
+    m = SparseOperator(np.diag([1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         smallest_generalized_eigenpair(s, m)
 
@@ -336,11 +347,12 @@ def test_eigenpair_clustered_bottom_pair_resolved():
     assert abs(lam - 0.309) <= 1e-9
 
 
-def test_eigenpair_unreachable_tolerance_raises():
+def test_eigenpair_unreachable_tolerance_raises(monkeypatch):
     rng = np.random.default_rng(312)
     s = _random_spd(rng, 6)
+    monkeypatch.setattr(solvers, "EIGEN_TOL", 1e-30)
     with pytest.raises(ConvergenceError):
-        smallest_generalized_eigenpair(s, np.eye(6), tol=1e-30)
+        smallest_generalized_eigenpair(s, np.eye(6))
 
 
 # -- null-vector lift and matrix-free eigenpair ---------------------------
@@ -387,12 +399,12 @@ def test_matrix_free_eigenpair_is_deterministic():
     assert first[1].tobytes() == second[1].tobytes()
 
 
-def test_matrix_free_eigenpair_unreachable_tolerance_raises():
+def test_matrix_free_eigenpair_unreachable_tolerance_raises(monkeypatch):
     rng = np.random.default_rng(312)
     s = _random_spd(rng, 6)
+    monkeypatch.setattr(solvers, "EIGEN_TOL", 1e-30)
     with pytest.raises(ConvergenceError, match="residual"):
-        smallest_eigenpair_matrix_free(lambda x: s @ x, np.ones(6),
-                                       tol=1e-30)
+        smallest_eigenpair_matrix_free(lambda x: s @ x, np.ones(6))
 
 
 def test_matrix_free_eigenpair_arpack_failure_is_convergence_error(

@@ -137,12 +137,6 @@ def test_frobenius_norm():
     assert np.isclose(op.frobenius_norm(), np.linalg.norm(dense, "fro"))
 
 
-def test_diagonal_constructor():
-    op = SparseOperator.diagonal([2.0, 3.0])
-    assert op.symmetric
-    assert np.array_equal(op.toarray(), np.diag([2.0, 3.0]))
-
-
 def test_buffers_are_immutable():
     op = SparseOperator.identity(2)
     with pytest.raises(ValueError):

@@ -775,6 +775,15 @@ def test_infsup_n64_matches_dense_value():
     assert est.beta == pytest.approx(0.4763277341, abs=1e-9)
 
 
+def test_infsup_falls_toward_its_limit_under_refinement():
+    # observed, not proven: on these grids beta falls strictly (0.5566,
+    # 0.5152, 0.4915, 0.4763, 0.4659) and stays above sqrt(1/2 - 1/pi)
+    betas = [estimate_infsup_stokes(build_grid(n)).beta
+             for n in (8, 16, 32, 64, 128)]
+    assert all(fine < coarse for coarse, fine in zip(betas, betas[1:]))
+    assert min(betas) > np.sqrt(0.5 - 1.0 / np.pi)
+
+
 def _multiplier_ratio(grid, beta, b, p):
     """beta |p|_Mp / |b|_A^-1: at most one for the multiplier p of the
     forcing b, since beta |p|_Mp <= |B.T p|_A^-1 = |A u - b|_A^-1 and u is

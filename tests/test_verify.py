@@ -21,7 +21,7 @@ def test_suite_passes_on_default_seed():
 
 def test_suite_passes_on_other_seeds():
     for seed in (1, 7, 2026):
-        assert all(r.passed for r in run_property_suite(seed, instances=5))
+        assert all(r.passed for r in run_property_suite(seed))
 
 
 def test_corruption_is_detected():
@@ -32,13 +32,13 @@ def test_corruption_is_detected():
 
 
 def test_results_are_deterministic_for_fixed_seed():
-    first = run_property_suite(11, instances=8)
-    second = run_property_suite(11, instances=8)
+    first = run_property_suite(11)
+    second = run_property_suite(11)
     assert first == second
 
 
 def test_results_serialize_to_plain_types():
-    for r in run_property_suite(0, instances=3):
+    for r in run_property_suite(0):
         assert isinstance(r, PropertyResult)
         assert isinstance(r.passed, bool)
         assert isinstance(r.worst, float)
