@@ -239,8 +239,9 @@ def cmd_verify(args):
 
 
 def _parse_n_list(text):
+    # int() refuses an empty item, so "8,,16" and "8,16," are usage errors
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None

@@ -12,10 +12,10 @@ range(C.T), and gives the minimum-norm feasible point, the multiplier, the
 optimality certificate and the kernel basis.  A failed solve raises where it
 is decided: CG's non-convergence in ``conjugate_gradient``, a broken residual
 contract in ``checked_solution``.  The inf-sup constant governing multiplier
-uniqueness can be estimated for a QpProblem, whose rank test it trusts, from
-either of its two equivalent variational forms.  A's symmetry is the one
-hypothesis checked exactly: ``SparseOperator`` measures it, and QpProblem
-and the problem-directory loader read the measurement.
+uniqueness can be estimated for a QpProblem, whose tests it trusts, from
+either of its two equivalent variational forms.  Both hypotheses on A are
+decided exactly, once, when a QpProblem is built: symmetry by
+``SparseOperator``'s measurement, definiteness by ``assert_positive_definite``.
 """
 
 from dataclasses import dataclass, field
@@ -28,9 +28,9 @@ from scipy import sparse as _sp
 from . import mmio
 from .sparse import SparseOperator, as_vector
 from .solvers import (DEFAULT_TOL, ConvergenceError, SolverReport,
-                      assert_full_row_rank, conjugate_gradient, factorized,
-                      kernel_basis, lift_null_vector,
-                      smallest_generalized_eigenpair,
+                      assert_full_row_rank, assert_positive_definite,
+                      conjugate_gradient, factorized, kernel_basis,
+                      lift_null_vector, smallest_generalized_eigenpair,
                       symmetric_indefinite_solve, SingularSystemError)
 
 
@@ -43,7 +43,7 @@ class MultiplierConsistencyError(RuntimeError):
 class QpProblem:
     """The quadruple (A, b, C, d).
 
-    A : SparseOperator, N x N positive definite, measured symmetric
+    A : SparseOperator, N x N, measured symmetric, proven positive definite
     b : ndarray, length N
     C : SparseOperator, M x N with M < N and full row rank
     d : ndarray, length M (d = 0 is the homogeneous-subspace case)
@@ -70,13 +70,7 @@ class QpProblem:
         if m >= n:
             raise ValueError(f"need M < N, got M={m}, N={n}")
         object.__setattr__(self, "d", as_vector(self.d, length=m, name="d"))
-        # positivity spot check; failures that slip through surface later as
-        # singular saddle systems with a named culprit
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            x = rng.standard_normal(n)
-            if float(x @ A.apply(x)) <= 0.0:
-                raise ValueError("A failed the positive-definiteness spot check")
+        assert_positive_definite(A)
         object.__setattr__(self, "svd", assert_full_row_rank(C))
 
     @property
@@ -178,21 +172,16 @@ def checked_solution(A, C, b, d, x, multiplier, method_tag, tol,
                           method_tag, inner_report)
 
 
-#: with C of full row rank (checked by QpProblem), a singular saddle or
-#: reduced system means exactly this hypothesis failed
+#: A is proven positive definite (by QpProblem), so Z.T A Z fails Cholesky
+#: only where rounding makes this hypothesis fail
 _NOT_DEFINITE_ON_KERNEL = "A is not positive definite on Ker C"
 
 
 def solve_kkt_direct(problem, tol=DEFAULT_TOL):
     """Solve the saddle system by one symmetric factorization."""
     n, m = problem.n_primal, problem.n_constraints
-    kkt = assemble_kkt(problem)
     rhs = np.concatenate([problem.b, problem.d])
-    try:
-        sol, report = symmetric_indefinite_solve(kkt, rhs)
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            f"saddle system singular: {_NOT_DEFINITE_ON_KERNEL}") from exc
+    sol, report = symmetric_indefinite_solve(assemble_kkt(problem), rhs)
     x = sol[:n]
     multiplier = -sol[n:n + m]
     return checked_solution(problem.A, problem.C, problem.b, problem.d, x,
@@ -225,16 +214,6 @@ def solve_nullspace(problem, tol=DEFAULT_TOL):
     multiplier = _least_squares_multiplier(problem, gradient(problem, x))
     return checked_solution(problem.A, problem.C, problem.b, problem.d, x,
                             multiplier, "nullspace", tol)
-
-
-def _factored_spd(A):
-    """A^-1 by one sparse LU (``factorized``); a singular A fails the
-    hypothesis the Schur routes need, and the error names it."""
-    try:
-        return factorized(A)
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            f"A is not positive definite: {exc}") from exc
 
 
 def schur_complement(C, a_solve, kernel=None):
@@ -280,7 +259,7 @@ def solve_schur(problem, tol=DEFAULT_TOL):
     """Eliminate x and solve (C A^-1 C.T) lam = d - C A^-1 b by CG, with A
     factored once (``schur_complement_solve``)."""
     A, C, b, d = problem.A, problem.C, problem.b, problem.d
-    x, lam, report = schur_complement_solve(C, _factored_spd(A), b, d, tol)
+    x, lam, report = schur_complement_solve(C, factorized(A), b, d, tol)
     return checked_solution(A, C, b, d, x, lam, "schur", tol, report)
 
 
@@ -342,9 +321,8 @@ def estimate_infsup(problem, Mq, form="dual_form"):
     of the two variational characterizations).  The attaining vector is
     returned Mq-normalized in multiplier space for either form.
 
-    beta is defined only when A is a norm.  S is checked once by Cholesky;
-    with C of full row rank (tested when ``problem`` was built), a failure
-    means A is not positive definite: SingularSystemError, for either form.
+    beta is defined only when A is a norm.  Building ``problem`` proved A
+    positive definite and C of full row rank, so S is positive definite.
     """
     if form not in ("dual_form", "primal_form"):
         raise ValueError(f"unknown form {form!r}")
@@ -352,12 +330,7 @@ def estimate_infsup(problem, Mq, form="dual_form"):
     if m == 0:
         raise ValueError("inf-sup constant of an empty constraint set")
     # every column of S at once: the LU solve takes an (N, m) block
-    s = schur_complement(problem.C, _factored_spd(problem.A))(np.eye(m))
-    try:
-        sla.cho_factor(0.5 * (s + s.T))   # the symmetric part eigh factors
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("A is not positive definite: C A^-1 C.T "
-                                  f"fails Cholesky ({exc})") from exc
+    s = schur_complement(problem.C, factorized(problem.A))(np.eye(m))
     if form == "dual_form":
         lam, q = smallest_generalized_eigenpair(s, Mq)
     else:

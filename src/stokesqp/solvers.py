@@ -1,9 +1,9 @@
 """Deterministic linear-algebra kernels.
 
 Iterative and direct symmetric solvers, a rank test returning an SVD and the
-null-space basis that completes it, a rank-one lift of a known null vector,
-and smallest-eigenpair routines (dense LAPACK, and matrix-free Lanczos with a
-seeded start).  All routines are pure functions of their inputs; given the
+null-space basis that completes it, an exact positive-definiteness test, a
+rank-one lift of a known null vector, and smallest-eigenpair routines (dense
+LAPACK, and matrix-free Lanczos with a seeded start).  All routines are pure functions of their inputs; given the
 same operands on the same platform they produce bitwise-identical results.
 """
 
@@ -37,7 +37,8 @@ class ConvergenceError(RuntimeError):
 
 
 class SingularSystemError(RuntimeError):
-    """A direct solve hit a (numerically) singular system."""
+    """A direct solve hit a (numerically) singular system, or an operator
+    that must be positive definite is not."""
 
 
 class RankDeficiencyError(ValueError):
@@ -224,6 +225,27 @@ def assert_full_row_rank(C):
             f"constraint operator is rank deficient: smallest singular value "
             f"{smallest:.3e} vs largest {sv_max:.3e} (tol {RANK_TOL:g})")
     return u, sv, vh
+
+
+def assert_positive_definite(op):
+    """Raise SingularSystemError unless the symmetric ``op`` is positive
+    definite: by Sylvester's law of inertia, exactly when one sparse LU with
+    a symmetric ordering and diagonal pivots is P.T A P = L D L.T (no row
+    interchange: perm_r == perm_c) with every pivot in D = diag(U) positive.
+    The factor is discarded."""
+    try:
+        lu = spla.splu(csc_array(op.csr), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU reports exact singularity this way
+        raise SingularSystemError(f"A is not positive definite: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SingularSystemError("A is not positive definite: a zero pivot "
+                                  "forced a row interchange")
+    pivot = lu.U.diagonal().min()
+    if not pivot > 0.0:
+        raise SingularSystemError(f"A is not positive definite: L D L.T "
+                                  f"pivot {pivot:.3e}")
 
 
 def kernel_basis(vh):

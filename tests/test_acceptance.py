@@ -222,6 +222,18 @@ def test_criterion_7_velocity_convergence_order(acceptance,
     assert ok, f"observed orders {orders}"
 
 
+@pytest.mark.parametrize("case_id", ["taylor_green", "polynomial"])
+def test_multiplier_converges_to_the_continuum_pressure(tmp_path, case_id):
+    # beside criterion 7: the multiplier of the divergence constraint is a
+    # second-order approximation of the pressure (observed orders on
+    # 8..64: taylor_green 2.0049, 2.0012, 2.0003; polynomial 1.7330,
+    # 1.9169, 1.9774, still in its pre-asymptotic range at n = 16)
+    assert run(["converge", "--n-list", "8,16,32,64", "--case", case_id,
+                "--output", str(tmp_path)]) == 0
+    last = (tmp_path / "convergence.csv").read_text().splitlines()[-1]
+    assert 1.8 <= float(last.split(",")[6]) <= 2.2
+
+
 def _infsup_refinement_failures(betas):
     """Conditions that inf-sup constants over a refinement sequence break.
 

@@ -76,10 +76,9 @@ def test_qp_solve_methods_agree(tmp_path):
 @pytest.mark.parametrize("method", ["direct", "nullspace", "schur"])
 def test_qp_solve_a_not_definite_on_kernel_is_solver_failure(tmp_path, capsys,
                                                              method):
-    # A = diag(1, ..., 1, 0) passes QpProblem's spot check, yet is singular
-    # on Ker C = span(e2, ..., eN); past N = 2000 the singular direction is
-    # no longer diagnosed densely, and the message must still name the
-    # failed hypothesis
+    # A = diag(1, ..., 1, 0) is singular on Ker C = span(e2, ..., eN); the
+    # message names the failed hypothesis at every size, also past N = 2000
+    # where a singular direction is no longer diagnosed densely
     for n in (3, 2001):
         problem = tmp_path / f"prob{n}"
         problem.mkdir()
@@ -309,6 +308,33 @@ def test_converge_reaches_fine_grids(tmp_path):
     assert code == EXIT_OK
 
 
+def test_converge_study_gate_fires(tmp_path, capsys):
+    # n = 2, 3 is far from the asymptotic range: the velocity order comes
+    # out near 4, the gate fails, and the table is still written
+    code = run(["converge", "--n-list", "2,3", "--output", str(tmp_path)])
+    assert code == EXIT_STUDY_GATE
+    with open(tmp_path / "convergence.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[:2] for r in rows[1:]] == [["2", "0.5"],
+                                         ["3", "0.3333333333333333"]]
+    assert rows[1][5:] == ["", ""]
+    assert float(rows[2][5]) == pytest.approx(4.0589, abs=1e-4)
+    assert float(rows[2][6]) == pytest.approx(2.1029, abs=1e-4)
+    assert (f"error: observed velocity order {rows[2][5]} outside [1.8, 2.2]"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["converge", "infsup"])
+@pytest.mark.parametrize("n_list", ["8,,16", "8,16,", ",8,16"])
+def test_n_list_empty_item_is_usage_error(tmp_path, capsys, command, n_list):
+    # an empty item is a typo, not a separator to skip
+    with pytest.raises(SystemExit) as excinfo:
+        run([command, "--n-list", n_list, "--output", str(tmp_path)])
+    assert excinfo.value.code == EXIT_BAD_INPUT
+    assert "expected comma-separated integers" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_converge_single_level_rejected(tmp_path):
     assert run(["converge", "--n-list", "8",
                 "--output", str(tmp_path)]) == EXIT_BAD_INPUT
@@ -410,7 +436,7 @@ def test_infsup_eigen_solve_failure_is_solver_failure(tmp_path, capsys,
 
 
 def test_infsup_singular_a_is_solver_failure(tmp_path, capsys):
-    # A = diag(0, 1, 1) passes QpProblem's spot check but cannot be factored
+    # A = diag(0, 1, 1) is singular: SuperLU's own report reaches the user
     problem = tmp_path / "prob"
     problem.mkdir()
     write_matrix(problem / "A.mtx", SparseOperator(np.diag([0.0, 1.0, 1.0])))
@@ -500,13 +526,13 @@ def _write_unconstrained_problem(directory):
     return directory
 
 
-def _write_indefinite_problem(directory):
-    # A = diag(1, 1, -1e-3) passes QpProblem's spot check and is positive
-    # definite on Ker C = span(e1, e2): the saddle problem is solvable, but
-    # A is no norm, so the inf-sup constant is undefined
+def _write_indefinite_problem(directory, diagonal=(1.0, 1.0, -1e-3)):
+    # with C = e3.T, A = diag(1, 1, -1e-3) is positive definite on
+    # Ker C = span(e1, e2): the saddle system is solvable, but A is no norm,
+    # so the inf-sup constant is undefined, and no route accepts it
     directory.mkdir()
     write_matrix(directory / "A.mtx",
-                 SparseOperator(np.diag([1.0, 1.0, -1e-3])))
+                 SparseOperator(np.diag(diagonal)))
     write_matrix(directory / "C.mtx",
                  SparseOperator([[0.0, 0.0, 1.0]]))
     write_vector(directory / "b.txt", np.ones(3))
@@ -548,24 +574,46 @@ def test_empty_constraint_set_exits_without_traceback(tmp_path):
 @pytest.mark.parametrize("method", ["direct", "nullspace"])
 def test_qp_solve_infsup_with_indefinite_a_is_solver_failure(tmp_path,
                                                              capsys, method):
+    # the plain solve, which these routes could complete, fails as well:
+    # the direct route cannot tell this A from the saddle case below
     problem = _write_indefinite_problem(tmp_path / "prob")
-    assert run(["qp-solve", "--input", str(problem), "--method", method,
-                "--output", str(tmp_path / "plain")]) == EXIT_OK
-    capsys.readouterr()
-    code = run(["qp-solve", "--input", str(problem), "--method", method,
-                "--infsup", "--output", str(tmp_path / "infsup")])
-    assert code == EXIT_SOLVER_FAILURE
-    assert "A is not positive definite" in capsys.readouterr().err
-    assert not (tmp_path / "infsup" / "report.json").exists()
+    for extra in ([], ["--infsup"]):
+        out = tmp_path / f"out{len(extra)}"
+        code = run(["qp-solve", "--input", str(problem), "--method", method,
+                    "--output", str(out), *extra])
+        assert code == EXIT_SOLVER_FAILURE
+        assert "A is not positive definite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
-def test_qp_solve_schur_with_indefinite_a_is_solver_failure(tmp_path):
-    # CG on S = C A^-1 C.T = -1000 meets negative curvature at once
+def test_qp_solve_schur_with_indefinite_a_is_solver_failure(tmp_path, capsys):
+    # rejected before CG on S = C A^-1 C.T = -1000 can start
     problem = _write_indefinite_problem(tmp_path / "prob")
     for extra in ([], ["--infsup"]):
         assert run(["qp-solve", "--input", str(problem), "--method", "schur",
                     "--output", str(tmp_path / "out"), *extra]) == \
             EXIT_SOLVER_FAILURE
+        assert "A is not positive definite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["direct", "nullspace", "schur"])
+def test_saddle_point_of_indefinite_a_is_solver_failure(tmp_path, capsys,
+                                                        method):
+    # A = diag(1, -1e-3, 1) with C = e3.T is indefinite on Ker C: the KKT
+    # system is nonsingular, and its solution x = (1, -1000, 0) is a saddle
+    # point of the energy, not a minimizer; no route may certify it
+    problem = _write_indefinite_problem(tmp_path / "prob", (1.0, -1e-3, 1.0))
+    for extra in ([], ["--infsup"]):
+        out = tmp_path / f"out{len(extra)}"
+        code = run(["qp-solve", "--input", str(problem), "--method", method,
+                    "--output", str(out), *extra])
+        assert code == EXIT_SOLVER_FAILURE
+        assert ("error: A is not positive definite: L D L.T pivot -1.000e-03"
+                in capsys.readouterr().err)
+        assert not (out / "x.txt").exists()
+    assert run(["infsup", "--input", str(problem),
+                "--output", str(tmp_path / "infsup")]) == EXIT_SOLVER_FAILURE
+    assert "A is not positive definite" in capsys.readouterr().err
 
 
 def test_infsup_input_with_indefinite_a_is_solver_failure(tmp_path, capsys):

@@ -155,6 +155,28 @@ def test_vector_bad_line_diagnosed(tmp_path):
     assert ":2:" in str(excinfo.value)
 
 
+# (id, file text, values read or the line of the error and its text)
+_VECTOR_TEXTS = [
+    ("comments-and-blanks-skipped", "% values\n1.5\n\n  % note\n-2.0\n",
+     [1.5, -2.0]),
+    ("nan", "1.0\nnan\n", (2, "non-finite value 'nan'")),
+    ("overflow-to-inf", "1e400\n", (1, "non-finite value '1e400'")),
+]
+
+
+@pytest.mark.parametrize("text, expected", [row[1:] for row in _VECTOR_TEXTS],
+                         ids=[row[0] for row in _VECTOR_TEXTS])
+def test_read_vector_table(tmp_path, text, expected):
+    path = tmp_path / "v.txt"
+    path.write_text(text)
+    if isinstance(expected, list):
+        assert read_vector(path).tolist() == expected
+        return
+    lineno, fragment = expected
+    with pytest.raises(MatrixMarketError, match=f":{lineno}: {fragment}"):
+        read_vector(path)
+
+
 def test_vector_digit_grouping_rejected(tmp_path):
     # float('1_0.5') is 10.5
     path = tmp_path / "v.txt"
@@ -170,6 +192,12 @@ _SYMMETRIC = "%%MatrixMarket matrix coordinate real symmetric\n"
 
 # (id, file text, line number of the loop's error or None if it accepts)
 _BODIES = [
+    ("header-missing-symmetry",
+     "%%MatrixMarket matrix coordinate real\n2 2 0\n", 1),
+    ("size-line-two-tokens", _GENERAL + "2 2\n1 1 2.0\n", 2),
+    ("size-line-four-tokens", _GENERAL + "% c\n2 2 1 1\n1 1 2.0\n", 3),
+    ("negative-dimension", _GENERAL + "2 -2 0\n", 2),
+    ("missing-size-line", _GENERAL + "% only a comment\n\n", 3),
     *[(f"line-break-{ord(c):#04x}", _GENERAL + f"2 2 1\n1{c}1 2.0\n", 3)
       for c in "\x0b\x0c\x1c\x1d\x1e"],
     ("unit-separator-is-blank", _GENERAL + "2 2 1\n1\x1f1 2.0\n", None),

@@ -136,8 +136,28 @@ def test_problem_rejects_rank_deficient_constraints():
 
 
 def test_problem_rejects_indefinite_a():
-    with pytest.raises(ValueError):
+    # a failed hypothesis on A is a solver failure, not malformed input
+    with pytest.raises(SingularSystemError,
+                       match="A is not positive definite: L D L.T pivot"):
         _problem(-np.eye(3), np.ones(3), [[1.0, 0.0, 0.0]])
+
+
+def test_problem_rejects_a_whose_kkt_point_is_a_saddle():
+    # A = diag(1, -1e-3, 1), C = e3.T: the KKT matrix is nonsingular and its
+    # solution x = (1, -1000, 0) is feasible and stationary, yet the energy
+    # falls along e2 in Ker C, so x is no minimizer
+    a, c, b = np.diag([1.0, -1e-3, 1.0]), np.array([[0.0, 0.0, 1.0]]), np.ones(3)
+    kkt = np.block([[a, c.T], [c, np.zeros((1, 1))]])
+    x = np.linalg.solve(kkt, np.r_[b, 0.0])[:3]
+    assert np.allclose(x, [1.0, -1000.0, 0.0])
+
+    def energy(v):
+        return 0.5 * v @ a @ v - b @ v
+
+    assert energy(x + [0.0, 10.0, 0.0]) < energy(x)
+    with pytest.raises(SingularSystemError,
+                       match="A is not positive definite: L D L.T pivot"):
+        _problem(a, b, c)
 
 
 def test_problem_rejects_wrong_lengths():
@@ -492,13 +512,14 @@ def test_infsup_rejects_unknown_form():
 def test_infsup_indefinite_a_names_the_failed_hypothesis(form):
     # A = diag(1, 1, -1e-3) is positive definite on Ker C = span(e1, e2),
     # so the saddle problem is solvable, but A is no norm and beta is
-    # undefined: S = C A^-1 C.T = -1000 must not come out as beta = 0
-    problem = QpProblem(SparseOperator(np.diag([1.0, 1.0, -1e-3])),
-                        np.zeros(3),
-                        SparseOperator([[0.0, 0.0, 1.0]]),
-                        np.zeros(1))
+    # undefined: S = C A^-1 C.T = -1000 must not come out as beta = 0.  No
+    # such problem can be built, so neither form is ever reached
     with pytest.raises(SingularSystemError, match="A is not positive definite"):
-        estimate_infsup(problem, SparseOperator.identity(1), form)
+        estimate_infsup(QpProblem(SparseOperator(np.diag([1.0, 1.0, -1e-3])),
+                                  np.zeros(3),
+                                  SparseOperator([[0.0, 0.0, 1.0]]),
+                                  np.zeros(1)),
+                        SparseOperator.identity(1), form)
 
 
 # -- problem directory round trip ------------------------------------------

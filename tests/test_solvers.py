@@ -12,7 +12,8 @@ from stokesqp import (ConvergenceError, RankDeficiencyError,
                       smallest_generalized_eigenpair,
                       symmetric_indefinite_solve)
 from stokesqp import solvers
-from stokesqp.solvers import (STAGNATION_WINDOW, factorized, lift_null_vector,
+from stokesqp.solvers import (STAGNATION_WINDOW, assert_positive_definite,
+                              factorized, lift_null_vector,
                               smallest_eigenpair_matrix_free)
 
 
@@ -222,12 +223,81 @@ def test_factorized_singular_operator_names_eigendirection():
         factorized(op)
 
 
+def _symmetric_test_system():
+    a = np.array([[4.0, 1.0, 0.0], [1.0, -3.0, 2.0], [0.0, 2.0, 5.0]])
+    return SparseOperator(a), np.array([1.0, -2.0, 3.0]), np.linalg.inv(a)
+
+
+def test_indefinite_solve_refines_a_slightly_wrong_solve(monkeypatch):
+    # a factor off by a relative 1e-8 misses the 1e-10 backward-error bound
+    # once; one refinement step with the same factor meets it
+    op, b, inverse = _symmetric_test_system()
+    monkeypatch.setattr(solvers, "factorized",
+                        lambda _op: lambda r: (1.0 + 1e-8) * (inverse @ r))
+    x, report = symmetric_indefinite_solve(op, b)
+    assert report.iterations == 2
+    assert report.residual_norm <= 1e-10 * (
+        op.frobenius_norm() * np.linalg.norm(x) + np.linalg.norm(b))
+    assert np.allclose(x, inverse @ b, rtol=1e-12)
+
+
+@pytest.mark.parametrize("solve, message", [
+    (lambda inverse, r: 1.5 * (inverse @ r),
+     r"backward error .* exceeds bound"),
+    (lambda inverse, r: np.full_like(r, np.nan), "non-finite solve result"),
+], ids=["wrong-by-order-one", "nan"])
+def test_indefinite_solve_rejects_a_wrong_factor(monkeypatch, solve,
+                                                  message):
+    op, b, inverse = _symmetric_test_system()
+    monkeypatch.setattr(solvers, "factorized",
+                        lambda _op: lambda r: solve(inverse, r))
+    with pytest.raises(SingularSystemError, match=message):
+        symmetric_indefinite_solve(op, b)
+
+
 def test_indefinite_solve_requires_symmetric_operator():
     # the swap one entry off; the exact swap, built the same way, is solved
     # by test_indefinite_swap_operator
     with pytest.raises(ValueError, match="symmetric operator"):
         symmetric_indefinite_solve(
             SparseOperator([[0.0, 1.0], [1.5, 0.0]]), [1.0, 2.0])
+
+
+# -- positive definiteness -------------------------------------------------
+
+
+def test_positive_definite_agrees_with_eigenvalue_oracle():
+    # sparse symmetric matrices shifted just above or just below their
+    # smallest eigenvalue: the pivot signs must decide as eigvalsh does
+    rng = np.random.default_rng(21)
+    for trial in range(60):
+        n = int(rng.integers(1, 30))
+        g = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+        a = g @ g.T
+        w = np.linalg.eigvalsh(a)
+        side = 1.0 if trial % 2 else -1.0
+        a += (side * 1e-3 * max(1.0, w[-1]) - w[0]) * np.eye(n)
+        definite = np.linalg.eigvalsh(a)[0] > 0.0
+        assert definite == (trial % 2 == 1)
+        if definite:
+            assert_positive_definite(SparseOperator(a))
+        else:
+            with pytest.raises(SingularSystemError,
+                               match="A is not positive definite"):
+                assert_positive_definite(SparseOperator(a))
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[1.0, 2.0], [2.0, 1.0]], "L D L.T pivot -3.000e+00"),
+    ([[0.0, 1.0], [1.0, 0.0]], "a zero pivot forced a row interchange"),
+    ([[1.0, 1.0], [1.0, 1.0]], "singular"),
+    ([[0.0, 0.0], [0.0, 1.0]], "singular"),
+], ids=["negative-pivot", "zero-diagonal", "singular", "zero-column"])
+def test_positive_definite_names_how_it_failed(matrix, message):
+    with pytest.raises(SingularSystemError,
+                       match="A is not positive definite: .*"
+                       + re.escape(message)):
+        assert_positive_definite(SparseOperator(matrix))
 
 
 # -- null-space bases ------------------------------------------------------
