@@ -3,14 +3,15 @@
 The problem is  min (1/2) x.T A x - b.T x  subject to  C x = d,  with A
 symmetric positive definite and C of full row rank.  Three solve routes are
 provided (direct saddle factorization, null-space reduction, and CG on the
-Schur complement, with the caller's exact A-solve: here A factored once, on
-the Stokes side fast diagonalization); all return the primal point together
-with the unique multiplier vector satisfying  A x - b = C.T lam,
-checked by one residual contract (``checked_solution``).  C is factored
-once, by the rank test's SVD: it splits the primal space into Ker C and
-range(C.T), and gives the minimum-norm feasible point, the multiplier, the
-optimality certificate and the kernel basis.  A failed solve raises where it
-is decided: CG's non-convergence in ``conjugate_gradient``, a broken residual
+Schur complement, with the caller's exact A-solve: here the problem's own,
+on the Stokes side fast diagonalization); all return the primal point
+together with the unique multiplier vector satisfying  A x - b = C.T lam,
+checked by one residual contract (``checked_solution``).  A and C are each
+factored once, by the test of their hypothesis: A's L D L.T factor is the
+A-solve, and C's SVD splits the primal space into Ker C and range(C.T), and
+gives the minimum-norm feasible point, the multiplier, the optimality
+certificate and the kernel basis.  A failed solve raises where it is
+decided: CG's non-convergence in ``conjugate_gradient``, a broken residual
 contract in ``checked_solution``.  The inf-sup constant governing multiplier
 uniqueness can be estimated for a QpProblem, whose tests it trusts, from
 either of its two equivalent variational forms.  Both hypotheses on A are
@@ -29,7 +30,7 @@ from . import mmio
 from .sparse import SparseOperator, as_vector
 from .solvers import (DEFAULT_TOL, ConvergenceError, SolverReport,
                       assert_full_row_rank, assert_positive_definite,
-                      conjugate_gradient, factorized, kernel_basis,
+                      conjugate_gradient, kernel_basis,
                       lift_null_vector, smallest_generalized_eigenpair,
                       symmetric_indefinite_solve, SingularSystemError)
 
@@ -48,6 +49,7 @@ class QpProblem:
     C : SparseOperator, M x N with M < N and full row rank
     d : ndarray, length M (d = 0 is the homogeneous-subspace case)
     svd : (u, s, vh), the rank test's economy SVD of C (computed, not given)
+    a_solve : solve of the definiteness test's L D L.T factor of A (computed)
     """
 
     A: SparseOperator
@@ -55,6 +57,7 @@ class QpProblem:
     C: SparseOperator
     d: np.ndarray
     svd: tuple = field(init=False, repr=False, compare=False)
+    a_solve: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A, C = self.A, self.C
@@ -70,7 +73,7 @@ class QpProblem:
         if m >= n:
             raise ValueError(f"need M < N, got M={m}, N={n}")
         object.__setattr__(self, "d", as_vector(self.d, length=m, name="d"))
-        assert_positive_definite(A)
+        object.__setattr__(self, "a_solve", assert_positive_definite(A))
         object.__setattr__(self, "svd", assert_full_row_rank(C))
 
     @property
@@ -256,10 +259,10 @@ def schur_complement_solve(C, a_solve, b, d, tol, kernel=None):
 
 
 def solve_schur(problem, tol=DEFAULT_TOL):
-    """Eliminate x and solve (C A^-1 C.T) lam = d - C A^-1 b by CG, with A
-    factored once (``schur_complement_solve``)."""
+    """Eliminate x and solve (C A^-1 C.T) lam = d - C A^-1 b by CG, with the
+    problem's A-solve (``schur_complement_solve``)."""
     A, C, b, d = problem.A, problem.C, problem.b, problem.d
-    x, lam, report = schur_complement_solve(C, factorized(A), b, d, tol)
+    x, lam, report = schur_complement_solve(C, problem.a_solve, b, d, tol)
     return checked_solution(A, C, b, d, x, lam, "schur", tol, report)
 
 
@@ -330,7 +333,7 @@ def estimate_infsup(problem, Mq, form="dual_form"):
     if m == 0:
         raise ValueError("inf-sup constant of an empty constraint set")
     # every column of S at once: the LU solve takes an (N, m) block
-    s = schur_complement(problem.C, factorized(problem.A))(np.eye(m))
+    s = schur_complement(problem.C, problem.a_solve)(np.eye(m))
     if form == "dual_form":
         lam, q = smallest_generalized_eigenpair(s, Mq)
     else:

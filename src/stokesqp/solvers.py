@@ -1,9 +1,10 @@
 """Deterministic linear-algebra kernels.
 
 Iterative and direct symmetric solvers, a rank test returning an SVD and the
-null-space basis that completes it, an exact positive-definiteness test, a
-rank-one lift of a known null vector, and smallest-eigenpair routines (dense
-LAPACK, and matrix-free Lanczos with a seeded start).  All routines are pure functions of their inputs; given the
+null-space basis that completes it, an exact positive-definiteness test
+returning its L D L.T factor's solve, a rank-one lift of a known null vector,
+and smallest-eigenpair routines (dense LAPACK, and matrix-free Lanczos with a
+seeded start).  All routines are pure functions of their inputs; given the
 same operands on the same platform they produce bitwise-identical results.
 """
 
@@ -212,27 +213,31 @@ def assert_full_row_rank(C):
     """Raise RankDeficiencyError unless ``C`` has full numerical row rank,
     else return the economy SVD ``(u, s, vh)`` of ``C``.
 
-    The threshold is on singular values: smallest >= RANK_TOL * largest.
+    The threshold is on singular values: smallest >= RANK_TOL * largest; the
+    error names the rank deficit, M minus the count of those at or above it.
     The rows of vh span range(C.T), their complement Ker C (``kernel_basis``).
     """
-    m, n = C.shape
+    m = C.shape[0]
     dense = C.toarray() if isinstance(C, SparseOperator) else np.asarray(C, dtype=float)
     u, sv, vh = sla.svd(dense, full_matrices=False)
     sv_max = sv[0] if sv.size else 0.0
-    if m and (m > n or sv_max == 0.0 or sv[-1] < RANK_TOL * sv_max):
+    rank = int(np.count_nonzero(sv >= RANK_TOL * sv_max)) if sv_max else 0
+    if rank < m:
         smallest = sv[-1] if sv.size else 0.0
         raise RankDeficiencyError(
             f"constraint operator is rank deficient: smallest singular value "
-            f"{smallest:.3e} vs largest {sv_max:.3e} (tol {RANK_TOL:g})")
+            f"{smallest:.3e} vs largest {sv_max:.3e} (tol {RANK_TOL:g}); "
+            f"rank deficit {m - rank}")
     return u, sv, vh
 
 
 def assert_positive_definite(op):
     """Raise SingularSystemError unless the symmetric ``op`` is positive
-    definite: by Sylvester's law of inertia, exactly when one sparse LU with
-    a symmetric ordering and diagonal pivots is P.T A P = L D L.T (no row
-    interchange: perm_r == perm_c) with every pivot in D = diag(U) positive.
-    The factor is discarded."""
+    definite, else return the solve (of a vector or a 2-D block) of the
+    factor that proves it: by Sylvester's law of inertia, exactly when one
+    sparse LU with a symmetric ordering and diagonal pivots is P.T A P =
+    L D L.T (no row interchange: perm_r == perm_c) with every pivot in
+    D = diag(U) positive."""
     try:
         lu = spla.splu(csc_array(op.csr), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0,
@@ -246,6 +251,7 @@ def assert_positive_definite(op):
     if not pivot > 0.0:
         raise SingularSystemError(f"A is not positive definite: L D L.T "
                                   f"pivot {pivot:.3e}")
+    return lu.solve
 
 
 def kernel_basis(vh):

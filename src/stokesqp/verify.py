@@ -5,7 +5,9 @@ stored residuals are never trusted.  The ``corrupt`` flag deliberately
 perturbs every solver output before checking, so a run with it must report
 failures; it exists to prove the harness can actually detect a broken
 solver.  The homogeneity properties compare fresh solves against the
-unperturbed direct solutions, which the flag leaves alone.
+unperturbed direct solutions, which the flag leaves alone.  Instances are
+drawn, solved and checked one at a time, keeping only each property's
+running worst defect.
 """
 
 from dataclasses import dataclass, replace
@@ -57,99 +59,80 @@ def _corrupted(solution, rng):
     return replace(solution, x=solution.x + bump)
 
 
+#: the bound of each property, in report order
+_BOUNDS = {"lemma_forward_projected_gradient": 1e-8,
+           "lemma_reverse_no_feasible_descent": 1e-12,
+           "multiplier_relation": 1e-8,
+           "multiplier_uniqueness": 1e-8,
+           "homogeneity_scaling": 1e-12,
+           "homogeneity_constraint_shift": 1e-10,
+           "infsup_two_form_equivalence": 1e-8}
+
+
 def run_property_suite(seed, corrupt=False):
     """Run every property on 20 random instances; returns a list of
-    PropertyResult in fixed order."""
+    PropertyResult in fixed order.
+
+    At most one instance is alive at a time (each is checked before the
+    next is drawn): a QpProblem holds its factor of A, and SuperLU keeps
+    tens of KB of workspace per factor.
+    """
     rng = np.random.default_rng(seed)
-    problems = [random_problem(rng) for _ in range(20)]
-    solved, clean_direct = [], []
-    for problem in problems:
+    worst = dict.fromkeys(_BOUNDS, -np.inf)
+
+    def record(name, defect):
+        worst[name] = max(worst[name], defect)
+
+    for i in range(20):
+        problem = random_problem(rng)
         outs = [solve_kkt_direct(problem), solve_nullspace(problem),
                 solve_schur(problem)]
-        clean_direct.append(outs[0])
+        if i < 5:  # checked now, so that no instance outlives its turn
+            clean = outs[0]
+            # J is quadratic: scaling (b, d) scales the solution pair exactly
+            s2 = solve_kkt_direct(QpProblem(problem.A, 2.0 * problem.b,
+                                            problem.C, 2.0 * problem.d))
+            record("homogeneity_scaling", max(
+                np.linalg.norm(s2.x - 2.0 * clean.x)
+                / max(np.linalg.norm(clean.x), 1e-300),
+                np.linalg.norm(s2.multiplier - 2.0 * clean.multiplier)
+                / max(np.linalg.norm(clean.multiplier), 1e-300)))
+            # shifting b by C.T mu moves the multiplier by -mu, not x
+            mu = rng.standard_normal(problem.n_constraints)
+            s2 = solve_kkt_direct(QpProblem(
+                problem.A, problem.b + problem.C.csr.T @ mu, problem.C,
+                problem.d))
+            record("homogeneity_constraint_shift", max(
+                np.linalg.norm(s2.x - clean.x)
+                / max(np.linalg.norm(clean.x), 1.0),
+                np.linalg.norm(s2.multiplier - (clean.multiplier - mu))
+                / max(np.linalg.norm(clean.multiplier), 1.0)))
         if corrupt:
             outs = [_corrupted(s, rng) for s in outs]
-        solved.append((problem, outs))
-
-    results = []
-
-    # minimizing over the subspace <=> the projected gradient vanishes
-    worst = 0.0
-    for problem, outs in solved:
         for s in outs:
+            # minimizing over the subspace <=> the projected gradient vanishes
             rep = check_optimality(problem, s.x, 1e-8)
-            worst = max(worst, rep.projected_gradient_norm,
-                        rep.feasibility_norm)
-    results.append(PropertyResult("lemma_forward_projected_gradient",
-                                  worst, 1e-8))
-
-    # no feasible move away from the solver's point lowers the objective
-    worst = -np.inf
-    for problem, outs in solved:
-        z = kernel_basis(problem.svd[2])
-        x = outs[0].x
-        scale = residual_scale(problem, x)
-        j0 = objective(problem, x)
-        steps = rng.standard_normal((z.shape[1], 50))
-        for r in steps.T:
-            drop = j0 - objective(problem, x + z @ r)
-            worst = max(worst, drop / scale)
-    results.append(PropertyResult("lemma_reverse_no_feasible_descent",
-                                  worst, 1e-12))
-
-    # the gradient at the minimizer is exactly C.T times the multiplier
-    worst = 0.0
-    for problem, outs in solved:
-        for s in outs:
+            record("lemma_forward_projected_gradient",
+                   max(rep.projected_gradient_norm, rep.feasibility_norm))
+            # the gradient at the minimizer is exactly C.T times the multiplier
             r = gradient(problem, s.x) - problem.C.csr.T @ s.multiplier
-            worst = max(worst,
-                        np.linalg.norm(r) / residual_scale(problem, s.x))
-    results.append(PropertyResult("multiplier_relation", worst, 1e-8))
-
-    # recovery from x alone reproduces the solver's multiplier
-    worst = 0.0
-    for problem, outs in solved:
+            record("multiplier_relation",
+                   np.linalg.norm(r) / residual_scale(problem, s.x))
+        x, lam = outs[0].x, outs[0].multiplier
+        # no feasible move away from the solver's point lowers the objective
+        z = kernel_basis(problem.svd[2])
+        scale, j0 = residual_scale(problem, x), objective(problem, x)
+        for r in rng.standard_normal((z.shape[1], 50)).T:
+            record("lemma_reverse_no_feasible_descent",
+                   (j0 - objective(problem, x + z @ r)) / scale)
+        # recovery from x alone reproduces the solver's multiplier
         try:
-            lam = recover_multiplier(problem, outs[0].x, 1e-8)
+            drift = np.linalg.norm(recover_multiplier(problem, x, 1e-8) - lam)
         except MultiplierConsistencyError:
-            worst = np.inf
-            break
-        denom = max(np.linalg.norm(outs[0].multiplier), 1.0)
-        worst = max(worst,
-                    np.linalg.norm(lam - outs[0].multiplier) / denom)
-    results.append(PropertyResult("multiplier_uniqueness", worst, 1e-8))
-
-    # J is quadratic: scaling (b, d) scales the solution pair exactly
-    worst = 0.0
-    for problem, s in zip(problems[:5], clean_direct):
-        alpha = 2.0
-        scaled = QpProblem(problem.A, alpha * problem.b, problem.C,
-                           alpha * problem.d)
-        s2 = solve_kkt_direct(scaled)
-        worst = max(worst,
-                    np.linalg.norm(s2.x - alpha * s.x)
-                    / max(np.linalg.norm(s.x), 1e-300),
-                    np.linalg.norm(s2.multiplier - alpha * s.multiplier)
-                    / max(np.linalg.norm(s.multiplier), 1e-300))
-    results.append(PropertyResult("homogeneity_scaling", worst, 1e-12))
-
-    # shifting b by C.T mu moves the multiplier by -mu and leaves x alone
-    worst = 0.0
-    for problem, s in zip(problems[:5], clean_direct):
-        mu = rng.standard_normal(problem.n_constraints)
-        shifted = QpProblem(problem.A, problem.b + problem.C.csr.T @ mu,
-                            problem.C, problem.d)
-        s2 = solve_kkt_direct(shifted)
-        worst = max(worst,
-                    np.linalg.norm(s2.x - s.x)
-                    / max(np.linalg.norm(s.x), 1.0),
-                    np.linalg.norm(s2.multiplier - (s.multiplier - mu))
-                    / max(np.linalg.norm(s.multiplier), 1.0))
-    results.append(PropertyResult("homogeneity_constraint_shift",
-                                  worst, 1e-10))
+            drift = np.inf
+        record("multiplier_uniqueness", drift / max(np.linalg.norm(lam), 1.0))
 
     # the inf-sup constant agrees between its two variational forms
-    worst = 0.0
     for _ in range(5):
         n = int(rng.integers(6, 16))
         m = int(rng.integers(2, n - 1))
@@ -163,7 +146,7 @@ def run_property_suite(seed, corrupt=False):
         mop = SparseOperator(0.5 * (mq + mq.T))
         e1 = estimate_infsup(problem, mop, "dual_form")
         e2 = estimate_infsup(problem, mop, "primal_form")
-        worst = max(worst, abs(e1.beta - e2.beta))
-    results.append(PropertyResult("infsup_two_form_equivalence", worst, 1e-8))
+        record("infsup_two_form_equivalence", abs(e1.beta - e2.beta))
 
-    return results
+    return [PropertyResult(name, worst[name], bound)
+            for name, bound in _BOUNDS.items()]

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.sparse import linalg as spla
 
 from stokesqp import (ConvergenceError, MultiplierConsistencyError, QpProblem,
                       RankDeficiencyError, SingularSystemError,
@@ -18,6 +19,7 @@ from stokesqp import (ConvergenceError, MultiplierConsistencyError, QpProblem,
 from stokesqp.mmio import read_vector
 from stokesqp.qp import checked_solution
 from stokesqp.solvers import orthonormal_nullspace_basis
+from stokesqp.verify import random_problem
 
 ALL_SOLVERS = (solve_kkt_direct, solve_nullspace, solve_schur)
 
@@ -415,6 +417,30 @@ def test_rank_test_svd_is_the_only_factorization_of_c(monkeypatch):
     assert len(calls) <= 1
 
 
+# -- one factorization of A -----------------------------------------------
+
+
+def test_definiteness_factor_is_the_only_factorization_of_a(monkeypatch):
+    sizes = []
+
+    def counted(a, *args, _original=spla.splu, **kw):
+        sizes.append(a.shape[0])
+        return _original(a, *args, **kw)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    p = _random_instance(np.random.default_rng(24), n=30, m=8,
+                         inhomogeneous=True)
+    assert sizes == [30]
+    # the Schur route and both inf-sup forms reuse the definiteness factor
+    solve_schur(p)
+    for form in ("dual_form", "primal_form"):
+        estimate_infsup(p, SparseOperator.identity(8), form)
+    assert sizes == [30]
+    # the direct route factors the KKT matrix, not A
+    solve_kkt_direct(p)
+    assert sizes == [30, 38]
+
+
 def test_constraint_svd_memory_is_order_m_n():
     # N = 5000, M = 1: the economy SVD holds O(M N) numbers, where a full
     # N x N factor would take 200 MB
@@ -457,6 +483,32 @@ def test_row_space_shift_moves_multiplier_only():
     assert np.linalg.norm(s2.x - s1.x) <= 1e-10 * max(np.linalg.norm(s1.x), 1.0)
     assert np.linalg.norm((s1.multiplier - s2.multiplier) - mu) <= \
         1e-10 * max(np.linalg.norm(mu), 1.0)
+
+
+# -- the multiplier as a sensitivity ---------------------------------------
+
+
+@pytest.mark.parametrize("solve", ALL_SOLVERS,
+                         ids=["direct", "nullspace", "schur"])
+def test_multiplier_is_the_sensitivity_of_the_optimal_value(solve):
+    # J*(d) = min {J(x) : C x = d} has gradient lam: the multiplier is the
+    # shadow price of the constraint.  J* is quadratic in d, so the central
+    # difference is exact up to rounding for any step.
+    rng = np.random.default_rng(3)
+    t = 1e-3
+    for _ in range(20):
+        p = random_problem(rng)
+        e = rng.standard_normal(p.n_constraints)
+        lam = solve(p).multiplier
+
+        def optimal_value(d):
+            q = QpProblem(p.A, p.b, p.C, d)
+            return objective(q, solve_kkt_direct(q).x)
+
+        slope = (optimal_value(p.d + t * e)
+                 - optimal_value(p.d - t * e)) / (2 * t)
+        assert abs(slope - lam @ e) <= \
+            1e-9 * np.linalg.norm(lam) * np.linalg.norm(e)
 
 
 # -- inf-sup estimation ----------------------------------------------------

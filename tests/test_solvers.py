@@ -280,7 +280,13 @@ def test_positive_definite_agrees_with_eigenvalue_oracle():
         definite = np.linalg.eigvalsh(a)[0] > 0.0
         assert definite == (trial % 2 == 1)
         if definite:
-            assert_positive_definite(SparseOperator(a))
+            # the returned solve inverts A, on a vector and on a block
+            solve = assert_positive_definite(SparseOperator(a))
+            rhs = np.random.default_rng(trial)
+            for r in (rhs.standard_normal(n), rhs.standard_normal((n, 3))):
+                s = solve(r)
+                assert np.linalg.norm(a @ s - r) <= \
+                    1e-10 * np.linalg.norm(a) * np.linalg.norm(s)
         else:
             with pytest.raises(SingularSystemError,
                                match="A is not positive definite"):

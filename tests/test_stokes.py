@@ -12,6 +12,7 @@ from scipy import sparse as sp
 from scipy.sparse.linalg import splu
 
 from stokesqp import (ConvergenceError, ManufacturedCase, QpProblem,
+                      RankDeficiencyError,
                       SparseOperator, assemble_operators, build_grid,
                       divergence_free_projector, error_norms,
                       estimate_infsup_stokes, manufactured_case,
@@ -211,6 +212,40 @@ def test_no_spurious_kernel_directions():
         # exactly one vanishing singular value (the constant direction)
         assert sv[-1] <= 1e-14 * sv[0]
         assert sv[-2] > 1e-8 * sv[0]
+
+
+def _q1_p0_operators(n):
+    """The contrast pairing: bilinear velocities at the (n-1)^2 interior
+    vertices (5-point Laplacian per component) and one pressure per cell, B
+    the exact Q1-P0 cell divergence, h/2 times the differences across each
+    cell's four vertices."""
+    h, eye = 1.0 / n, sp.identity
+    t = _second_difference(n - 1, ghost=False)
+    lap = sp.kron(t, eye(n - 1)) + sp.kron(eye(n - 1), t)
+    d = _face_difference(n)        # cell i: vertex i + 1 minus vertex i
+    s = abs(d)                     # cell i: vertex i + 1 plus vertex i
+    b = 0.5 * h * sp.hstack([sp.kron(s, d), sp.kron(d, s)])
+    return (SparseOperator(sp.csr_array(sp.block_diag([lap, lap]))),
+            SparseOperator(sp.csr_array(b)))
+
+
+def _mac_operators(n):
+    ops = assemble_operators(build_grid(n))
+    return ops.A, ops.B
+
+
+@pytest.mark.parametrize("pairing, deficit", [
+    (_mac_operators, 1),
+    (_q1_p0_operators, 2),
+], ids=["mac-constant", "q1p0-constant-and-checkerboard"])
+@pytest.mark.parametrize("n", [4, 8])
+def test_qp_core_names_the_rank_deficit_of_b(pairing, deficit, n):
+    # the multiplier of div u = 0 is unique only up to Ker B.T: the constant
+    # pressure on the MAC grid, and on Q1-P0 also the checkerboard
+    a, b = pairing(n)
+    with pytest.raises(RankDeficiencyError,
+                       match=f"rank deficient: .*; rank deficit {deficit}$"):
+        QpProblem(a, np.ones(a.nrows), b, np.zeros(b.nrows))
 
 
 def test_divergence_gradient_adjoint_pairing():

@@ -1,5 +1,9 @@
 """Randomized property suites: pass on honest solvers, trip on corruption."""
 
+import gc
+import weakref
+
+from stokesqp import verify
 from stokesqp.verify import PropertyResult, run_property_suite
 
 EXPECTED_ORDER = (
@@ -43,3 +47,20 @@ def test_results_serialize_to_plain_types():
         assert isinstance(r.passed, bool)
         assert isinstance(r.worst, float)
         assert isinstance(r.bound, float)
+
+
+def test_suite_keeps_one_instance_alive(monkeypatch):
+    # each QpProblem holds its factor of A; the suite must let an instance
+    # go before it draws the next, so that twenty factors never pile up
+    alive = []
+
+    def tracked(rng, _original=verify.random_problem):
+        gc.collect()
+        assert sum(ref() is not None for ref in alive) <= 1
+        problem = _original(rng)
+        alive.append(weakref.ref(problem))
+        return problem
+
+    monkeypatch.setattr(verify, "random_problem", tracked)
+    assert all(r.passed for r in run_property_suite(0))
+    assert len(alive) == 20
