@@ -65,7 +65,7 @@ print(f"  least-squares recovery from x: drift = "
 
 ## Forcing along the constraint rows moves lam, never x ##
 mu = rng.standard_normal(m)
-shifted = QpProblem(problem.A, problem.b + c.csr.T @ mu, c, problem.d)
+shifted = problem.with_rhs(problem.b + c.csr.T @ mu, problem.d)
 sol2 = solve_kkt_direct(shifted, 1e-10)
 print(f"\nafter adding C.T mu to the linear term:")
 print(f"  |x' - x|         = {np.linalg.norm(sol2.x - sol.x):.2e}")

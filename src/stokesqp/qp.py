@@ -19,6 +19,7 @@ decided exactly, once, when a QpProblem is built: symmetry by
 ``SparseOperator``'s measurement, definiteness by ``assert_positive_definite``.
 """
 
+import copy
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,6 +51,9 @@ class QpProblem:
     d : ndarray, length M (d = 0 is the homogeneous-subspace case)
     svd : (u, s, vh), the rank test's economy SVD of C (computed, not given)
     a_solve : solve of the definiteness test's L D L.T factor of A (computed)
+
+    ``with_rhs`` gives the same (A, C) with new data (b, d), sharing both
+    factors instead of computing them again.
     """
 
     A: SparseOperator
@@ -65,16 +69,28 @@ class QpProblem:
             raise TypeError("A and C must be SparseOperator instances")
         if not A.symmetric:
             raise ValueError("A must be symmetric")
-        n = A.nrows
-        object.__setattr__(self, "b", as_vector(self.b, length=n, name="b"))
-        m = C.nrows
+        n, m = A.nrows, C.nrows
         if C.ncols != n:
             raise ValueError(f"C has {C.ncols} columns, expected {n}")
         if m >= n:
             raise ValueError(f"need M < N, got M={m}, N={n}")
-        object.__setattr__(self, "d", as_vector(self.d, length=m, name="d"))
+        self._set_rhs(self.b, self.d)
         object.__setattr__(self, "a_solve", assert_positive_definite(A))
         object.__setattr__(self, "svd", assert_full_row_rank(C))
+
+    def _set_rhs(self, b, d):
+        object.__setattr__(self, "b", as_vector(b, length=self.n_primal,
+                                                 name="b"))
+        object.__setattr__(self, "d", as_vector(d, length=self.n_constraints,
+                                                 name="d"))
+
+    def with_rhs(self, b, d):
+        """This problem with (b, d) in place of its own, validated as at
+        construction; A, C, ``svd`` and ``a_solve`` are shared, so neither
+        matrix is factored again."""
+        problem = copy.copy(self)
+        problem._set_rhs(b, d)
+        return problem
 
     @property
     def n_primal(self):

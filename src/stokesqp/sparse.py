@@ -29,6 +29,21 @@ def as_vector(x, length=None, name="vector"):
     return v
 
 
+def _mirrored(csr):
+    """value(i, j) == value(j, i) for every pair of the square canonical
+    ``csr``.  Its CSC arrays are the CSR arrays of its transpose, so where
+    the two sparsity patterns agree the stored values decide.  Patterns of
+    nonzeros that differ decide against; only an explicit zero, which may
+    face an unstored entry, leaves the question to A - A.T."""
+    csc = csr.tocsc()
+    if (np.array_equal(csc.indptr, csr.indptr)
+            and np.array_equal(csc.indices, csr.indices)):
+        return bool(np.array_equal(csc.data, csr.data))
+    if np.all(csr.data != 0.0):
+        return False
+    return not np.any((csr - csr.T).data != 0.0)
+
+
 class SparseOperator:
     """A real matrix stored in compressed-sparse-row layout.
 
@@ -55,8 +70,7 @@ class SparseOperator:
         for buf in (csr.data, csr.indices, csr.indptr):
             buf.flags.writeable = False
         self._csr = csr
-        self._symmetric = (csr.shape[0] == csr.shape[1]
-                           and not np.any((csr - csr.T).data != 0.0))
+        self._symmetric = csr.shape[0] == csr.shape[1] and _mirrored(csr)
 
     # -- constructors ------------------------------------------------------
 

@@ -22,7 +22,8 @@ takes the A-solve, not A.  Both routes end in the residual contract of the
 QP core (``qp.checked_solution``) and return its SaddleSolution, the type
 the QP solvers return: the flat velocity is its ``x`` and the zero-mean
 pressure its ``multiplier``.  ``MacGrid.split_velocity`` gives the 2-D face
-views of a flat velocity.
+views of a flat velocity, and ``write_fields_csv`` streams both fields to
+CSV a grid row at a time.
 
 Scaling convention: operators are "integrated", i.e. A represents the
 bilinear form of the velocity gradients (stencil entries O(1)), B maps face
@@ -502,19 +503,30 @@ def estimate_infsup_stokes(grid):
 
 def write_fields_csv(path, grid, u, p):
     """CSV rows (kind, i, j, x, y, value) of a flat velocity u and pressure p
-    on ``grid``: u-faces, v-faces, then cells, each row-major."""
+    on ``grid``: u-faces, v-faces, then cells, each row-major.
+
+    The file is streamed (``mmio.write_text``): the header, then one chunk
+    per grid row of each block, made by one ``%`` on that block's row
+    template.  No more than a row of text is held at once, and every value
+    is written as its ``repr``.
+    """
+    # shaped before the file is opened, so a wrong length writes nothing
     u_faces, v_faces = grid.split_velocity(u)
-    blocks = [
-        ("u", u_faces, grid.u_coordinates()),
-        ("v", v_faces, grid.v_coordinates()),
-        ("p", np.reshape(p, grid.p_shape), grid.p_coordinates()),
-    ]
-    lines = ["kind,i,j,x,y,value\n"]
-    for kind, values, (xs, ys) in blocks:
+    blocks = (("u", u_faces, grid.u_coordinates),
+              ("v", v_faces, grid.v_coordinates),
+              ("p", np.reshape(p, grid.p_shape), grid.p_coordinates))
+    mmio.write_text(path, _field_chunks(blocks))
+
+
+def _field_chunks(blocks):
+    yield "kind,i,j,x,y,value\n"
+    for kind, values, coordinates in blocks:
         # meshgrid coordinates: x varies with i only, y with j only
-        x_text = [repr(x) for x in xs[:, 0].tolist()]
-        y_text = [repr(y) for y in ys[0].tolist()]
-        for i, row in enumerate(values.tolist()):
-            lines.extend(f"{kind},{i},{j},{x_text[i]},{y},{v!r}\n"
-                         for j, (y, v) in enumerate(zip(y_text, row)))
-    mmio.write_text(path, "".join(lines))
+        xs, ys = coordinates()
+        xs, ys = xs[:, 0].tolist(), ys[0].tolist()
+        # every line of a grid row, i and x left open, each value a %r
+        row = "".join(f"{kind},{{i}},{j},{{x}},{y!r},%r\n"
+                      for j, y in enumerate(ys))
+        for i, x in enumerate(xs):
+            yield (row.replace("{i}", str(i)).replace("{x}", repr(x))
+                   % tuple(values[i].tolist()))

@@ -5,7 +5,8 @@ stored residuals are never trusted.  The ``corrupt`` flag deliberately
 perturbs every solver output before checking, so a run with it must report
 failures; it exists to prove the harness can actually detect a broken
 solver.  The homogeneity properties compare fresh solves against the
-unperturbed direct solutions, which the flag leaves alone.  Instances are
+unperturbed direct solutions, which the flag leaves alone; their problems
+share the instance's factors (``QpProblem.with_rhs``).  Instances are
 drawn, solved and checked one at a time, keeping only each property's
 running worst defect.
 """
@@ -90,8 +91,8 @@ def run_property_suite(seed, corrupt=False):
         if i < 5:  # checked now, so that no instance outlives its turn
             clean = outs[0]
             # J is quadratic: scaling (b, d) scales the solution pair exactly
-            s2 = solve_kkt_direct(QpProblem(problem.A, 2.0 * problem.b,
-                                            problem.C, 2.0 * problem.d))
+            s2 = solve_kkt_direct(problem.with_rhs(2.0 * problem.b,
+                                                   2.0 * problem.d))
             record("homogeneity_scaling", max(
                 np.linalg.norm(s2.x - 2.0 * clean.x)
                 / max(np.linalg.norm(clean.x), 1e-300),
@@ -99,9 +100,8 @@ def run_property_suite(seed, corrupt=False):
                 / max(np.linalg.norm(clean.multiplier), 1e-300)))
             # shifting b by C.T mu moves the multiplier by -mu, not x
             mu = rng.standard_normal(problem.n_constraints)
-            s2 = solve_kkt_direct(QpProblem(
-                problem.A, problem.b + problem.C.csr.T @ mu, problem.C,
-                problem.d))
+            s2 = solve_kkt_direct(problem.with_rhs(
+                problem.b + problem.C.csr.T @ mu, problem.d))
             record("homogeneity_constraint_shift", max(
                 np.linalg.norm(s2.x - clean.x)
                 / max(np.linalg.norm(clean.x), 1.0),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stokesqp import SparseOperator, mmio
+from stokesqp import SparseOperator, assemble_operators, build_grid, mmio
 from stokesqp.mmio import (MatrixMarketError, read_matrix, read_vector,
                            write_matrix, write_vector)
 
@@ -363,6 +363,35 @@ def test_write_text_creates_parent_and_writes_ascii_lf(tmp_path):
     assert path.read_bytes() == b"a,b\n1,2\n"
     with pytest.raises(UnicodeEncodeError):
         mmio.write_text(tmp_path / "u.txt", "\u00e9\n")
+    chunks = ["kind,", "i\n", "", "u,0\r", "\n"]
+    mmio.write_text(path, iter(chunks))
+    assert path.read_bytes() == "".join(chunks).encode("ascii")
+    with pytest.raises(UnicodeEncodeError):
+        mmio.write_text(tmp_path / "u.txt", ["a\n", "\u00e9\n"])
+
+
+def test_mac_operators_round_trip_in_any_chunking(tmp_path, monkeypatch):
+    # the Stokes scale: n=16 gives A 480 x 480 (symmetric) and B 256 x 480
+    grid = build_grid(16)
+    ops = assemble_operators(grid)
+    load = np.random.default_rng(27).standard_normal(grid.n_velocity)
+    written = {}
+    for chunk in (mmio._CHUNK_LINES, 7):
+        monkeypatch.setattr(mmio, "_CHUNK_LINES", chunk)
+        for name, op in (("A", ops.A), ("B", ops.B)):
+            path = tmp_path / f"{name}{chunk}.mtx"
+            write_matrix(path, op)
+            back = read_matrix(path)
+            assert back.symmetric == op.symmetric == (name == "A")
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(back.csr, attr),
+                                      getattr(op.csr, attr))
+            written.setdefault(name, set()).add(path.read_bytes())
+        path = tmp_path / f"b{chunk}.txt"
+        write_vector(path, load)
+        assert np.array_equal(read_vector(path), load)
+        written.setdefault("b", set()).add(path.read_bytes())
+    assert all(len(versions) == 1 for versions in written.values())
 
 
 def test_write_json_is_strict_sorted_and_newline_terminated(tmp_path):

@@ -169,6 +169,21 @@ def test_problem_rejects_wrong_lengths():
         _problem(np.eye(3), np.ones(3), [[1.0, 0.0, 0.0]], d=[1.0, 2.0])
 
 
+def test_with_rhs_shares_the_factors_and_validates_the_data():
+    p = _problem(4.0 * np.eye(3), np.ones(3), [[1.0, 2.0, 0.0]], d=[1.0])
+    q = p.with_rhs([1.0, 2.0, 3.0], [2.0])
+    assert q.A is p.A and q.C is p.C
+    assert q.svd is p.svd and q.a_solve is p.a_solve
+    assert np.array_equal(q.b, [1.0, 2.0, 3.0]) and np.array_equal(q.d, [2.0])
+    assert np.array_equal(p.b, np.ones(3)) and np.array_equal(p.d, [1.0])
+    fresh = QpProblem(p.A, q.b, p.C, q.d)
+    assert np.array_equal(solve_kkt_direct(q).x, solve_kkt_direct(fresh).x)
+    for b, d in ((np.ones(2), [0.0]), (np.ones(3), [0.0, 1.0]),
+                 ([1.0, np.nan, 0.0], [0.0]), (np.ones(3), [np.inf])):
+        with pytest.raises(ValueError):
+            p.with_rhs(b, d)
+
+
 # -- KKT assembly ----------------------------------------------------------
 
 
@@ -502,7 +517,7 @@ def test_multiplier_is_the_sensitivity_of_the_optimal_value(solve):
         lam = solve(p).multiplier
 
         def optimal_value(d):
-            q = QpProblem(p.A, p.b, p.C, d)
+            q = p.with_rhs(p.b, d)
             return objective(q, solve_kkt_direct(q).x)
 
         slope = (optimal_value(p.d + t * e)

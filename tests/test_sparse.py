@@ -88,6 +88,42 @@ def test_measured_symmetry_matches_dense_oracle(seed):
     assert stored.symmetric == SparseOperator(a).symmetric == expected
 
 
+@pytest.mark.parametrize("entries, expected", [
+    # an explicit zero at (0, 1), nothing stored at (1, 0)
+    ([(0, 0, 1.0), (0, 1, 0.0), (1, 1, 2.0)], True),
+    ([(0, 0, 1.0), (0, 1, -0.0), (1, 1, 2.0)], True),
+    ([(1, 0, 0.0), (2, 2, 1.0)], True),
+    # the same, beside a pair that is mirrored, and one that is not
+    ([(0, 1, 0.0), (0, 2, 3.0), (2, 0, 3.0)], True),
+    ([(0, 1, 0.0), (0, 2, 3.0), (2, 0, 4.0)], False),
+    ([(0, 1, 0.0), (0, 2, 3.0)], False),
+    # explicit zeros facing each other, and one facing a nonzero
+    ([(0, 1, 0.0), (1, 0, -0.0), (2, 2, 5.0)], True),
+    ([(0, 1, 0.0), (1, 0, 1.0)], False),
+])
+def test_explicit_zero_without_a_mirror(entries, expected):
+    rows, cols, vals = zip(*entries)
+    op = SparseOperator.from_triples(3, 3, rows, cols, vals)
+    assert op.nnz == len(entries)
+    assert op.symmetric == expected == np.array_equal(op.toarray(),
+                                                      op.toarray().T)
+
+
+def test_symmetry_of_nonzero_patterns_forms_no_difference(monkeypatch):
+    # without explicit zeros the CSR arrays of A and A.T decide alone
+    def refuse(self, other):
+        raise AssertionError("A - A.T formed")
+
+    rng = np.random.default_rng(19)
+    g = sp.random_array((40, 40), density=0.1, rng=rng, format="csr")
+    g.data += 1.0
+    monkeypatch.setattr(sp.csr_array, "__sub__", refuse)
+    assert SparseOperator(g + g.T).symmetric
+    assert not SparseOperator(g).symmetric
+    assert not SparseOperator(g + g.T + sp.csr_array(
+        ([1.0], ([0], [39])), shape=(40, 40))).symmetric
+
+
 def test_operator_must_be_2d():
     with pytest.raises(ValueError, match="2-D"):
         SparseOperator(np.ones(3))

@@ -4,6 +4,7 @@ solve formulations, and the discrete inf-sup constant."""
 import csv
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -854,6 +855,79 @@ def test_infsup_bound_is_attained_by_the_attaining_pressure(n):
     assert ratio == pytest.approx(1.0, abs=1e-10)
 
 
+def _divergence_source_solve(grid, b, g):
+    """(u, p) minimizing the viscous energy with load b subject to B u = g,
+    by the coupled route with d = g; a zero-mean g leaves p zero-mean."""
+    div = assemble_operators(grid).B
+    u, p, _ = schur_complement_solve(div, _mac_velocity_solve(grid), b, g,
+                                     1e-12, kernel=np.ones(grid.n_pressure))
+    return u, p
+
+
+def _zero_mean_source(grid, rng):
+    # h^2-scaled like B u: entries +-h times face differences of order h
+    xi = rng.standard_normal(grid.n_pressure)
+    return grid.h ** 2 * (xi - xi.mean())
+
+
+@pytest.mark.parametrize("case_id", ["taylor_green", "polynomial", "rough"])
+@pytest.mark.parametrize("n", [3, 8, 33])
+def test_pressure_is_the_sensitivity_of_the_optimal_energy(n, case_id):
+    # J*(g) = min {(1/2) u.T A u - b.T u : B u = g} has gradient p on
+    # zero-mean g: the pressure is the shadow price of a mass source.  J*
+    # is quadratic in g, so the central difference is exact up to rounding
+    # (measured: at most 1.6e-14 of |p| |e|)
+    grid = build_grid(n)
+    case = (_gaussian_load_case(grid, 0) if case_id == "rough"
+            else manufactured_case(case_id))
+    b = sample_forcing(grid, case)
+    rng = np.random.default_rng([n, 27])
+    g, e = _zero_mean_source(grid, rng), _zero_mean_source(grid, rng)
+    a = assemble_operators(grid).A
+
+    def optimal_energy(d):
+        u, _ = _divergence_source_solve(grid, b, d)
+        return 0.5 * u @ a.apply(u) - b @ u
+
+    _, p = _divergence_source_solve(grid, b, g)
+    slope = (optimal_energy(g + e) - optimal_energy(g - e)) / 2
+    assert abs(slope - p @ e) <= 1e-9 * np.linalg.norm(p) * np.linalg.norm(e)
+
+
+def _brezzi_ratio(grid, beta, b, g, p):
+    """|p|_Mp over the Brezzi bound |b|_A^-1 / beta + |g|_Mp^-1 / beta^2."""
+    mass = _pressure_mass(grid)
+    bound = (np.sqrt(b @ _mac_velocity_solve(grid)(b)) / beta
+             + np.sqrt(g @ (g / mass)) / beta ** 2)
+    return np.sqrt(p @ (mass * p)) / bound
+
+
+@pytest.mark.parametrize("n", [7, 8, 16, 32])
+def test_brezzi_bound_holds_on_seeded_loads_and_sources(n):
+    # the stability estimate with a mass source: ratios 0.26 to 0.49
+    grid = build_grid(n)
+    beta = estimate_infsup_stokes(grid).beta
+    for seed in range(3):
+        rng = np.random.default_rng([n, seed])
+        b = grid.h ** 2 * rng.standard_normal(grid.n_velocity)
+        g = _zero_mean_source(grid, rng)
+        _, p = _divergence_source_solve(grid, b, g)
+        assert _brezzi_ratio(grid, beta, b, g, p) <= 1.0
+
+
+@pytest.mark.parametrize("n", [7, 8, 16, 32])
+def test_brezzi_bound_is_attained_by_the_attaining_source(n):
+    # b = 0 and g = Mp q for the attaining q: S q = beta^2 Mp q gives
+    # p = q / beta^2, so 1/beta^2 is the sharp power of the source term
+    grid = build_grid(n)
+    est = estimate_infsup_stokes(grid)
+    b = np.zeros(grid.n_velocity)
+    g = _pressure_mass(grid) * est.attaining_q
+    _, p = _divergence_source_solve(grid, b, g)
+    assert _brezzi_ratio(grid, est.beta, b, g, p) == \
+        pytest.approx(1.0, abs=1e-10)
+
+
 def _gaussian_load_case(grid, seed):
     """A case whose load is b = h^2 xi with xi seeded standard Gaussian:
     f1 and f2 return fixed arrays, so ``sample_forcing`` gives h^2 xi."""
@@ -923,22 +997,60 @@ def test_write_fields_csv_round_trip(tmp_path):
     assert float(first_u[5]) == u_faces[int(first_u[1]), int(first_u[2])]
 
 
+def _reference_fields_csv(grid, u, p):
+    """The per-row writer the streamed export replaced, kept as its byte
+    oracle: one f-string per line, the whole file joined in memory."""
+    u_faces, v_faces = grid.split_velocity(u)
+    blocks = [
+        ("u", u_faces, grid.u_coordinates()),
+        ("v", v_faces, grid.v_coordinates()),
+        ("p", np.reshape(p, grid.p_shape), grid.p_coordinates()),
+    ]
+    lines = ["kind,i,j,x,y,value\n"]
+    for kind, values, (xs, ys) in blocks:
+        x_text = [repr(x) for x in xs[:, 0].tolist()]
+        y_text = [repr(y) for y in ys[0].tolist()]
+        for i, row in enumerate(values.tolist()):
+            lines.extend(f"{kind},{i},{j},{x_text[i]},{y},{v!r}\n"
+                         for j, (y, v) in enumerate(zip(y_text, row)))
+    return "".join(lines)
+
+
 def test_write_fields_csv_matches_row_by_row_formula(tmp_path):
-    grid = build_grid(5)
-    rng = np.random.default_rng(58)
-    velocity = rng.standard_normal(grid.n_velocity)
-    pressure = rng.standard_normal(grid.n_pressure)
-    u_faces, v_faces = grid.split_velocity(velocity)
-    expected = ["kind,i,j,x,y,value\n"]
-    for kind, values, (xs, ys) in (
-            ("u", u_faces, grid.u_coordinates()),
-            ("v", v_faces, grid.v_coordinates()),
-            ("p", pressure.reshape(grid.p_shape), grid.p_coordinates())):
-        for i in range(values.shape[0]):
-            for j in range(values.shape[1]):
-                expected.append(f"{kind},{i},{j},{float(xs[i, j])!r},"
-                                f"{float(ys[i, j])!r},"
-                                f"{float(values[i, j])!r}\n")
+    # solved fields, and seeded ones holding values whose repr is unusual
+    specials = [-0.0, 5e-324, 1e16, 1e-5, 123456789012345680.0]
     path = tmp_path / "fields.csv"
-    write_fields_csv(path, grid, velocity, pressure)
-    assert path.read_bytes() == "".join(expected).encode("ascii")
+    for n in (2, 3, 5, 16):
+        grid = build_grid(n)
+        solved = solve_stokes_coupled(grid, manufactured_case("taylor_green"))
+        rng = np.random.default_rng([n, 58])
+        seeded = rng.standard_normal(grid.n_velocity + grid.n_pressure)
+        seeded[rng.choice(seeded.size, len(specials), replace=False)] = \
+            specials
+        for u, p in ((solved.x, solved.multiplier),
+                     (seeded[:grid.n_velocity], seeded[grid.n_velocity:])):
+            write_fields_csv(path, grid, u, p)
+            assert path.read_bytes() == \
+                _reference_fields_csv(grid, u, p).encode("ascii")
+    # the fields are shaped before the file is opened: a wrong length
+    # raises and writes nothing
+    with pytest.raises(ValueError):
+        write_fields_csv(tmp_path / "short.csv", grid, u, p[:-1])
+    assert not (tmp_path / "short.csv").exists()
+
+
+def test_write_fields_csv_memory_does_not_grow_with_the_file(tmp_path):
+    # streamed a grid row at a time, the n=128 export (2.3 MB) holds a few
+    # rows of text and one block's coordinates, never the file
+    grid = build_grid(128)
+    rng = np.random.default_rng(27)
+    u = rng.standard_normal(grid.n_velocity)
+    p = rng.standard_normal(grid.n_pressure)
+    path = tmp_path / "fields.csv"
+    tracemalloc.start()
+    try:
+        write_fields_csv(path, grid, u, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4

@@ -3,6 +3,9 @@
 import gc
 import weakref
 
+import scipy.linalg
+from scipy.sparse import linalg as spla
+
 from stokesqp import verify
 from stokesqp.verify import PropertyResult, run_property_suite
 
@@ -64,3 +67,22 @@ def test_suite_keeps_one_instance_alive(monkeypatch):
     monkeypatch.setattr(verify, "random_problem", tracked)
     assert all(r.passed for r in run_property_suite(0))
     assert len(alive) == 20
+
+
+def test_homogeneity_properties_factor_nothing_again(monkeypatch):
+    # 20 instances and 5 inf-sup pairs: one SVD of C each, and one L D L.T
+    # of A each plus the direct solve's LU of the KKT matrix for the 20;
+    # the 10 rescaled and shifted problems share their instance's factors,
+    # so they add only the 10 KKT LUs of their direct solves
+    calls = {"svd": 0, "splu": 0}
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(scipy.linalg, "svd", counted("svd", scipy.linalg.svd))
+    monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+    assert all(r.passed for r in run_property_suite(1))
+    assert calls == {"svd": 25, "splu": 55}
