@@ -17,15 +17,10 @@ Both readers name the file and the line of a non-ASCII byte, and refuse
 the ``_`` that Python's ``int`` and ``float`` take as digit grouping.  A
 ``symmetric`` file must have a square size line.  Every file the package
 writes, report or field, goes through ``write_text``, which takes the text
-whole or as an iterable of chunks and writes each chunk as it arrives.  The
-matrix and vector writers stream their lines in chunks of at most
-``_CHUNK_LINES`` lines, each made by one C-level ``%`` on a line template,
-so their memory does not grow with the file; the bytes are those of one
-``repr`` per value.
+whole or as an iterable of chunks and writes each chunk as it arrives.
 """
 
 import io
-import itertools
 import json
 import math
 import warnings
@@ -41,9 +36,6 @@ _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 # nan/inf, '%', '_', control characters that str.splitlines breaks at but
 # loadtxt does not) leaves the file to the loop
 _ENTRY_BYTES = b"0123456789+-.eE \t\r\n"
-# lines per chunk of a streamed matrix or vector file: fixed, so a writer's
-# memory does not grow with the file
-_CHUNK_LINES = 4096
 
 
 class MatrixMarketError(ValueError):
@@ -234,25 +226,11 @@ def write_matrix(path, op):
         qualifier = "symmetric"
     else:
         qualifier = "general"
-    head = (f"%%MatrixMarket matrix coordinate real {qualifier}\n"
-            f"{op.nrows} {op.ncols} {len(vals)}\n")
-    rows += 1                    # 1-based, in place: the arrays are copies
-    cols += 1
-    write_text(path, itertools.chain(
-        [head], _lines("%d %d %r\n", rows, cols, vals)))
-
-
-def _lines(line_format, *columns):
-    """``line_format`` filled with one value of each column per line, as
-    chunks of at most ``_CHUNK_LINES`` lines, each one ``%`` on the format
-    repeated; ``%r`` of a float is its ``repr``."""
-    width = len(columns)
-    for start in range(0, len(columns[0]), _CHUNK_LINES):
-        parts = [c[start:start + _CHUNK_LINES].tolist() for c in columns]
-        flat = [None] * (width * len(parts[0]))
-        for k, part in enumerate(parts):
-            flat[k::width] = part
-        yield line_format * len(parts[0]) % tuple(flat)
+    lines = [f"%%MatrixMarket matrix coordinate real {qualifier}\n",
+             f"{op.nrows} {op.ncols} {len(vals)}\n"]
+    lines.extend(f"{i + 1} {j + 1} {v!r}\n" for i, j, v in
+                 zip(rows.tolist(), cols.tolist(), vals.tolist()))
+    write_text(path, "".join(lines))
 
 
 def _vector_lines(text):
@@ -283,15 +261,17 @@ def read_vector(path):
 def write_vector(path, v):
     """Write a finite 1-D vector one value per line; anything
     ``read_vector`` would reject raises ValueError and writes nothing."""
-    write_text(path, _lines("%r\n", as_vector(v)))
+    values = as_vector(v).tolist()
+    write_text(path, "".join(f"{x!r}\n" for x in values))
 
 
 def write_text(path, text):
     """Write ``text``, a str or an iterable of str chunks, as ASCII with
     ``\\n`` line ends, creating the parent directory.  Chunks are written as
     they arrive, so the file is their concatenation and no more of it is in
-    memory than one chunk.  A non-ASCII character raises UnicodeEncodeError,
-    with the chunks before its own already written."""
+    memory than one chunk.  A non-ASCII character raises UnicodeEncodeError.
+    An error part-way through, from a chunk or from the iterable, leaves
+    the file cut short after the chunks already written."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.writelines([text] if isinstance(text, str) else text)

@@ -31,17 +31,16 @@ def as_vector(x, length=None, name="vector"):
 
 def _mirrored(csr):
     """value(i, j) == value(j, i) for every pair of the square canonical
-    ``csr``.  Its CSC arrays are the CSR arrays of its transpose, so where
-    the two sparsity patterns agree the stored values decide.  Patterns of
-    nonzeros that differ decide against; only an explicit zero, which may
-    face an unstored entry, leaves the question to A - A.T."""
+    ``csr``: its CSC arrays are the CSR arrays of its transpose, so the two
+    agree exactly when it is symmetric.  Explicit zeros (-0.0 too) are
+    dropped from a copy first, since one may face an unstored entry."""
+    if not np.all(csr.data):
+        csr = csr.copy()
+        csr.eliminate_zeros()
     csc = csr.tocsc()
-    if (np.array_equal(csc.indptr, csr.indptr)
-            and np.array_equal(csc.indices, csr.indices)):
-        return bool(np.array_equal(csc.data, csr.data))
-    if np.all(csr.data != 0.0):
-        return False
-    return not np.any((csr - csr.T).data != 0.0)
+    return bool(np.array_equal(csc.indptr, csr.indptr)
+                and np.array_equal(csc.indices, csr.indices)
+                and np.array_equal(csc.data, csr.data))
 
 
 class SparseOperator:

@@ -507,26 +507,33 @@ def write_fields_csv(path, grid, u, p):
 
     The file is streamed (``mmio.write_text``): the header, then one chunk
     per grid row of each block, made by one ``%`` on that block's row
-    template.  No more than a row of text is held at once, and every value
-    is written as its ``repr``.
+    template.  The three templates and one row of text are held, never the
+    file, and every value is written as its ``repr``.  The fields are shaped
+    and the templates built before the file is opened, so a field of the
+    wrong length, or a coordinate call that fails, raises and writes
+    nothing; only an I/O error can leave the file cut short.
     """
-    # shaped before the file is opened, so a wrong length writes nothing
     u_faces, v_faces = grid.split_velocity(u)
-    blocks = (("u", u_faces, grid.u_coordinates),
-              ("v", v_faces, grid.v_coordinates),
-              ("p", np.reshape(p, grid.p_shape), grid.p_coordinates))
+    blocks = [_row_template("u", grid.u_coordinates()) + (u_faces,),
+              _row_template("v", grid.v_coordinates()) + (v_faces,),
+              _row_template("p", grid.p_coordinates())
+              + (np.reshape(p, grid.p_shape),)]
     mmio.write_text(path, _field_chunks(blocks))
+
+
+def _row_template(kind, coordinates):
+    """Every line of one grid row of a block, i and x left open and each
+    value a ``%r``, with the x of each row; the meshgrid ``coordinates``
+    vary in x with i only and in y with j only."""
+    xs, ys = coordinates
+    row = "".join(f"{kind},{{i}},{j},{{x}},{y!r},%r\n"
+                  for j, y in enumerate(ys[0].tolist()))
+    return row, xs[:, 0].tolist()
 
 
 def _field_chunks(blocks):
     yield "kind,i,j,x,y,value\n"
-    for kind, values, coordinates in blocks:
-        # meshgrid coordinates: x varies with i only, y with j only
-        xs, ys = coordinates()
-        xs, ys = xs[:, 0].tolist(), ys[0].tolist()
-        # every line of a grid row, i and x left open, each value a %r
-        row = "".join(f"{kind},{{i}},{j},{{x}},{y!r},%r\n"
-                      for j, y in enumerate(ys))
+    for row, xs, values in blocks:
         for i, x in enumerate(xs):
             yield (row.replace("{i}", str(i)).replace("{x}", repr(x))
                    % tuple(values[i].tolist()))

@@ -1016,8 +1016,27 @@ def _reference_fields_csv(grid, u, p):
     return "".join(lines)
 
 
+def _per_element_fields_csv(grid, u, p):
+    """The export's specification, element by element: x, y and the value
+    of line (kind, i, j) read at [i, j] of the coordinate and field arrays."""
+    u_faces, v_faces = grid.split_velocity(u)
+    expected = ["kind,i,j,x,y,value\n"]
+    for kind, values, (xs, ys) in (
+            ("u", u_faces, grid.u_coordinates()),
+            ("v", v_faces, grid.v_coordinates()),
+            ("p", np.reshape(p, grid.p_shape), grid.p_coordinates())):
+        for i in range(values.shape[0]):
+            for j in range(values.shape[1]):
+                expected.append(f"{kind},{i},{j},{float(xs[i, j])!r},"
+                                f"{float(ys[i, j])!r},"
+                                f"{float(values[i, j])!r}\n")
+    return "".join(expected)
+
+
 def test_write_fields_csv_matches_row_by_row_formula(tmp_path):
-    # solved fields, and seeded ones holding values whose repr is unusual
+    # solved fields, and seeded ones holding values whose repr is unusual;
+    # the old writer and the per-element formula agree, and the file is
+    # byte for byte what both say
     specials = [-0.0, 5e-324, 1e16, 1e-5, 123456789012345680.0]
     path = tmp_path / "fields.csv"
     for n in (2, 3, 5, 16):
@@ -1029,14 +1048,28 @@ def test_write_fields_csv_matches_row_by_row_formula(tmp_path):
             specials
         for u, p in ((solved.x, solved.multiplier),
                      (seeded[:grid.n_velocity], seeded[grid.n_velocity:])):
+            expected = _per_element_fields_csv(grid, u, p)
+            assert _reference_fields_csv(grid, u, p) == expected
             write_fields_csv(path, grid, u, p)
-            assert path.read_bytes() == \
-                _reference_fields_csv(grid, u, p).encode("ascii")
-    # the fields are shaped before the file is opened: a wrong length
-    # raises and writes nothing
+            assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_write_fields_csv_failure_before_the_text_writes_nothing(
+        tmp_path, monkeypatch):
+    # fields are shaped and coordinates read before the file is opened
+    grid = build_grid(4)
+    u, p = np.zeros(grid.n_velocity), np.zeros(grid.n_pressure)
     with pytest.raises(ValueError):
         write_fields_csv(tmp_path / "short.csv", grid, u, p[:-1])
     assert not (tmp_path / "short.csv").exists()
+
+    def broken(self):
+        raise RuntimeError("no coordinates")
+
+    monkeypatch.setattr(type(grid), "p_coordinates", broken)
+    with pytest.raises(RuntimeError, match="no coordinates"):
+        write_fields_csv(tmp_path / "late.csv", grid, u, p)
+    assert not (tmp_path / "late.csv").exists()
 
 
 def test_write_fields_csv_memory_does_not_grow_with_the_file(tmp_path):
