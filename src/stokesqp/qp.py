@@ -17,6 +17,14 @@ uniqueness can be estimated for a QpProblem, whose tests it trusts, from
 either of its two equivalent variational forms.  Both hypotheses on A are
 decided exactly, once, when a QpProblem is built: symmetry by
 ``SparseOperator``'s measurement, definiteness by ``assert_positive_definite``.
+
+The three kernels the Stokes routes share (``checked_solution``,
+``schur_complement`` and ``schur_complement_solve``) read their operators
+only through a protocol: C through ``apply(x)`` and ``apply_transpose(y)``,
+A through ``apply(x)`` and ``frobenius_norm()``, each action on 1-D vectors.
+A ``SparseOperator`` meets it, and so do the stencil operators of the MAC
+grid, which are never assembled.  ``QpProblem`` and the routes built on it
+hold ``SparseOperator`` and read its CSR matrix.
 """
 
 import copy
@@ -179,9 +187,15 @@ def checked_solution(A, C, b, d, x, multiplier, method_tag, tol,
                      inner_report=None):
     """Assemble a SaddleSolution for  A x - b = C.T lam,  C x = d  and
     enforce the residual contract: both residual norms at most
-    ``tol * residual_scale``, else ConvergenceError (a NaN fails it)."""
-    stat = np.linalg.norm(A.apply(x) - b - C.csr.T @ multiplier)
-    feas = np.linalg.norm(C.csr @ x - d)
+    ``tol * residual_scale``, else ConvergenceError (a NaN fails it).
+
+    Reads A only through ``apply`` and ``frobenius_norm`` and C only through
+    ``apply`` and ``apply_transpose``.  Those validate their input, so a
+    non-finite multiplier is not passed on: its stationarity is NaN."""
+    lam = np.asarray(multiplier, dtype=float)
+    stat = (np.linalg.norm(A.apply(x) - b - C.apply_transpose(lam))
+            if np.isfinite(lam).all() else np.nan)
+    feas = np.linalg.norm(C.apply(x) - d)
     bound = tol * _scale(A, b, x)
     if not (stat <= bound and feas <= bound):
         raise ConvergenceError(
@@ -242,13 +256,11 @@ def schur_complement(C, a_solve, kernel=None):
     ``kernel``, a known null vector of C.T, is lifted off zero
     (``lift_null_vector``), so the operator is then positive definite: the
     one singular direction of a rank-deficient C cannot meet CG or the
-    bottom of an eigen-solve.
+    bottom of an eigen-solve.  C is read only through ``apply`` and
+    ``apply_transpose``.
     """
-    c = C.csr
-    ct = c.T
-
     def apply(lam):
-        return c @ a_solve(ct @ lam)
+        return C.apply(a_solve(C.apply_transpose(lam)))
 
     if kernel is not None:
         apply = lift_null_vector(apply, kernel)
@@ -268,10 +280,9 @@ def schur_complement_solve(C, a_solve, b, d, tol, kernel=None):
     (ConvergenceError, raised by ``conjugate_gradient``).  Returns
     (x, lam, report) with ``report`` from the CG on the Schur complement.
     """
-    c = C.csr
     lam, report = conjugate_gradient(schur_complement(C, a_solve, kernel),
-                                     d - c @ a_solve(b), tol=tol)
-    return a_solve(b + c.T @ lam), lam, report
+                                     d - C.apply(a_solve(b)), tol=tol)
+    return a_solve(b + C.apply_transpose(lam)), lam, report
 
 
 def solve_schur(problem, tol=DEFAULT_TOL):
@@ -348,8 +359,10 @@ def estimate_infsup(problem, Mq, form="dual_form"):
     m = problem.n_constraints
     if m == 0:
         raise ValueError("inf-sup constant of an empty constraint set")
-    # every column of S at once: the LU solve takes an (N, m) block
-    s = schur_complement(problem.C, problem.a_solve)(np.eye(m))
+    # every column of S = C A^-1 C.T at once: the LU solve takes an (N, m)
+    # block
+    c = problem.C.csr
+    s = c @ problem.a_solve(c.T @ np.eye(m))
     if form == "dual_form":
         lam, q = smallest_generalized_eigenpair(s, Mq)
     else:

@@ -24,7 +24,7 @@ def as_vector(x, length=None, name="vector"):
     if length is not None and v.shape[0] != length:
         raise ValueError(
             f"{name} has length {v.shape[0]}, expected {length}")
-    if v.size and not np.all(np.isfinite(v)):
+    if v.size and not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
 
@@ -56,7 +56,7 @@ class SparseOperator:
     read-only once built.
     """
 
-    __slots__ = ("_csr", "_symmetric")
+    __slots__ = ("_csr", "_csr_t", "_symmetric")
 
     def __init__(self, matrix):
         csr = _sp.csr_array(matrix, dtype=float, copy=True)
@@ -69,6 +69,7 @@ class SparseOperator:
         for buf in (csr.data, csr.indices, csr.indptr):
             buf.flags.writeable = False
         self._csr = csr
+        self._csr_t = csr.T             # a CSC view of the same buffers
         self._symmetric = csr.shape[0] == csr.shape[1] and _mirrored(csr)
 
     # -- constructors ------------------------------------------------------
@@ -121,6 +122,12 @@ class SparseOperator:
         """Return ``self @ x`` for a 1-D vector ``x`` (exact linearity)."""
         x = as_vector(x, length=self.ncols, name="x")
         return self._csr @ x
+
+    def apply_transpose(self, y):
+        """Return ``self.T @ y`` for a 1-D vector ``y``, validated as
+        ``apply`` validates ``x``."""
+        y = as_vector(y, length=self.nrows, name="y")
+        return self._csr_t @ y
 
     def toarray(self):
         return self._csr.toarray()

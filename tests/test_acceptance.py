@@ -234,6 +234,18 @@ def test_multiplier_converges_to_the_continuum_pressure(tmp_path, case_id):
     assert 1.8 <= float(last.split(",")[6]) <= 2.2
 
 
+def test_pressure_converges_at_second_order_on_every_step(tmp_path):
+    # beside criterion 7: the observed order of the multiplier on each step
+    # of the taylor_green refinement 16 -> 32 -> 64 (measured 2.001, 2.000)
+    assert run(["converge", "--n-list", "16,32,64", "--case", "taylor_green",
+                "--output", str(tmp_path)]) == 0
+    rows = (tmp_path / "convergence.csv").read_text().splitlines()
+    assert rows[0].split(",")[6] == "order_p"
+    orders = [float(row.split(",")[6]) for row in rows[2:]]
+    assert len(orders) == 2
+    assert all(1.8 <= order <= 2.2 for order in orders), orders
+
+
 def _infsup_refinement_failures(betas):
     """Conditions that inf-sup constants over a refinement sequence break.
 

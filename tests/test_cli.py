@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from stokesqp import SparseOperator, build_grid, stokes
 from stokesqp.cli import (EXIT_BAD_INPUT, EXIT_OK, EXIT_PROPERTY_FAILURE,
@@ -241,20 +242,48 @@ def test_stokes_certifies_at_problem_scale(tmp_path, n):
     assert report["discrepancy"]["pressure_relative"] <= 1e-8
 
 
-def test_stokes_command_assembles_once(tmp_path, monkeypatch):
-    # one assembly builds A's stencil rows once per velocity block; the two
-    # routes share it
-    original = stokes._stencil_rows
+def test_stokes_commands_build_no_stokes_matrix(tmp_path, monkeypatch):
+    # A, B and B.T are applied as stencils and A is solved by fast
+    # diagonalization, so the Stokes commands construct no SparseOperator
+    # and factor nothing
     calls = []
+    original_init = SparseOperator.__init__
+    original_splu = scipy.sparse.linalg.splu
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted_init(self, *args, **kwargs):
+        calls.append("SparseOperator")
+        original_init(self, *args, **kwargs)
 
-    stokes._assemble.cache_clear()
-    monkeypatch.setattr(stokes, "_stencil_rows", counted)
-    assert run(["stokes", "--n", "8", "--output", str(tmp_path)]) == EXIT_OK
-    assert calls == [(7, 8, False, True), (8, 7, True, False)]
+    def counted_splu(*args, **kwargs):
+        calls.append("splu")
+        return original_splu(*args, **kwargs)
+
+    monkeypatch.setattr(SparseOperator, "__init__", counted_init)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+    monkeypatch.setattr(stokes, "splu", counted_splu)
+    for argv in (["stokes", "--n", "8"], ["converge", "--n-list", "4,8"],
+                 ["infsup", "--n-list", "4,6"]):
+        assert run(argv + ["--output", str(tmp_path)]) == EXIT_OK
+    assert calls == []
+    # the counters count: the QP side builds and factors its matrices
+    assert run(["qp-solve", "--input",
+                str(_write_hand_problem(tmp_path / "qp"))]) == EXIT_OK
+    assert "SparseOperator" in calls and "splu" in calls
+
+
+def test_nan_pressure_is_a_solver_failure(tmp_path, monkeypatch, capsys):
+    # the residual contract, not the stencils' input validation, judges a
+    # NaN multiplier: exit 2, not 3
+    original = stokes.schur_complement_solve
+
+    def nan_pressure(*args, **kwargs):
+        u, p, report = original(*args, **kwargs)
+        return u, np.full_like(p, np.nan), report
+
+    monkeypatch.setattr(stokes, "schur_complement_solve", nan_pressure)
+    code = run(["stokes", "--n", "4", "--output", str(tmp_path)])
+    assert code == EXIT_SOLVER_FAILURE
+    assert "stationarity nan" in capsys.readouterr().err
 
 
 def test_stokes_default_tol_reaches_n256(tmp_path):

@@ -9,6 +9,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.mark.parametrize("script", ["convergence_study", "infsup_two_forms",
+                                    "pressure_is_shadow_price",
                                     "qp_lagrange_multiplier",
                                     "stokes_pressure_is_multiplier"])
 def test_demo_runs(script, capsys):

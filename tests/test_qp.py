@@ -11,7 +11,8 @@ from scipy.sparse import linalg as spla
 
 from stokesqp import (ConvergenceError, MultiplierConsistencyError, QpProblem,
                       RankDeficiencyError, SingularSystemError,
-                      SparseOperator, assemble_kkt,
+                      SparseOperator, assemble_kkt, assemble_operators,
+                      build_grid,
                       check_optimality, estimate_infsup, gradient,
                       load_problem, objective, recover_multiplier,
                       residual_scale, save_solution, solve_kkt_direct,
@@ -288,6 +289,22 @@ def test_residual_contract_rejects_a_wrong_point(tol):
     with pytest.raises(ConvergenceError, match="feasibility 1.000e[+]01"):
         checked_solution(p.A, p.C, p.b, p.d, np.full(3, 5.0), np.zeros(1),
                          "direct", tol)
+
+
+def test_residual_contract_fails_a_nan_multiplier():
+    # a NaN multiplier is a failed solve (exit 2), not malformed input: the
+    # operators' input validation must not turn it into a ValueError, for
+    # the assembled operators or the MAC stencils
+    p = _problem(np.eye(3), np.ones(3), [[1.0, 1.0, 0.0]])
+    grid = build_grid(3)
+    ops = assemble_operators(grid)
+    for a, c, b, x, lam in (
+            (p.A, p.C, p.b, np.array([0.5, 0.5, 1.0]), np.array([np.nan])),
+            (ops.A, ops.B, np.zeros(grid.n_velocity),
+             np.zeros(grid.n_velocity),
+             np.r_[np.nan, np.zeros(grid.n_pressure - 1)])):
+        with pytest.raises(ConvergenceError, match="stationarity nan"):
+            checked_solution(a, c, b, 0.0, x, lam, "schur", 1e-10)
 
 
 def test_schur_orthonormal_rows_single_outer_iteration():

@@ -163,6 +163,23 @@ def test_dimension_mismatch_rejected():
         op.apply([1.0, 2.0, 3.0])
 
 
+def test_apply_transpose_is_the_transposed_product():
+    rng = np.random.default_rng(28)
+    dense = rng.standard_normal((4, 7))
+    dense[rng.random(dense.shape) < 0.5] = 0.0
+    op = SparseOperator(dense)
+    for _ in range(5):
+        y = rng.standard_normal(4)
+        y[rng.random(4) < 0.3] = -0.0
+        assert np.array_equal(op.apply_transpose(y), op.csr.T @ y)
+    # the three faults apply refuses: wrong length, not 1-D, non-finite
+    for size, apply in ((4, op.apply_transpose), (7, op.apply)):
+        for bad in (np.ones(11 - size), np.ones((size, 1)),
+                    np.r_[np.nan, np.zeros(size - 1)]):
+            with pytest.raises(ValueError):
+                apply(bad)
+
+
 def test_as_vector_validation():
     with pytest.raises(ValueError):
         as_vector([[1.0, 2.0]])

@@ -24,7 +24,7 @@ from stokesqp import (ConvergenceError, ManufacturedCase, QpProblem,
 from stokesqp import stokes
 from stokesqp.qp import schur_complement_solve
 from stokesqp.solvers import conjugate_gradient, factorized
-from stokesqp.stokes import (_cosine_basis, _divergence, _mac_pressure_solve,
+from stokesqp.stokes import (_cosine_basis, _mac_pressure_solve,
                              _mac_velocity_solve, _pressure_mass, _sine_basis)
 
 # frozen first-run baselines for the taylor_green coupled solve (regression
@@ -127,47 +127,91 @@ def _kronecker_operators(n):
     return out
 
 
-def _same_csr(actual, expected):
-    return all(np.array_equal(getattr(actual, name), getattr(expected, name))
-               for name in ("indptr", "indices", "data"))
+def _oracle_operators(n):
+    """The Kronecker-built A and B as SparseOperators, for every test that
+    needs a matrix (its entries, a factorization, a QpProblem)."""
+    return tuple(SparseOperator(m) for m in _kronecker_operators(n))
+
+
+def _stencil_matrix(apply, ncols):
+    """The dense matrix of a stencil action, one unit vector per column."""
+    return np.column_stack([apply(e) for e in np.eye(ncols)])
+
+
+def _vector_with_zeros(rng, size):
+    # two thirds zeros, half of them -0.0: a sum begun at +0.0, as the CSR
+    # product's is, ends at +0.0 where one begun at its first term, -0.0,
+    # would stay -0.0
+    x = rng.standard_normal(size)
+    zero = rng.random(size) < 2 / 3
+    x[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+    return x
+
+
+def _same_bits(actual, expected):
+    return (np.array_equal(actual, expected)
+            and np.array_equal(np.signbit(actual), np.signbit(expected)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 16, 33, 96])
 def test_stencil_assembly_matches_kronecker_oracle(n):
+    # every action equals the CSR product of the oracle bit for bit, signed
+    # zeros included, so every output byte is that of the assembled matrices
     a, b = _kronecker_operators(n)
     grid = build_grid(n)
     ops = assemble_operators(grid)
-    assert ops.A.symmetric and not ops.B.symmetric
-    assert _same_csr(ops.A.csr, a)
-    assert _same_csr(ops.B.csr, b)
-    assert _same_csr(_divergence(grid).csr, b)
-    for m in (ops.A.csr, ops.B.csr):
-        assert m.indices.dtype == m.indptr.dtype == np.int32
+    rng = np.random.default_rng([n, 28])
+    zeros = 0
+    for _ in range(4):
+        x = _vector_with_zeros(rng, grid.n_velocity)
+        q = _vector_with_zeros(rng, grid.n_pressure)
+        for actual, expected in ((ops.A.apply(x), a @ x),
+                                 (ops.B.apply(x), b @ x),
+                                 (ops.B.apply_transpose(q), b.T @ q)):
+            assert _same_bits(actual, expected)
+            zeros += np.count_nonzero(expected == 0.0)
+    assert zeros > 0
+    assert ops.A.frobenius_norm() == SparseOperator(a).frobenius_norm()
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_operators_store_no_explicit_zeros(n):
-    ops = assemble_operators(build_grid(n))
-    for op in (ops.A, ops.B):
-        assert (op.csr.data != 0).all()
+    # no entry is stored at all; the matrix the stencils define has no zero
+    # coefficient, so its nonzero pattern is the oracle's stored pattern
+    grid = build_grid(n)
+    ops = assemble_operators(grid)
+    a, b = _kronecker_operators(n)
+    for apply, oracle in ((ops.A.apply, a), (ops.B.apply, b),
+                          (ops.B.apply_transpose, b.T)):
+        dense = _stencil_matrix(apply, oracle.shape[1])
+        assert np.array_equal(dense != 0, oracle.toarray() != 0)
+        assert np.count_nonzero(dense) == oracle.nnz
 
 
 def test_assembly_uses_no_sparse_constructors(monkeypatch):
+    # neither the operators nor either route builds a scipy sparse array
     def refuse(*args, **kwargs):
         raise AssertionError("sparse constructor called")
 
-    for name in ("kron", "hstack", "block_diag", "diags", "identity"):
+    for name in ("kron", "hstack", "block_diag", "diags", "identity",
+                 "csr_array", "csc_array", "coo_array", "csr_matrix"):
         monkeypatch.setattr(sp, name, refuse)
-    stokes._assemble.cache_clear()
-    ops = assemble_operators(build_grid(6))
-    assert ops.A.shape == (60, 60) and ops.B.shape == (36, 60)
+    grid = build_grid(6)
+    ops = assemble_operators(grid)
+    assert ops.A.apply(np.ones(60)).shape == (60,)
+    assert ops.B.apply(np.ones(60)).shape == (36,)
+    assert ops.B.apply_transpose(np.ones(36)).shape == (60,)
+    case = manufactured_case("taylor_green")
+    solve_stokes_coupled(grid, case)
+    solve_stokes_minimization(grid, case)
 
 
 def test_viscous_operator_hand_assembled_n2():
     ops = assemble_operators(build_grid(2))
     block = np.array([[5.0, -1.0], [-1.0, 5.0]])
     expected = sla.block_diag(block, block)
-    assert np.array_equal(ops.A.toarray(), expected)
+    assert np.array_equal(_stencil_matrix(ops.A.apply, 4), expected)
+    assert ops.A.frobenius_norm() == np.sqrt(104.0)
 
 
 def test_divergence_operator_hand_assembled_n2():
@@ -178,7 +222,23 @@ def test_divergence_operator_hand_assembled_n2():
                          [0.0, 0.5, -0.5, 0.0],
                          [-0.5, 0.0, 0.0, 0.5],
                          [0.0, -0.5, 0.0, -0.5]])
-    assert np.array_equal(ops.B.toarray(), expected)
+    assert np.array_equal(_stencil_matrix(ops.B.apply, 4), expected)
+    assert np.array_equal(_stencil_matrix(ops.B.apply_transpose, 4),
+                          expected.T)
+
+
+@pytest.mark.parametrize("owner, method", [
+    ("A", "apply"), ("B", "apply"), ("B", "apply_transpose")])
+def test_stencils_validate_their_input(owner, method):
+    # as SparseOperator.apply does: wrong length, not 1-D, non-finite
+    grid = build_grid(4)
+    apply = getattr(getattr(assemble_operators(grid), owner), method)
+    size = grid.n_pressure if method == "apply_transpose" else \
+        grid.n_velocity
+    for bad in (np.ones(size - 1), np.ones((size, 1)),
+                np.r_[np.nan, np.ones(size - 1)]):
+        with pytest.raises(ValueError):
+            apply(bad)
 
 
 def test_divergence_of_unit_face_impulse():
@@ -200,16 +260,18 @@ def test_pressure_mass_is_h_squared_identity():
 
 def test_constants_span_divergence_transpose_kernel():
     for n in (2, 3, 8):
-        ops = assemble_operators(build_grid(n))
-        ones = np.ones(ops.B.nrows)
-        grad_of_const = ops.B.csr.T @ ones
-        assert np.array_equal(grad_of_const, np.zeros(ops.B.ncols))
+        grid = build_grid(n)
+        grad_of_const = assemble_operators(grid).B.apply_transpose(
+            np.ones(grid.n_pressure))
+        assert np.array_equal(grad_of_const, np.zeros(grid.n_velocity))
 
 
 def test_no_spurious_kernel_directions():
     for n in (2, 4, 8):
-        ops = assemble_operators(build_grid(n))
-        sv = np.linalg.svd(ops.B.toarray().T, compute_uv=False)
+        grid = build_grid(n)
+        div = _stencil_matrix(assemble_operators(grid).B.apply,
+                              grid.n_velocity)
+        sv = np.linalg.svd(div.T, compute_uv=False)
         # exactly one vanishing singular value (the constant direction)
         assert sv[-1] <= 1e-14 * sv[0]
         assert sv[-2] > 1e-8 * sv[0]
@@ -230,13 +292,8 @@ def _q1_p0_operators(n):
             SparseOperator(sp.csr_array(b)))
 
 
-def _mac_operators(n):
-    ops = assemble_operators(build_grid(n))
-    return ops.A, ops.B
-
-
 @pytest.mark.parametrize("pairing, deficit", [
-    (_mac_operators, 1),
+    (_oracle_operators, 1),
     (_q1_p0_operators, 2),
 ], ids=["mac-constant", "q1p0-constant-and-checkerboard"])
 @pytest.mark.parametrize("n", [4, 8])
@@ -251,19 +308,23 @@ def test_qp_core_names_the_rank_deficit_of_b(pairing, deficit, n):
 
 def test_divergence_gradient_adjoint_pairing():
     rng = np.random.default_rng(52)
-    ops = assemble_operators(build_grid(6))
+    grid = build_grid(6)
+    div = assemble_operators(grid).B
     for _ in range(100):
-        v = rng.standard_normal(ops.B.ncols)
-        q = rng.standard_normal(ops.B.nrows)
-        forward = float(q @ (ops.B.csr @ v))
-        adjoint = float((ops.B.csr.T @ q) @ v)
+        v = rng.standard_normal(grid.n_velocity)
+        q = rng.standard_normal(grid.n_pressure)
+        forward = float(q @ div.apply(v))
+        adjoint = float(div.apply_transpose(q) @ v)
         assert abs(forward - adjoint) <= 1e-14 * max(abs(forward), 1.0)
 
 
 def test_viscous_operator_positive_definite():
     for n in (2, 3, 4):
-        ops = assemble_operators(build_grid(n))
-        assert np.min(np.linalg.eigvalsh(ops.A.toarray())) > 0.0
+        grid = build_grid(n)
+        a = _stencil_matrix(assemble_operators(grid).A.apply,
+                            grid.n_velocity)
+        assert np.array_equal(a, a.T)
+        assert np.min(np.linalg.eigvalsh(a)) > 0.0
 
 
 # -- forcing ---------------------------------------------------------------
@@ -430,12 +491,12 @@ def _bordered_kkt_solve(grid, case):
     """Oracle for the coupled route: one direct solve of the saddle system
     bordered by the cell-volume vector e, [[A, B.T, 0], [B, 0, e],
     [0, e.T, 0]], whose extra row pins the zero-mean pressure."""
-    ops = assemble_operators(grid)
+    a, div = _kronecker_operators(grid.n)
     b = sample_forcing(grid, case)
     nu, npres = grid.n_velocity, grid.n_pressure
     e = sp.csr_matrix(np.full((npres, 1), grid.h * grid.h))
-    kkt = sp.bmat([[ops.A.csr, ops.B.csr.T, None],
-                   [ops.B.csr, None, e],
+    kkt = sp.bmat([[a, div.T, None],
+                   [div, None, e],
                    [None, e.T, None]], format="csr")
     sol, _ = symmetric_indefinite_solve(SparseOperator(kkt),
                                         np.concatenate([b, np.zeros(npres + 1)]))
@@ -462,9 +523,9 @@ def test_minimization_pressure_matches_dense_least_squares(n, case_id):
     grid = build_grid(n)
     case = manufactured_case(case_id)
     saddle = solve_stokes_minimization(grid, case, 1e-12)
-    ops = assemble_operators(grid)
-    g = ops.A.apply(saddle.x) - sample_forcing(grid, case)
-    p_ref = np.linalg.lstsq(ops.B.toarray().T, g, rcond=None)[0]
+    a, div = _kronecker_operators(n)
+    g = a @ saddle.x - sample_forcing(grid, case)
+    p_ref = np.linalg.lstsq(div.toarray().T, g, rcond=None)[0]
     p_ref = p_ref - p_ref.mean()
     assert np.linalg.norm(saddle.multiplier - p_ref) <= \
         1e-10 * np.linalg.norm(p_ref)
@@ -544,7 +605,7 @@ def test_minimizer_beats_divergence_free_perturbations():
     b = sample_forcing(grid, case)
 
     def j(v):
-        return 0.5 * float(v @ (ops.A.csr @ v)) - float(b @ v)
+        return 0.5 * float(v @ ops.A.apply(v)) - float(b @ v)
 
     scale = ops.A.frobenius_norm() * np.linalg.norm(u) + np.linalg.norm(b)
     rng = np.random.default_rng(56)
@@ -584,8 +645,8 @@ def test_closed_form_bases_diagonalize_the_stencils(k):
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 64])
 def test_mac_velocity_solve_matches_sparse_lu(n):
     grid = build_grid(n)
-    ops = assemble_operators(grid)
-    solve, oracle = _mac_velocity_solve(grid), factorized(ops.A)
+    solve = _mac_velocity_solve(grid)
+    oracle = factorized(_oracle_operators(n)[0])
     r = np.random.default_rng(n).standard_normal(grid.n_velocity)
     x, ref = solve(r), oracle(r)
     assert x.shape == r.shape
@@ -595,39 +656,40 @@ def test_mac_velocity_solve_matches_sparse_lu(n):
 @pytest.mark.parametrize("n", [2, 3, 8, 33, 64])
 def test_mac_pressure_solve_is_the_zero_mean_pseudo_inverse(n):
     grid = build_grid(n)
-    b = assemble_operators(grid).B.csr
+    b = _kronecker_operators(n)[1]
     q = b @ np.random.default_rng(n).standard_normal(grid.n_velocity)
     p = _mac_pressure_solve(grid)(q)
     assert np.linalg.norm(b @ (b.T @ p) - q) <= 1e-12 * np.linalg.norm(q)
     assert abs(p.mean()) <= 1e-14 * np.abs(p).max()
 
 
-def _pinned_least_squares(ops):
+def _pinned_least_squares(div):
     # the sparse-LU multiplier the fast pseudo-inverse replaced: B without
     # its last row, the last pressure pinned at 0
-    b = ops.B.csr[:-1]
+    b = div.csr[:-1]
     lu = splu((b @ b.T).tocsc())
     return lambda r: np.append(lu.solve(b @ r), 0.0)
 
 
 def _sparse_lu_routes(grid, case, tol):
-    """Both routes as they ran on sparse LU, as oracles: (u, p) each."""
-    ops = assemble_operators(grid)
+    """Both routes as they ran on sparse LU and the assembled operators, as
+    oracles: (u, p) each."""
+    a, div = _oracle_operators(grid.n)
     b = sample_forcing(grid, case)
-    u1, p1, _ = schur_complement_solve(ops.B, factorized(ops.A), b, 0.0, tol,
+    u1, p1, _ = schur_complement_solve(div, factorized(a), b, 0.0, tol,
                                        kernel=np.ones(grid.n_pressure))
-    w = _pinned_least_squares(ops)
+    w = _pinned_least_squares(div)
 
     def project(v):
-        return v - ops.B.csr.T @ w(v)
+        return v - div.apply_transpose(w(v))
 
     def lifted(v):
         pv = project(v)
-        return project(ops.A.apply(pv)) + (v - pv)
+        return project(a.apply(pv)) + (v - pv)
 
     u2, _ = conjugate_gradient(lifted, project(b), tol=tol)
     u2 = project(u2)
-    p2 = w(ops.A.apply(u2) - b)
+    p2 = w(a.apply(u2) - b)
     return (u1, p1 - p1.mean()), (u2, p2 - p2.mean())
 
 
@@ -660,12 +722,12 @@ def test_stokes_routes_factor_nothing(monkeypatch):
 
 
 def test_infsup_assembles_no_viscous_operator(monkeypatch):
-    # the estimate needs A only through its fast solve, so only B is built
+    # the estimate needs A only through its fast solve, so not even A's
+    # stencil is built
     def no_viscous_operator(*args, **kwargs):
-        raise AssertionError("viscous operator assembled")
+        raise AssertionError("viscous operator built")
 
-    stokes._assemble.cache_clear()
-    monkeypatch.setattr(stokes, "_stencil_rows", no_viscous_operator)
+    monkeypatch.setattr(stokes, "ViscousOperator", no_viscous_operator)
     # the n=8 value acceptance criterion 8 freezes
     assert estimate_infsup_stokes(build_grid(8)).beta == \
         pytest.approx(0.5565585975735114, abs=1e-9)
@@ -746,9 +808,7 @@ def _assert_infsup_matches_dense_reduced_pencil(n):
     # independent oracle: dense eigh of (B A^-1 B.T, Mp) restricted to
     # zero-mean pressures by an explicit orthonormal basis
     grid = build_grid(n)
-    ops = assemble_operators(grid)
-    a = ops.A.toarray()
-    b = ops.B.toarray()
+    a, b = (m.toarray() for m in _kronecker_operators(n))
     s = b @ np.linalg.solve(a, b.T)
     basis = sla.null_space(np.ones((1, grid.n_pressure)))
     lam = sla.eigh(basis.T @ s @ basis,
@@ -770,9 +830,7 @@ def test_infsup_matches_dense_reduced_pencil_on_criterion_grids(n):
 
 def test_undeflated_pencil_has_constant_kernel():
     grid = build_grid(4)
-    ops = assemble_operators(grid)
-    a = ops.A.toarray()
-    b = ops.B.toarray()
+    a, b = (m.toarray() for m in _kronecker_operators(4))
     s = SparseOperator(0.5 * (b @ np.linalg.solve(a, b.T)
                               + (b @ np.linalg.solve(a, b.T)).T))
     lam, q = smallest_generalized_eigenpair(s, np.diag(_pressure_mass(grid)))
@@ -848,7 +906,7 @@ def test_infsup_bound_is_attained_by_the_attaining_pressure(n):
     grid = build_grid(n)
     est = estimate_infsup_stokes(grid)
     div = assemble_operators(grid).B
-    b = div.csr.T @ est.attaining_q
+    b = div.apply_transpose(est.attaining_q)
     _, p, _ = schur_complement_solve(div, _mac_velocity_solve(grid), b, 0.0,
                                      1e-12, kernel=np.ones(grid.n_pressure))
     ratio = _multiplier_ratio(grid, est.beta, b, p - p.mean())
@@ -941,8 +999,8 @@ def _gaussian_load_case(grid, seed):
 def _pinned_qp_pressure(grid, b):
     # the generic QP core on B without its last row (that pressure pinned
     # at 0, so C has full row rank), made zero-mean
-    ops = assemble_operators(grid)
-    problem = QpProblem(ops.A, b, SparseOperator(ops.B.csr[:-1]),
+    a, div = _oracle_operators(grid.n)
+    problem = QpProblem(a, b, SparseOperator(div.csr[:-1]),
                         np.zeros(grid.n_pressure - 1))
     p = np.append(solve_kkt_direct(problem, 1e-12).multiplier, 0.0)
     return p - p.mean()
