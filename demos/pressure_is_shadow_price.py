@@ -12,7 +12,8 @@ p.g = p_k - mean(p) up to rounding, and p has zero mean.
 
 Every solve runs through the QP core's Schur-complement kernel
 (``schur_complement_solve``) with d != 0: B and B.T as stencils on the grid,
-each A-solve by fast diagonalization, no matrix assembled or factored.
+each A-solve by fast diagonalization (``A.solve``), no matrix assembled or
+factored.
 """
 
 import numpy as np
@@ -20,20 +21,18 @@ import numpy as np
 from stokesqp import (assemble_operators, build_grid, manufactured_case,
                       sample_forcing)
 from stokesqp.qp import schur_complement_solve
-from stokesqp.stokes import _mac_velocity_solve
 
 n = 16
 grid = build_grid(n)
 case = manufactured_case("taylor_green")
 ops = assemble_operators(grid)
-a_solve = _mac_velocity_solve(grid)
 b = sample_forcing(grid, case)
 constant = np.ones(grid.n_pressure)
 
 
 def solve(d):
     """Velocity and zero-mean pressure of the flow with mass source d."""
-    u, p, _ = schur_complement_solve(ops.B, a_solve, b, d, 1e-12,
+    u, p, _ = schur_complement_solve(ops.B, ops.A.solve, b, d, 1e-12,
                                      kernel=constant)
     return u, p - p.mean()
 

@@ -306,7 +306,7 @@ def check_optimality(problem, x, tol=DEFAULT_TOL):
     x = as_vector(x, length=problem.n_primal, name="x")
     g = gradient(problem, x)
     vh = problem.svd[2]
-    feas = float(np.linalg.norm(problem.C.csr @ x - problem.d))
+    feas = float(np.linalg.norm(problem.C.apply(x) - problem.d))
     pg = float(np.linalg.norm(g - vh.T @ (vh @ g)))
     bound = tol * residual_scale(problem, x)
     return OptimalityReport(pg, feas, pg <= bound and feas <= bound)

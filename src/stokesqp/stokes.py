@@ -6,29 +6,30 @@ A, the divergence B and its transpose are stencils applied to the 2-D face
 and cell arrays (``ViscousOperator``, ``DivergenceOperator``); no Stokes
 matrix is ever assembled, since every route needs them only as actions,
 and each action equals the CSR product of its matrix bit for bit.  The
-discrete problem
-is exactly an equality-constrained quadratic minimization: the viscous
-energy is minimized over the kernel of the discrete divergence, and the
-pressure is the Lagrange multiplier of that constraint.  Two routes compute
-it, so the identity can be checked numerically: the coupled route
-eliminates the velocity and solves for the pressure by CG on the Schur
-complement B A^-1 B.T; the minimization route runs projected CG over Ker B,
-preconditioned by P A^-1 P + (I - P) with P the projector onto Ker B, and
-recovers the pressure from the gradient through the constraint's normal
-equations (B B.T) p = B (A u - b).  Both blocks of A and B B.T are
+discrete problem is exactly an equality-constrained quadratic
+minimization: the viscous energy is minimized over the kernel of the
+discrete divergence, and the pressure is the Lagrange multiplier of that
+constraint.  Two routes compute it, so the identity can be checked
+numerically: the coupled route eliminates the velocity and solves for the
+pressure by CG on the Schur complement B A^-1 B.T; the minimization route
+runs projected CG over Ker B, preconditioned by P A^-1 P + (I - P) with P
+the projector onto Ker B, and recovers the pressure from the gradient
+through the constraint's normal equations (B B.T) p = B (A u - b).  Both blocks of A and B B.T are
 Kronecker sums of 1-D second differences, so neither is ever factored: the
 closed-form sine and cosine eigenbases of the 1-D stencils diagonalize them
 (the fast diagonalization method of Lynch, Rice & Thomas, 1964), and each
-A-solve, and each application of the pseudo-inverse (B B.T)^+ that serves
-the projector onto Ker B and the pressure recovery, is four dense n x n
-products and one division.  The pseudo-inverse drops the constant mode, so
-the pressure it returns is already zero-mean.  The QP core's Schur kernel
-takes the A-solve, not A.  Both routes end in the residual contract of the
-QP core (``qp.checked_solution``) and return its SaddleSolution, the type
-the QP solvers return: the flat velocity is its ``x`` and the zero-mean
-pressure its ``multiplier``.  ``MacGrid.split_velocity`` gives the 2-D face
-views of a flat velocity, and ``write_fields_csv`` streams both fields to
-CSV a grid row at a time.
+A-solve (``A.solve``), and each application of the pseudo-inverse
+(B B.T)^+ (``B.normal_solve``) that serves the projector onto Ker B and the
+pressure recovery, is four dense n x n products and one division.  Each
+operator builds its eigenbases on the first solve and keeps them.  The
+pseudo-inverse drops the constant mode, so the pressure it returns is
+already zero-mean.  The QP core's Schur kernel takes ``A.solve``, not A.
+Both routes end in the residual contract of the QP core
+(``qp.checked_solution``) and return its SaddleSolution, the type the QP
+solvers return: the flat velocity is its ``x`` and the zero-mean pressure
+its ``multiplier``.  ``MacGrid.split_velocity`` gives the 2-D face views
+of a flat velocity, and ``write_fields_csv`` streams both fields to CSV a
+grid row at a time.
 
 Scaling convention: operators are "integrated", i.e. A represents the
 bilinear form of the velocity gradients (stencil entries O(1)), B maps face
@@ -40,6 +41,7 @@ without any mesh-dependent rescaling.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 # unused here; kept bound because the benchmark tracer's tests check it
@@ -122,13 +124,49 @@ def build_grid(n):
     return MacGrid(int(n))
 
 
+def _sine_basis(k, ghost):
+    """Orthonormal eigenpairs (lam, Q) of the k x k tridiag(-1, 2, -1), with
+    ghost=True its end rows closed by reflection (diagonal 3; 4 when k = 1).
+    Dirichlet: Q[j, m] ~ sin((j+1)(m+1) pi / (k+1)).  Ghost-closed: Q[j, m] ~
+    sin((m+1) pi (j+1/2) / k), the last column (the alternating mode) scaled
+    by 1/sqrt(2).  lam = 2 - 2 cos(theta), written 4 sin^2(theta/2) to keep
+    the small eigenvalues to full relative accuracy."""
+    j = np.arange(k)[:, None]
+    m = np.arange(1, k + 1)
+    if ghost:
+        theta = m * math.pi / k
+        q = np.sqrt(2.0 / k) * np.sin(theta * (j + 0.5))
+        q[:, -1] /= math.sqrt(2.0)
+    else:
+        theta = m * math.pi / (k + 1)
+        q = np.sqrt(2.0 / (k + 1)) * np.sin(theta * (j + 1))
+    return 4.0 * np.sin(0.5 * theta) ** 2, q
+
+
+def _cosine_basis(n):
+    """Orthonormal eigenpairs (lam, Q) of the Neumann second difference D D.T
+    with D[i, i] = 1, D[i, i-1] = -1 (n x (n-1)): Q[j, m] ~ cos(m pi (j+1/2)
+    / n), the first column (the constant, lam = 0) scaled by 1/sqrt(2)."""
+    theta = np.arange(n) * math.pi / n
+    q = np.sqrt(2.0 / n) * np.cos(theta * (np.arange(n)[:, None] + 0.5))
+    q[:, 0] /= math.sqrt(2.0)
+    return 4.0 * np.sin(0.5 * theta) ** 2, q
+
+
+def _kron_sum_solve(y, qa, qb, inverse):
+    # Y -> Qa ((Qa.T Y Qb) * inverse) Qb.T: T_a X + X T_b = Y with
+    # T = Q diag(lam) Q.T and inverse = 1 / (lam_a + lam_b)
+    return qa @ ((qa.T @ y @ qb) * inverse) @ qb.T
+
+
 class ViscousOperator:
     """A, the viscous form: per velocity component the 5-point stencil on
     its face array (``MacGrid.split_velocity``), diagonal 4 plus 1 at each
     ghost-closed end.  Dirichlet rows drop the wall value where the wall
     passes through the faces (normal direction); the reflected ghost value
     closes the row where it lies half a cell away (tangential direction).
-    Symmetric positive definite of size N_u; only the diagonals are stored.
+    Symmetric positive definite of size N_u; only the diagonals are stored,
+    and the eigenbases of ``solve`` once it is first called.
     """
 
     def __init__(self, grid):
@@ -162,13 +200,33 @@ class ViscousOperator:
                  + 2 * ((n - 2) * n + (n - 1) ** 2))
         return math.sqrt(2 * block)
 
+    def solve(self, r):
+        """A^-1 r by fast diagonalization.  The u-block is
+        T_dir (x) I + I (x) T_ghost, so A_u X = T_dir X + X T_ghost on the
+        (n-1, n) array X of u-faces, and the v-block is the same sum
+        transposed; each block solve is four dense n x n products and one
+        division: no factorization, O(n^3) per vector."""
+        q_d, q_g, inverse = self._eigenbases
+        ru, rv = self.grid.split_velocity(r)
+        u = _kron_sum_solve(ru, q_d, q_g, inverse)
+        v = _kron_sum_solve(rv, q_g, q_d, inverse.T)
+        return np.concatenate([u.ravel(), v.ravel()])
+
+    @cached_property
+    def _eigenbases(self):
+        n = self.grid.n
+        lam_d, q_d = _sine_basis(n - 1, ghost=False)
+        lam_g, q_g = _sine_basis(n, ghost=True)
+        return q_d, q_g, 1.0 / (lam_d[:, None] + lam_g)
+
 
 class DivergenceOperator:
     """B, the divergence: the divergence of cell (i, j) is its h-weighted
     net face flux, h (east u - west u + north v - south v), so q.T B v
     approximates the integral of q div v.  B is N_p x N_u with
     B.T 1 = 0 exactly (constants span Ker B.T); the discrete gradient is
-    G = -B.T.  Only h is stored.
+    G = -B.T.  Only the grid is stored, and the eigenbasis of
+    ``normal_solve`` once it is first called.
     """
 
     def __init__(self, grid):
@@ -202,6 +260,23 @@ class DivergenceOperator:
         gv -= hq[:, 1:]
         return g
 
+    def normal_solve(self, q):
+        """(B B.T)^+ q by fast diagonalization.  B B.T = h^2 (L (x) I +
+        I (x) L) with L = D D.T the Neumann second difference; its one zero
+        eigenvalue is the constant mode, which the pseudo-inverse drops, so
+        for q in range(B) this is the zero-mean (minimum-norm) solution of
+        B B.T p = q, with no pinned pressure and no factorization."""
+        basis, inverse = self._normal_eigenbasis
+        return _kron_sum_solve(np.reshape(q, self.grid.p_shape), basis, basis,
+                               inverse).ravel()
+
+    @cached_property
+    def _normal_eigenbasis(self):
+        lam, q = _cosine_basis(self.grid.n)
+        denom = self.grid.h ** 2 * (lam[:, None] + lam)
+        denom[0, 0] = np.inf             # the constant mode maps to 0
+        return q, 1.0 / denom
+
 
 @dataclass(frozen=True)
 class StokesOperators:
@@ -224,8 +299,9 @@ def assemble_operators(grid):
     """The viscous and divergence operators of ``grid`` as stencils.
 
     Nothing is assembled: each operator holds the grid and, for A, its two
-    diagonal arrays, O(n) memory.  Every product equals the CSR product of
-    the matrix the stencil defines, bit for bit.
+    diagonal arrays, O(n) memory, until its first solve keeps its O(n^2)
+    eigenbases.  Every product equals the CSR product of the matrix the
+    stencil defines, bit for bit.
     """
     return StokesOperators(grid, ViscousOperator(grid),
                            DivergenceOperator(grid))
@@ -332,93 +408,13 @@ def sample_forcing(grid, case):
 # -- solves ----------------------------------------------------------------
 
 
-def _sine_basis(k, ghost):
-    """Orthonormal eigenpairs (lam, Q) of the k x k tridiag(-1, 2, -1), with
-    ghost=True its end rows closed by reflection (diagonal 3; 4 when k = 1).
-    Dirichlet: Q[j, m] ~ sin((j+1)(m+1) pi / (k+1)).  Ghost-closed: Q[j, m] ~
-    sin((m+1) pi (j+1/2) / k), the last column (the alternating mode) scaled
-    by 1/sqrt(2).  lam = 2 - 2 cos(theta), written 4 sin^2(theta/2) to keep
-    the small eigenvalues to full relative accuracy."""
-    j = np.arange(k)[:, None]
-    m = np.arange(1, k + 1)
-    if ghost:
-        theta = m * math.pi / k
-        q = np.sqrt(2.0 / k) * np.sin(theta * (j + 0.5))
-        q[:, -1] /= math.sqrt(2.0)
-    else:
-        theta = m * math.pi / (k + 1)
-        q = np.sqrt(2.0 / (k + 1)) * np.sin(theta * (j + 1))
-    return 4.0 * np.sin(0.5 * theta) ** 2, q
-
-
-def _cosine_basis(n):
-    """Orthonormal eigenpairs (lam, Q) of the Neumann second difference D D.T
-    with D[i, i] = 1, D[i, i-1] = -1 (n x (n-1)): Q[j, m] ~ cos(m pi (j+1/2)
-    / n), the first column (the constant, lam = 0) scaled by 1/sqrt(2)."""
-    theta = np.arange(n) * math.pi / n
-    q = np.sqrt(2.0 / n) * np.cos(theta * (np.arange(n)[:, None] + 0.5))
-    q[:, 0] /= math.sqrt(2.0)
-    return 4.0 * np.sin(0.5 * theta) ** 2, q
-
-
-def _kron_sum_solve(y, qa, qb, inverse):
-    # Y -> Qa ((Qa.T Y Qb) * inverse) Qb.T: T_a X + X T_b = Y with
-    # T = Q diag(lam) Q.T and inverse = 1 / (lam_a + lam_b)
-    return qa @ ((qa.T @ y @ qb) * inverse) @ qb.T
-
-
-def _mac_velocity_solve(grid):
-    """A^-1 of ``assemble_operators(grid)`` by fast diagonalization.
-
-    The u-block is T_dir (x) I + I (x) T_ghost, so A_u X = T_dir X + X T_ghost
-    on the (n-1, n) array X of u-faces, and the v-block is the same sum
-    transposed.  With the closed-form eigenbases of ``_sine_basis`` each
-    block solve is four dense n x n products and one division; no
-    factorization, O(n^3) per right-hand-side vector.
-    """
-    n = grid.n
-    lam_d, q_d = _sine_basis(n - 1, ghost=False)
-    lam_g, q_g = _sine_basis(n, ghost=True)
-    inverse = 1.0 / (lam_d[:, None] + lam_g)
-
-    def solve(r):
-        ru, rv = grid.split_velocity(r)
-        u = _kron_sum_solve(ru, q_d, q_g, inverse)
-        v = _kron_sum_solve(rv, q_g, q_d, inverse.T)
-        return np.concatenate([u.ravel(), v.ravel()])
-
-    return solve
-
-
-def _mac_pressure_solve(grid):
-    """(B B.T)^+ of ``assemble_operators(grid)`` by fast diagonalization.
-
-    B B.T = h^2 (L (x) I + I (x) L) with L = D D.T the Neumann second
-    difference, diagonalized by ``_cosine_basis``.  Its one zero eigenvalue
-    is the constant mode, which the pseudo-inverse drops: for q in range(B)
-    the callable returns the zero-mean (minimum-norm) solution of
-    B B.T p = q, with no pinned pressure and no factorization.
-    """
-    n = grid.n
-    lam, q = _cosine_basis(n)
-    denom = grid.h ** 2 * (lam[:, None] + lam)
-    denom[0, 0] = np.inf             # the constant mode maps to 0
-    inverse = 1.0 / denom
-
-    def solve(r):
-        return _kron_sum_solve(np.reshape(r, (n, n)), q, q, inverse).ravel()
-
-    return solve
-
-
 def divergence_free_projector(ops):
     """Orthogonal projector onto Ker B as a callable: v - B.T (B B.T)^+ B v,
-    with the pseudo-inverse by fast diagonalization (``_mac_pressure_solve``)."""
-    w = _mac_pressure_solve(ops.grid)
+    with the pseudo-inverse by fast diagonalization (``B.normal_solve``)."""
     div = ops.B
 
     def project(vec):
-        return vec - div.apply_transpose(w(div.apply(vec)))
+        return vec - div.apply_transpose(div.normal_solve(div.apply(vec)))
 
     return project
 
@@ -426,7 +422,7 @@ def divergence_free_projector(ops):
 def solve_stokes_coupled(grid, case, tol=DEFAULT_TOL):
     """Eliminate the velocity and solve for the pressure by CG on the Schur
     complement B A^-1 B.T (``schur_complement_solve``), with each A-solve
-    by fast diagonalization (``_mac_velocity_solve``).
+    by fast diagonalization (``A.solve``).
 
     Inf-sup stability bounds the condition number of the complement on
     zero-mean pressures by 1/beta^2, so the iteration count does not grow
@@ -440,7 +436,7 @@ def solve_stokes_coupled(grid, case, tol=DEFAULT_TOL):
     ops = assemble_operators(grid)
     b = sample_forcing(grid, case)
     u, p, report = schur_complement_solve(
-        ops.B, _mac_velocity_solve(grid), b, 0.0, tol,
+        ops.B, ops.A.solve, b, 0.0, tol,
         kernel=np.ones(grid.n_pressure))
     return checked_solution(ops.A, ops.B, b, 0.0, u, p - p.mean(),
                             "stokes_coupled", tol, report)
@@ -458,14 +454,15 @@ def solve_stokes_minimization(grid, case, tol=DEFAULT_TOL):
     residual out of Ker B cannot meet the singular part of P A P.  The
     preconditioner is the constraint preconditioner P A^-1 P + (I - P)
     (Keller, Gould & Wathen, 2000; Gould, Hribar & Nocedal, 2001), lifted
-    the same way, with A^-1 by fast diagonalization (``_mac_velocity_solve``).
+    the same way, with A^-1 by fast diagonalization (``A.solve``).
     It is not spectrally equivalent to (P A P)^-1 on Ker B, so the iteration
     count still grows with n, but slowly: 7, 11, 17 and 25 at n = 16, 32, 64
     and 128 (tol 1e-12), against about 2n without it.  The pressure is the
     minimum-norm least-squares solution of B.T p = A u - b,
-    p = (B B.T)^+ B (A u - b) (``_mac_pressure_solve``), zero-mean by
-    construction.  Returns the SaddleSolution of the residual contract:
-    the velocity is its ``x``, the pressure its ``multiplier``.
+    p = (B B.T)^+ B (A u - b) (``B.normal_solve``, whose eigenbasis the
+    projector has already built), zero-mean by construction.  Returns the
+    SaddleSolution of the residual contract: the velocity is its ``x``, the
+    pressure its ``multiplier``.
     """
     ops = assemble_operators(grid)
     b = sample_forcing(grid, case)
@@ -479,9 +476,9 @@ def solve_stokes_minimization(grid, case, tol=DEFAULT_TOL):
 
     u, report = conjugate_gradient(
         lifted(ops.A.apply), project(b), tol=tol,
-        precondition=lifted(_mac_velocity_solve(grid)))
+        precondition=lifted(ops.A.solve))
     u = project(u)                   # scrub rounding drift out of Ker B
-    p = _mac_pressure_solve(grid)(ops.B.apply(ops.A.apply(u) - b))
+    p = ops.B.normal_solve(ops.B.apply(ops.A.apply(u) - b))
     return checked_solution(ops.A, ops.B, b, 0.0, u, p,
                             "stokes_minimization", tol, report)
 
@@ -515,8 +512,8 @@ def estimate_infsup_stokes(grid):
 
     beta^2 is the smallest eigenvalue of (B A^-1 B.T, Mp) on zero-mean
     pressures.  The Schur complement is only applied: B and B.T as
-    stencils, each A-solve by fast diagonalization
-    (``_mac_velocity_solve``), and Lanczos
+    stencils, each A-solve by fast diagonalization (``A.solve``, which
+    applies no stencil), and Lanczos
     (``smallest_eigenpair_matrix_free``) finds the bottom pair.  The
     constant mode, the kernel of B.T, is lifted above the bottom of the
     spectrum by a rank-one update, so the unrestricted solve returns beta and
@@ -527,7 +524,7 @@ def estimate_infsup_stokes(grid):
     # Rayleigh quotient S_00 / (h^2 (1 - 1/N)), so that is at least
     # 2 (1 - 1/N) beta^2 > beta^2
     schur = schur_complement(DivergenceOperator(grid),
-                             _mac_velocity_solve(grid),
+                             ViscousOperator(grid).solve,
                              kernel=np.ones(grid.n_pressure))
     lam, q = smallest_eigenpair_matrix_free(schur, _pressure_mass(grid))
     return InfSupEstimate(float(lam), q)

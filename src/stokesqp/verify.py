@@ -101,7 +101,7 @@ def run_property_suite(seed, corrupt=False):
             # shifting b by C.T mu moves the multiplier by -mu, not x
             mu = rng.standard_normal(problem.n_constraints)
             s2 = solve_kkt_direct(problem.with_rhs(
-                problem.b + problem.C.csr.T @ mu, problem.d))
+                problem.b + problem.C.apply_transpose(mu), problem.d))
             record("homogeneity_constraint_shift", max(
                 np.linalg.norm(s2.x - clean.x)
                 / max(np.linalg.norm(clean.x), 1.0),
@@ -115,7 +115,8 @@ def run_property_suite(seed, corrupt=False):
             record("lemma_forward_projected_gradient",
                    max(rep.projected_gradient_norm, rep.feasibility_norm))
             # the gradient at the minimizer is exactly C.T times the multiplier
-            r = gradient(problem, s.x) - problem.C.csr.T @ s.multiplier
+            r = (gradient(problem, s.x)
+                 - problem.C.apply_transpose(s.multiplier))
             record("multiplier_relation",
                    np.linalg.norm(r) / residual_scale(problem, s.x))
         x, lam = outs[0].x, outs[0].multiplier

@@ -1,8 +1,9 @@
-"""Import hygiene: every name a package module imports is used there, and
-every name the package exports exists.
+"""Import hygiene: every name a package module or demo imports is used
+there, every name the package exports exists, and the demos use only the
+package's public names.
 
-No linter is part of the toolchain, so this reads each module's syntax tree:
-a name bound by an import must be read somewhere in the module or be listed
+No linter is part of the toolchain, so this reads each file's syntax tree:
+a name bound by an import must be read somewhere in the file or be listed
 in its ``__all__``.
 """
 
@@ -14,8 +15,9 @@ import pytest
 import stokesqp
 
 PACKAGE = Path(stokesqp.__file__).parent
-TRACER_TEST = (Path(__file__).resolve().parent.parent / "bench" / "tests"
-               / "test_bench_spans.py")
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
+TRACER_TEST = ROOT / "bench" / "tests" / "test_bench_spans.py"
 
 #: imported but unused on purpose: bench/tests/test_bench_spans.py checks
 #: that the benchmark tracer wraps these two bindings of ``stokes``
@@ -47,6 +49,42 @@ def _unused_imports(path):
 def test_every_import_is_used(module):
     assert _unused_imports(PACKAGE / f"{module}.py") == \
         KEPT_FOR_TRACER.get(module, [])
+
+
+def _private_imports(path):
+    """Names a file imports from ``stokesqp`` that are private: the name,
+    or a module on its path, starts with an underscore."""
+    tree = ast.parse(path.read_text(encoding="ascii"))
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        private += [m for m in modules if m.split(".")[0] == "stokesqp"
+                    and any(part.startswith("_") for part in m.split("."))]
+    return private
+
+
+@pytest.mark.parametrize("demo", sorted(p.stem for p in DEMOS.glob("*.py")))
+def test_every_demo_import_is_used(demo):
+    assert _unused_imports(DEMOS / f"{demo}.py") == []
+
+
+@pytest.mark.parametrize("demo", sorted(p.stem for p in DEMOS.glob("*.py")))
+def test_demos_import_only_public_names(demo):
+    assert _private_imports(DEMOS / f"{demo}.py") == []
+
+
+def test_private_import_is_caught(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("import stokesqp._x\nfrom stokesqp import build_grid\n"
+                      "from stokesqp.stokes import _sine_basis, MacGrid\n"
+                      "from numpy import _core\n", encoding="ascii")
+    assert _private_imports(source) == ["stokesqp._x",
+                                        "stokesqp.stokes._sine_basis"]
 
 
 def test_kept_imports_are_still_read_by_the_tracer_test():

@@ -3,6 +3,7 @@ solve formulations, and the discrete inf-sup constant."""
 
 import csv
 import dataclasses
+from collections import Counter
 import re
 import tracemalloc
 
@@ -24,8 +25,7 @@ from stokesqp import (ConvergenceError, ManufacturedCase, QpProblem,
 from stokesqp import stokes
 from stokesqp.qp import schur_complement_solve
 from stokesqp.solvers import conjugate_gradient, factorized
-from stokesqp.stokes import (_cosine_basis, _mac_pressure_solve,
-                             _mac_velocity_solve, _pressure_mass, _sine_basis)
+from stokesqp.stokes import _cosine_basis, _pressure_mass, _sine_basis
 
 # frozen first-run baselines for the taylor_green coupled solve (regression
 # guards; the convergence study re-derives their h^2 trend independently)
@@ -645,7 +645,7 @@ def test_closed_form_bases_diagonalize_the_stencils(k):
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 64])
 def test_mac_velocity_solve_matches_sparse_lu(n):
     grid = build_grid(n)
-    solve = _mac_velocity_solve(grid)
+    solve = assemble_operators(grid).A.solve
     oracle = factorized(_oracle_operators(n)[0])
     r = np.random.default_rng(n).standard_normal(grid.n_velocity)
     x, ref = solve(r), oracle(r)
@@ -658,7 +658,7 @@ def test_mac_pressure_solve_is_the_zero_mean_pseudo_inverse(n):
     grid = build_grid(n)
     b = _kronecker_operators(n)[1]
     q = b @ np.random.default_rng(n).standard_normal(grid.n_velocity)
-    p = _mac_pressure_solve(grid)(q)
+    p = assemble_operators(grid).B.normal_solve(q)
     assert np.linalg.norm(b @ (b.T @ p) - q) <= 1e-12 * np.linalg.norm(q)
     assert abs(p.mean()) <= 1e-14 * np.abs(p).max()
 
@@ -721,16 +721,44 @@ def test_stokes_routes_factor_nothing(monkeypatch):
     estimate_infsup_stokes(grid)
 
 
-def test_infsup_assembles_no_viscous_operator(monkeypatch):
+def test_infsup_applies_no_viscous_stencil(monkeypatch):
     # the estimate needs A only through its fast solve, so not even A's
-    # stencil is built
-    def no_viscous_operator(*args, **kwargs):
-        raise AssertionError("viscous operator built")
+    # stencil is applied
+    def no_viscous_stencil(self, x):
+        raise AssertionError("viscous stencil applied")
 
-    monkeypatch.setattr(stokes, "ViscousOperator", no_viscous_operator)
+    monkeypatch.setattr(stokes.ViscousOperator, "apply", no_viscous_stencil)
     # the n=8 value acceptance criterion 8 freezes
     assert estimate_infsup_stokes(build_grid(8)).beta == \
         pytest.approx(0.5565585975735114, abs=1e-9)
+
+
+def test_each_route_builds_each_eigenbasis_once(monkeypatch):
+    # the operators keep their bases: the minimization route's projector
+    # and its pressure recovery share one cosine basis, and (B B.T)^+ is
+    # built only where it is used
+    built = Counter()
+
+    def counted(name):
+        basis = getattr(stokes, name)
+
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return basis(*args, **kwargs)
+        return wrapper
+
+    for name in ("_sine_basis", "_cosine_basis"):
+        monkeypatch.setattr(stokes, name, counted(name))
+
+    def bases_built(route, *args):
+        built.clear()
+        route(*args)
+        return built["_sine_basis"], built["_cosine_basis"]
+
+    grid, case = build_grid(8), manufactured_case("taylor_green")
+    assert bases_built(solve_stokes_minimization, grid, case) == (2, 1)
+    assert bases_built(solve_stokes_coupled, grid, case) == (2, 0)
+    assert bases_built(estimate_infsup_stokes, grid) == (2, 0)
 
 
 # -- error norms and convergence -------------------------------------------
@@ -884,7 +912,7 @@ def _multiplier_ratio(grid, beta, b, p):
     the A-projection of A^-1 b onto Ker B."""
     mass = _pressure_mass(grid)
     return beta * np.sqrt(p @ (mass * p)) / \
-        np.sqrt(b @ _mac_velocity_solve(grid)(b))
+        np.sqrt(b @ assemble_operators(grid).A.solve(b))
 
 
 @pytest.mark.parametrize("case_id", ["taylor_green", "polynomial"])
@@ -905,10 +933,10 @@ def test_infsup_bound_is_attained_by_the_attaining_pressure(n):
     # b = B.T q for the attaining q: u = 0, p = -q, and |b|_A^-1 = beta
     grid = build_grid(n)
     est = estimate_infsup_stokes(grid)
-    div = assemble_operators(grid).B
-    b = div.apply_transpose(est.attaining_q)
-    _, p, _ = schur_complement_solve(div, _mac_velocity_solve(grid), b, 0.0,
-                                     1e-12, kernel=np.ones(grid.n_pressure))
+    ops = assemble_operators(grid)
+    b = ops.B.apply_transpose(est.attaining_q)
+    _, p, _ = schur_complement_solve(ops.B, ops.A.solve, b, 0.0, 1e-12,
+                                     kernel=np.ones(grid.n_pressure))
     ratio = _multiplier_ratio(grid, est.beta, b, p - p.mean())
     assert ratio == pytest.approx(1.0, abs=1e-10)
 
@@ -916,9 +944,9 @@ def test_infsup_bound_is_attained_by_the_attaining_pressure(n):
 def _divergence_source_solve(grid, b, g):
     """(u, p) minimizing the viscous energy with load b subject to B u = g,
     by the coupled route with d = g; a zero-mean g leaves p zero-mean."""
-    div = assemble_operators(grid).B
-    u, p, _ = schur_complement_solve(div, _mac_velocity_solve(grid), b, g,
-                                     1e-12, kernel=np.ones(grid.n_pressure))
+    ops = assemble_operators(grid)
+    u, p, _ = schur_complement_solve(ops.B, ops.A.solve, b, g, 1e-12,
+                                     kernel=np.ones(grid.n_pressure))
     return u, p
 
 
@@ -955,7 +983,7 @@ def test_pressure_is_the_sensitivity_of_the_optimal_energy(n, case_id):
 def _brezzi_ratio(grid, beta, b, g, p):
     """|p|_Mp over the Brezzi bound |b|_A^-1 / beta + |g|_Mp^-1 / beta^2."""
     mass = _pressure_mass(grid)
-    bound = (np.sqrt(b @ _mac_velocity_solve(grid)(b)) / beta
+    bound = (np.sqrt(b @ assemble_operators(grid).A.solve(b)) / beta
              + np.sqrt(g @ (g / mass)) / beta ** 2)
     return np.sqrt(p @ (mass * p)) / bound
 
