@@ -8,15 +8,18 @@ on the Stokes side fast diagonalization); all return the primal point
 together with the unique multiplier vector satisfying  A x - b = C.T lam,
 checked by one residual contract (``checked_solution``).  A and C are each
 factored once, by the test of their hypothesis: A's L D L.T factor is the
-A-solve, and C's SVD splits the primal space into Ker C and range(C.T), and
-gives the minimum-norm feasible point, the multiplier, the optimality
-certificate and the kernel basis.  A failed solve raises where it is
-decided: CG's non-convergence in ``conjugate_gradient``, a broken residual
-contract in ``checked_solution``.  The inf-sup constant governing multiplier
-uniqueness can be estimated for a QpProblem, whose tests it trusts, from
-either of its two equivalent variational forms.  Both hypotheses on A are
-decided exactly, once, when a QpProblem is built: symmetry by
-``SparseOperator``'s measurement, definiteness by ``assert_positive_definite``.
+A-solve, and C's SVD splits the primal space into Ker C and range(C.T).
+Only five ``QpProblem`` members read the SVD or build on the factors:
+``min_norm_point()``, ``least_squares_multiplier(g)``,
+``kernel_component(g)``, ``kernel_basis`` and ``schur`` (S = C A^-1 C.T),
+the last two built at most once per problem.  A failed solve raises where
+it is decided: CG's non-convergence in ``conjugate_gradient``, a broken
+residual contract in ``checked_solution``.
+The inf-sup constant governing multiplier uniqueness can be estimated for a
+QpProblem, whose tests it trusts, from either of its two equivalent
+variational forms.  Both hypotheses on A are decided exactly, once, when a
+QpProblem is built: symmetry by ``SparseOperator``'s measurement,
+definiteness by ``assert_positive_definite``.
 
 The three kernels the Stokes routes share (``checked_solution``,
 ``schur_complement`` and ``schur_complement_solve``) read their operators
@@ -29,6 +32,7 @@ hold ``SparseOperator`` and read its CSR matrix.
 
 import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +64,8 @@ class QpProblem:
     svd : (u, s, vh), the rank test's economy SVD of C (computed, not given)
     a_solve : solve of the definiteness test's L D L.T factor of A (computed)
 
-    ``with_rhs`` gives the same (A, C) with new data (b, d), sharing both
-    factors instead of computing them again.
+    ``with_rhs`` gives the same (A, C) with new data (b, d), sharing all that
+    is built from them instead of computing it again.
     """
 
     A: SparseOperator
@@ -94,11 +98,37 @@ class QpProblem:
 
     def with_rhs(self, b, d):
         """This problem with (b, d) in place of its own, validated as at
-        construction; A, C, ``svd`` and ``a_solve`` are shared, so neither
-        matrix is factored again."""
+        construction, sharing A, C, both factors and whichever of
+        ``kernel_basis`` and ``schur`` is built; nothing is factored again."""
         problem = copy.copy(self)
         problem._set_rhs(b, d)
         return problem
+
+    def min_norm_point(self):
+        """Minimum-norm solution vh.T diag(1/s) u.T d of C x = d."""
+        u, s, vh = self.svd
+        return vh.T @ ((u.T @ self.d) / s)
+
+    def least_squares_multiplier(self, g):
+        """lam = u diag(1/s) vh g, least-squares solution of C.T lam = g."""
+        u, s, vh = self.svd
+        return u @ ((vh @ g) / s)
+
+    def kernel_component(self, g):
+        """g - vh.T (vh g), the orthogonal projection of g onto Ker C."""
+        vh = self.svd[2]
+        return g - vh.T @ (vh @ g)
+
+    @cached_property
+    def kernel_basis(self):
+        """Orthonormal basis of Ker C (``solvers.kernel_basis``); read-only."""
+        return _read_only(kernel_basis(self.svd[2]))
+
+    @cached_property
+    def schur(self):
+        """Dense S = C A^-1 C.T, one A-solve of the block C.T; read-only."""
+        c = self.C.csr
+        return _read_only(c @ self.a_solve(c.T @ np.eye(self.n_constraints)))
 
     @property
     def n_primal(self):
@@ -107,6 +137,11 @@ class QpProblem:
     @property
     def n_constraints(self):
         return self.C.nrows
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -221,12 +256,6 @@ def solve_kkt_direct(problem, tol=DEFAULT_TOL):
                             multiplier, "direct", tol, report)
 
 
-def _min_norm_particular(problem):
-    """Minimum-norm solution vh.T diag(1/s) u.T d of C x = d."""
-    u, s, vh = problem.svd
-    return vh.T @ ((u.T @ problem.d) / s)
-
-
 def solve_nullspace(problem, tol=DEFAULT_TOL):
     """Reduce to the constraint kernel, minimize there, then recover lam.
 
@@ -234,8 +263,8 @@ def solve_nullspace(problem, tol=DEFAULT_TOL):
     turn the problem into the SPD system (Z.T A Z) y = Z.T (b - A x0); lam is
     fitted to the gradient there and certified once, by ``checked_solution``.
     """
-    z = kernel_basis(problem.svd[2])
-    x0 = _min_norm_particular(problem)
+    z = problem.kernel_basis
+    x0 = problem.min_norm_point()
     reduced = z.T @ (problem.A.csr @ z)
     rhs = z.T @ (problem.b - problem.A.apply(x0))
     try:
@@ -244,7 +273,7 @@ def solve_nullspace(problem, tol=DEFAULT_TOL):
         raise SingularSystemError(
             f"reduced system singular: {_NOT_DEFINITE_ON_KERNEL}") from exc
     x = x0 + z @ y
-    multiplier = _least_squares_multiplier(problem, gradient(problem, x))
+    multiplier = problem.least_squares_multiplier(gradient(problem, x))
     return checked_solution(problem.A, problem.C, problem.b, problem.d, x,
                             multiplier, "nullspace", tol)
 
@@ -299,26 +328,24 @@ def check_optimality(problem, x, tol=DEFAULT_TOL):
 
     Both norms are compared against ``tol * residual_scale(problem, x)``,
     the scale of the residual contracts.  The projected gradient is
-    g - vh.T (vh g) by the SVD of C (``problem.svd``), with g = A x - b;
-    without constraints the test reduces to
-    ||A x - b|| <= that bound.
+    ``problem.kernel_component(g)``, with g = A x - b; without constraints
+    the test reduces to ||A x - b|| <= that bound.
     """
     x = as_vector(x, length=problem.n_primal, name="x")
     g = gradient(problem, x)
-    vh = problem.svd[2]
     feas = float(np.linalg.norm(problem.C.apply(x) - problem.d))
-    pg = float(np.linalg.norm(g - vh.T @ (vh @ g)))
+    pg = float(np.linalg.norm(problem.kernel_component(g)))
     bound = tol * residual_scale(problem, x)
     return OptimalityReport(pg, feas, pg <= bound and feas <= bound)
 
 
 def recover_multiplier(problem, x, tol=DEFAULT_TOL):
-    """Least-squares solution lam = u diag(1/s) vh g of C.T lam = A x - b = g.
+    """Least-squares solution lam of C.T lam = A x - b = g.
 
     x must pass check_optimality at ``tol``, else MultiplierConsistencyError
     is raised: x is not a constrained minimizer.  That test also bounds the
-    residual of the fit, since C.T lam - g = vh.T (vh g) - g is the negated
-    projected gradient it checks.
+    residual of the fit, since C.T lam - g is the negated projected gradient
+    it checks.
     """
     x = as_vector(x, length=problem.n_primal, name="x")
     report = check_optimality(problem, x, tol)
@@ -327,13 +354,7 @@ def recover_multiplier(problem, x, tol=DEFAULT_TOL):
             f"point is not a constrained minimizer at tol {tol:g}: projected "
             f"gradient {report.projected_gradient_norm:.3e}, "
             f"feasibility {report.feasibility_norm:.3e}")
-    return _least_squares_multiplier(problem, gradient(problem, x))
-
-
-def _least_squares_multiplier(problem, g):
-    """lam = u diag(1/s) vh g, the least-squares solution of C.T lam = g."""
-    u, s, vh = problem.svd
-    return u @ ((vh @ g) / s)
+    return problem.least_squares_multiplier(gradient(problem, x))
 
 
 def estimate_infsup(problem, Mq, form="dual_form"):
@@ -348,21 +369,18 @@ def estimate_infsup(problem, Mq, form="dual_form"):
                  as the pencil (S Mq^-1 S, S) with S = C A^-1 C.T.
 
     Both forms agree up to eigensolver tolerance (the classical equivalence
-    of the two variational characterizations).  The attaining vector is
-    returned Mq-normalized in multiplier space for either form.
+    of the two variational characterizations), and both read the one dense S,
+    ``problem.schur``.  The attaining vector is returned Mq-normalized in
+    multiplier space for either form.
 
     beta is defined only when A is a norm.  Building ``problem`` proved A
     positive definite and C of full row rank, so S is positive definite.
     """
     if form not in ("dual_form", "primal_form"):
         raise ValueError(f"unknown form {form!r}")
-    m = problem.n_constraints
-    if m == 0:
+    if problem.n_constraints == 0:
         raise ValueError("inf-sup constant of an empty constraint set")
-    # every column of S = C A^-1 C.T at once: the LU solve takes an (N, m)
-    # block
-    c = problem.C.csr
-    s = c @ problem.a_solve(c.T @ np.eye(m))
+    s = problem.schur
     if form == "dual_form":
         lam, q = smallest_generalized_eigenpair(s, Mq)
     else:

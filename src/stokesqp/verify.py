@@ -19,7 +19,6 @@ from .qp import (MultiplierConsistencyError, QpProblem, check_optimality,
                  estimate_infsup, gradient, objective, recover_multiplier,
                  residual_scale, solve_kkt_direct, solve_nullspace,
                  solve_schur)
-from .solvers import kernel_basis
 from .sparse import SparseOperator
 
 
@@ -121,7 +120,7 @@ def run_property_suite(seed, corrupt=False):
                    np.linalg.norm(r) / residual_scale(problem, s.x))
         x, lam = outs[0].x, outs[0].multiplier
         # no feasible move away from the solver's point lowers the objective
-        z = kernel_basis(problem.svd[2])
+        z = problem.kernel_basis
         scale, j0 = residual_scale(problem, x), objective(problem, x)
         for r in rng.standard_normal((z.shape[1], 50)).T:
             record("lemma_reverse_no_feasible_descent",

@@ -79,7 +79,6 @@ def test_qp_solve_a_not_definite_on_kernel_is_solver_failure(tmp_path, capsys,
                                                              method):
     # A = diag(1, ..., 1, 0) is singular on Ker C = span(e2, ..., eN); the
     # message names the failed hypothesis at every size, also past N = 2000
-    # where a singular direction is no longer diagnosed densely
     for n in (3, 2001):
         problem = tmp_path / f"prob{n}"
         problem.mkdir()

@@ -1,6 +1,7 @@
 """Import hygiene: every name a package module or demo imports is used
 there, every name the package exports exists, and the demos use only the
-package's public names.
+package's public names.  The layout of the constraint SVD has one reader,
+``qp.py``.
 
 No linter is part of the toolchain, so this reads each file's syntax tree:
 a name bound by an import must be read somewhere in the file or be listed
@@ -24,8 +25,7 @@ TRACER_TEST = ROOT / "bench" / "tests" / "test_bench_spans.py"
 KEPT_FOR_TRACER = {"stokes": ["recover_multiplier", "splu"]}
 
 
-def _unused_imports(path):
-    tree = ast.parse(path.read_text(encoding="ascii"))
+def _imported_names(tree):
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -34,6 +34,12 @@ def _unused_imports(path):
         elif isinstance(node, ast.ImportFrom):
             imported.update(alias.asname or alias.name
                             for alias in node.names)
+    return imported
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="ascii"))
+    imported = _imported_names(tree)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     exported = set()
     for node in tree.body:
@@ -103,6 +109,39 @@ def test_unused_import_is_caught(tmp_path):
                       "from dataclasses import dataclass, field\n"
                       "__all__ = ['field']\nnp.zeros(1)\n", encoding="ascii")
     assert _unused_imports(source) == ["dataclass", "json"]
+
+
+def _svd_reads(path):
+    """Lines where a file reads an attribute named ``svd`` of a value; one
+    of an imported module (``scipy.linalg.svd``) is a function, not read."""
+    tree = ast.parse(path.read_text(encoding="ascii"))
+    modules = _imported_names(tree)
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "svd":
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in modules):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_qp_reads_the_constraint_svd():
+    # QpProblem's members are the SVD's readers; a second reader would
+    # split its layout again
+    files = ([p for p in sorted(PACKAGE.glob("*.py")) if p.name != "qp.py"]
+             + sorted(DEMOS.glob("*.py")))
+    assert {p.name: _svd_reads(p) for p in files if _svd_reads(p)} == {}
+
+
+def test_svd_read_is_caught(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("import numpy as np\nimport scipy.linalg as sla\n"
+                      "z = problem.svd[2]\nu = sla.svd(a)\n"
+                      "w = np.linalg.svd(a)\nv = self.C.svd\n",
+                      encoding="ascii")
+    assert _svd_reads(source) == [3, 6]
 
 
 def test_every_exported_name_resolves():

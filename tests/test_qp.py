@@ -172,9 +172,12 @@ def test_problem_rejects_wrong_lengths():
 
 def test_with_rhs_shares_the_factors_and_validates_the_data():
     p = _problem(4.0 * np.eye(3), np.ones(3), [[1.0, 2.0, 0.0]], d=[1.0])
+    z, s = p.kernel_basis, p.schur
+    assert not z.flags.writeable and not s.flags.writeable
     q = p.with_rhs([1.0, 2.0, 3.0], [2.0])
     assert q.A is p.A and q.C is p.C
     assert q.svd is p.svd and q.a_solve is p.a_solve
+    assert q.kernel_basis is z and q.schur is s
     assert np.array_equal(q.b, [1.0, 2.0, 3.0]) and np.array_equal(q.d, [2.0])
     assert np.array_equal(p.b, np.ones(3)) and np.array_equal(p.d, [1.0])
     fresh = QpProblem(p.A, q.b, p.C, q.d)
@@ -411,8 +414,7 @@ def test_nullspace_certifies_once(monkeypatch):
     monkeypatch.setattr(qp, "check_optimality", no_gate)
     solution = solve_nullspace(p, 1e-10)
     assert np.array_equal(solution.multiplier,
-                          qp._least_squares_multiplier(
-                              p, gradient(p, solution.x)))
+                          p.least_squares_multiplier(gradient(p, solution.x)))
     with pytest.raises(ConvergenceError, match="nullspace solve violated"):
         solve_nullspace(p, 1e-20)
 
@@ -444,9 +446,11 @@ def test_rank_test_svd_is_the_only_factorization_of_c(monkeypatch):
         estimate_infsup(p, SparseOperator.identity(8), form)
     assert calls == []
     # the null-space route adds only its kernel basis, a QR of the SVD's
-    # row factor
+    # row factor, built once per problem
     solve_nullspace(p)
-    assert len(calls) <= 1
+    assert calls == ["qr"]
+    solve_nullspace(p)
+    assert calls == ["qr"]
 
 
 # -- one factorization of A -----------------------------------------------
@@ -471,6 +475,23 @@ def test_definiteness_factor_is_the_only_factorization_of_a(monkeypatch):
     # the direct route factors the KKT matrix, not A
     solve_kkt_direct(p)
     assert sizes == [30, 38]
+
+
+def test_both_infsup_forms_share_one_block_a_solve():
+    # S = C A^-1 C.T is one solve of the (N, M) block C.T, made once per
+    # problem; the forms differ only in the pencil they build from it
+    p = _random_instance(np.random.default_rng(25), n=30, m=8)
+    blocks = []
+
+    def counted(rhs, _original=p.a_solve):
+        if np.ndim(rhs) == 2:
+            blocks.append(np.shape(rhs))
+        return _original(rhs)
+
+    object.__setattr__(p, "a_solve", counted)
+    for form in ("dual_form", "primal_form", "dual_form"):
+        estimate_infsup(p, SparseOperator.identity(8), form)
+    assert blocks == [(30, 8)]
 
 
 def test_constraint_svd_memory_is_order_m_n():

@@ -73,8 +73,10 @@ def test_homogeneity_properties_factor_nothing_again(monkeypatch):
     # 20 instances and 5 inf-sup pairs: one SVD of C each, and one L D L.T
     # of A each plus the direct solve's LU of the KKT matrix for the 20;
     # the 10 rescaled and shifted problems share their instance's factors,
-    # so they add only the 10 KKT LUs of their direct solves
-    calls = {"svd": 0, "splu": 0}
+    # so they add only the 10 KKT LUs of their direct solves; each of the 20
+    # builds its kernel basis (one QR) once, shared by the null-space solve
+    # and the no-feasible-descent property
+    calls = {"svd": 0, "splu": 0, "qr": 0}
 
     def counted(name, original):
         def call(*args, **kwargs):
@@ -84,5 +86,6 @@ def test_homogeneity_properties_factor_nothing_again(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "svd", counted("svd", scipy.linalg.svd))
     monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+    monkeypatch.setattr(scipy.linalg, "qr", counted("qr", scipy.linalg.qr))
     assert all(r.passed for r in run_property_suite(1))
-    assert calls == {"svd": 25, "splu": 55}
+    assert calls == {"svd": 25, "splu": 55, "qr": 20}
