@@ -10,36 +10,30 @@ that d stays in range(B), whose complement is the constant.  J* is quadratic
 in d, so the central difference (J*(eps g) - J*(-eps g)) / (2 eps) equals
 p.g = p_k - mean(p) up to rounding, and p has zero mean.
 
-Every solve runs through the QP core's Schur-complement kernel
-(``schur_complement_solve``) with d != 0: B and B.T as stencils on the grid,
-each A-solve by fast diagonalization (``A.solve``), no matrix assembled or
-factored.
+Every solve is the QP core's Schur route (``solve_schur``) on the Stokes
+problem with d != 0 (``stokes_problem(...).with_rhs``): B and B.T as
+stencils on the grid, each A-solve by fast diagonalization, no matrix
+assembled or factored.
 """
 
 import numpy as np
 
-from stokesqp import (assemble_operators, build_grid, manufactured_case,
-                      sample_forcing)
-from stokesqp.qp import schur_complement_solve
+from stokesqp import build_grid, manufactured_case, solve_schur, stokes_problem
 
 n = 16
 grid = build_grid(n)
-case = manufactured_case("taylor_green")
-ops = assemble_operators(grid)
-b = sample_forcing(grid, case)
-constant = np.ones(grid.n_pressure)
+problem = stokes_problem(grid, manufactured_case("taylor_green"))
 
 
 def solve(d):
     """Velocity and zero-mean pressure of the flow with mass source d."""
-    u, p, _ = schur_complement_solve(ops.B, ops.A.solve, b, d, 1e-12,
-                                     kernel=constant)
-    return u, p - p.mean()
+    saddle = solve_schur(problem.with_rhs(problem.b, d), 1e-12)
+    return saddle.x, saddle.multiplier
 
 
 def optimal_energy(d):
     u, _ = solve(d)
-    return 0.5 * u @ ops.A.apply(u) - b @ u
+    return 0.5 * u @ problem.A.apply(u) - problem.b @ u
 
 
 _, p = solve(np.zeros(grid.n_pressure))
@@ -50,7 +44,7 @@ print(f"{'cell (i, j)':>12s} {'dJ*/d(eps)':>14s} {'p.g':>14s} "
       f"{'difference':>11s}")
 for i, j in ((0, 0), (0, n // 2), (n // 4, n // 4), (n // 2, n - 1),
              (n - 1, n - 1)):
-    g = -constant / grid.n_pressure
+    g = np.full(grid.n_pressure, -1.0 / grid.n_pressure)
     g[i * n + j] += 1.0
     slope = (optimal_energy(eps * g) - optimal_energy(-eps * g)) / (2 * eps)
     price = p @ g

@@ -11,12 +11,13 @@ from .qp import (InfSupEstimate, MultiplierConsistencyError, OptimalityReport,
                  QpProblem, SaddleSolution, assemble_kkt, check_optimality,
                  estimate_infsup, gradient, load_problem, objective,
                  recover_multiplier, residual_scale, save_solution,
-                 solve_kkt_direct, solve_nullspace, solve_schur)
+                 solve_kkt_direct, solve_nullspace, solve_projected_cg,
+                 solve_schur)
 from .stokes import (MacGrid, ManufacturedCase, StokesOperators,
                      assemble_operators, build_grid, divergence_free_projector,
                      error_norms, estimate_infsup_stokes, manufactured_case,
                      sample_forcing, solve_stokes_coupled,
-                     solve_stokes_minimization, write_fields_csv)
+                     solve_stokes_minimization, stokes_problem, write_fields_csv)
 
 __version__ = "0.1.0"
 
@@ -30,12 +31,11 @@ __all__ = [
     "InfSupEstimate", "MultiplierConsistencyError", "OptimalityReport",
     "QpProblem", "SaddleSolution", "assemble_kkt", "check_optimality",
     "estimate_infsup", "gradient", "load_problem", "objective",
-    "recover_multiplier",
-    "residual_scale", "save_solution", "solve_kkt_direct",
-    "solve_nullspace", "solve_schur",
+    "recover_multiplier", "residual_scale", "save_solution",
+    "solve_kkt_direct", "solve_nullspace", "solve_projected_cg", "solve_schur",
     "MacGrid", "ManufacturedCase", "StokesOperators", "assemble_operators",
     "build_grid", "divergence_free_projector", "error_norms",
     "estimate_infsup_stokes", "manufactured_case", "sample_forcing",
-    "solve_stokes_coupled", "solve_stokes_minimization", "write_fields_csv",
-    "__version__",
+    "solve_stokes_coupled", "solve_stokes_minimization", "stokes_problem",
+    "write_fields_csv", "__version__",
 ]

@@ -1,33 +1,30 @@
 """Equality-constrained quadratic programming with multiplier recovery.
 
 The problem is  min (1/2) x.T A x - b.T x  subject to  C x = d,  with A
-symmetric positive definite and C of full row rank.  Three solve routes are
-provided (direct saddle factorization, null-space reduction, and CG on the
-Schur complement, with the caller's exact A-solve: here the problem's own,
-on the Stokes side fast diagonalization); all return the primal point
-together with the unique multiplier vector satisfying  A x - b = C.T lam,
-checked by one residual contract (``checked_solution``).  A and C are each
-factored once, by the test of their hypothesis: A's L D L.T factor is the
-A-solve, and C's SVD splits the primal space into Ker C and range(C.T).
-Only five ``QpProblem`` members read the SVD or build on the factors:
-``min_norm_point()``, ``least_squares_multiplier(g)``,
-``kernel_component(g)``, ``kernel_basis`` and ``schur`` (S = C A^-1 C.T),
-the last two built at most once per problem.  A failed solve raises where
-it is decided: CG's non-convergence in ``conjugate_gradient``, a broken
-residual contract in ``checked_solution``.
-The inf-sup constant governing multiplier uniqueness can be estimated for a
-QpProblem, whose tests it trusts, from either of its two equivalent
-variational forms.  Both hypotheses on A are decided exactly, once, when a
-QpProblem is built: symmetry by ``SparseOperator``'s measurement,
-definiteness by ``assert_positive_definite``.
+symmetric positive definite and C of full row rank up to a known kernel of
+C.T.  A ``QpProblem`` holds one factor of each operator: the A-factor
+``a_solve`` (A^-1 as a callable) and the C-factor ``constraint``, whose
+five members split the spaces of C: ``kernel`` (a vector spanning Ker C.T,
+or None), ``min_norm_point(d)``, ``least_squares_multiplier(g)``,
+``kernel_component(g)`` (the orthogonal projection onto Ker C) and
+``range_component(lam)`` (lam's component orthogonal to ``kernel``).  For
+two ``SparseOperator``s the factors are the proofs of the hypotheses, made
+when the problem is built: A's L D L.T pivots, C's SVD (``SvdFactor``).
+Operators that carry their own proofs, as the MAC stencils of ``stokes``
+do, supply them: ``A.solve``, and C itself.
 
-The three kernels the Stokes routes share (``checked_solution``,
-``schur_complement`` and ``schur_complement_solve``) read their operators
-only through a protocol: C through ``apply(x)`` and ``apply_transpose(y)``,
-A through ``apply(x)`` and ``frobenius_norm()``, each action on 1-D vectors.
-A ``SparseOperator`` meets it, and so do the stencil operators of the MAC
-grid, which are never assembled.  ``QpProblem`` and the routes built on it
-hold ``SparseOperator`` and read its CSR matrix.
+Four routes return the primal point with the multiplier satisfying
+A x - b = C.T lam,  checked by one residual contract (``checked_solution``):
+direct saddle factorization and null-space reduction, which build dense or
+assembled blocks (``SparseOperator`` problems only), and CG on the Schur
+complement C A^-1 C.T (``solve_schur``) and preconditioned projected CG over
+Ker C (``solve_projected_cg``), which read only the factors and the actions
+``apply``, ``apply_transpose`` and ``frobenius_norm``, and so solve the
+Stokes problem too.  A failed solve raises where it is decided: CG's
+non-convergence in ``conjugate_gradient``, a broken residual contract in
+``checked_solution``.  The inf-sup constant governing multiplier uniqueness
+is estimated for a ``SparseOperator`` problem, whose tests it trusts, from
+either of its two equivalent variational forms (``estimate_infsup``).
 """
 
 import copy
@@ -53,42 +50,77 @@ class MultiplierConsistencyError(RuntimeError):
     constraints, i.e. the point is not a constrained minimizer."""
 
 
+class SvdFactor:
+    """The constraint factor of a full-row-rank C from its economy SVD
+    (u, s, vh): the rows of vh span range(C.T), and Ker C.T = {0}."""
+
+    kernel = None
+
+    def __init__(self, svd):
+        self.u, self.s, self.vh = svd
+
+    def min_norm_point(self, d):
+        """Minimum-norm solution vh.T diag(1/s) u.T d of C x = d."""
+        return self.vh.T @ ((self.u.T @ d) / self.s)
+
+    def least_squares_multiplier(self, g):
+        """lam = u diag(1/s) vh g, least-squares solution of C.T lam = g."""
+        return self.u @ ((self.vh @ g) / self.s)
+
+    def kernel_component(self, g):
+        """g - vh.T (vh g), the orthogonal projection of g onto Ker C."""
+        return g - self.vh.T @ (self.vh @ g)
+
+    @staticmethod
+    def range_component(lam):
+        return lam
+
+
 @dataclass(frozen=True)
 class QpProblem:
-    """The quadruple (A, b, C, d).
+    """The quadruple (A, b, C, d), with the A-factor and the C-factor.
 
-    A : SparseOperator, N x N, measured symmetric, proven positive definite
+    A : N x N, symmetric positive definite
     b : ndarray, length N
-    C : SparseOperator, M x N with M < N and full row rank
+    C : M x N, of rank M < N, or M - 1 < N if ``constraint.kernel`` is given
     d : ndarray, length M (d = 0 is the homogeneous-subspace case)
-    svd : (u, s, vh), the rank test's economy SVD of C (computed, not given)
-    a_solve : solve of the definiteness test's L D L.T factor of A (computed)
+    a_solve : A^-1 as a callable (computed)
+    constraint : the C-factor (computed; see the module docstring)
+
+    A and C are two ``SparseOperator``s, A measured symmetric and both
+    proven here (``assert_positive_definite`` gives ``a_solve``, and
+    ``assert_full_row_rank`` the SVD of ``SvdFactor``), or two operators
+    that carry their own proofs: ``A.solve`` and C itself.  Else TypeError.
 
     ``with_rhs`` gives the same (A, C) with new data (b, d), sharing all that
     is built from them instead of computing it again.
     """
 
-    A: SparseOperator
+    A: object
     b: np.ndarray
-    C: SparseOperator
+    C: object
     d: np.ndarray
-    svd: tuple = field(init=False, repr=False, compare=False)
+    constraint: object = field(init=False, repr=False, compare=False)
     a_solve: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A, C = self.A, self.C
-        if not isinstance(A, SparseOperator) or not isinstance(C, SparseOperator):
-            raise TypeError("A and C must be SparseOperator instances")
-        if not A.symmetric:
+        sparse = all(isinstance(op, SparseOperator) for op in (A, C))
+        if not (sparse or hasattr(A, "solve") and hasattr(C, "kernel")):
+            raise TypeError("A and C must be SparseOperator instances, or "
+                            "carry their own factors (A.solve and C's)")
+        if sparse and not A.symmetric:
             raise ValueError("A must be symmetric")
-        n, m = A.nrows, C.nrows
-        if C.ncols != n:
-            raise ValueError(f"C has {C.ncols} columns, expected {n}")
-        if m >= n:
+        (n, _), (m, ncols) = A.shape, C.shape
+        if ncols != n:
+            raise ValueError(f"C has {ncols} columns, expected {n}")
+        if sparse and m >= n:           # stencils prove their own rank
             raise ValueError(f"need M < N, got M={m}, N={n}")
         self._set_rhs(self.b, self.d)
-        object.__setattr__(self, "a_solve", assert_positive_definite(A))
-        object.__setattr__(self, "svd", assert_full_row_rank(C))
+        object.__setattr__(self, "a_solve", assert_positive_definite(A)
+                           if sparse else A.solve)
+        object.__setattr__(self, "constraint", SvdFactor(
+            assert_full_row_rank(C)) if sparse else C)
 
     def _set_rhs(self, b, d):
         object.__setattr__(self, "b", as_vector(b, length=self.n_primal,
@@ -105,38 +137,30 @@ class QpProblem:
         return problem
 
     def min_norm_point(self):
-        """Minimum-norm solution vh.T diag(1/s) u.T d of C x = d."""
-        u, s, vh = self.svd
-        return vh.T @ ((u.T @ self.d) / s)
-
-    def least_squares_multiplier(self, g):
-        """lam = u diag(1/s) vh g, least-squares solution of C.T lam = g."""
-        u, s, vh = self.svd
-        return u @ ((vh @ g) / s)
-
-    def kernel_component(self, g):
-        """g - vh.T (vh g), the orthogonal projection of g onto Ker C."""
-        vh = self.svd[2]
-        return g - vh.T @ (vh @ g)
+        """Minimum-norm solution of C x = d."""
+        return self.constraint.min_norm_point(self.d)
 
     @cached_property
     def kernel_basis(self):
-        """Orthonormal basis of Ker C (``solvers.kernel_basis``); read-only."""
-        return _read_only(kernel_basis(self.svd[2]))
+        """Orthonormal basis of Ker C (``solvers.kernel_basis``), a copy
+        that holds none of the QR's N x N factor; read-only.  Dense:
+        ``SparseOperator`` problems only."""
+        return _read_only(kernel_basis(self.constraint.vh).copy(order="K"))
 
     @cached_property
     def schur(self):
-        """Dense S = C A^-1 C.T, one A-solve of the block C.T; read-only."""
+        """Dense S = C A^-1 C.T, one A-solve of the block C.T; read-only.
+        Dense: ``SparseOperator`` problems only."""
         c = self.C.csr
         return _read_only(c @ self.a_solve(c.T @ np.eye(self.n_constraints)))
 
     @property
     def n_primal(self):
-        return self.A.nrows
+        return self.A.shape[0]
 
     @property
     def n_constraints(self):
-        return self.C.nrows
+        return self.C.shape[0]
 
 
 def _read_only(array):
@@ -194,13 +218,10 @@ def objective(problem, x):
     return 0.5 * float(x @ problem.A.apply(x)) - float(problem.b @ x)
 
 
-def _scale(A, b, x):
-    return A.frobenius_norm() * np.linalg.norm(x) + np.linalg.norm(b)
-
-
 def residual_scale(problem, x):
     """Normalization ||A||_F ||x|| + ||b|| for residual contracts."""
-    return _scale(problem.A, problem.b, x)
+    A, b = problem.A, problem.b
+    return A.frobenius_norm() * np.linalg.norm(x) + np.linalg.norm(b)
 
 
 def assemble_kkt(problem):
@@ -218,7 +239,7 @@ def assemble_kkt(problem):
     return SparseOperator(block)
 
 
-def checked_solution(A, C, b, d, x, multiplier, method_tag, tol,
+def checked_solution(problem, x, multiplier, method_tag, tol,
                      inner_report=None):
     """Assemble a SaddleSolution for  A x - b = C.T lam,  C x = d  and
     enforce the residual contract: both residual norms at most
@@ -227,11 +248,12 @@ def checked_solution(A, C, b, d, x, multiplier, method_tag, tol,
     Reads A only through ``apply`` and ``frobenius_norm`` and C only through
     ``apply`` and ``apply_transpose``.  Those validate their input, so a
     non-finite multiplier is not passed on: its stationarity is NaN."""
+    A, C, b = problem.A, problem.C, problem.b
     lam = np.asarray(multiplier, dtype=float)
     stat = (np.linalg.norm(A.apply(x) - b - C.apply_transpose(lam))
             if np.isfinite(lam).all() else np.nan)
-    feas = np.linalg.norm(C.apply(x) - d)
-    bound = tol * _scale(A, b, x)
+    feas = np.linalg.norm(C.apply(x) - problem.d)
+    bound = tol * residual_scale(problem, x)
     if not (stat <= bound and feas <= bound):
         raise ConvergenceError(
             f"{method_tag} solve violated the residual contract: "
@@ -246,14 +268,14 @@ _NOT_DEFINITE_ON_KERNEL = "A is not positive definite on Ker C"
 
 
 def solve_kkt_direct(problem, tol=DEFAULT_TOL):
-    """Solve the saddle system by one symmetric factorization."""
+    """Solve the saddle system by one symmetric factorization of the
+    assembled KKT matrix (``SparseOperator`` problems only)."""
     n, m = problem.n_primal, problem.n_constraints
     rhs = np.concatenate([problem.b, problem.d])
     sol, report = symmetric_indefinite_solve(assemble_kkt(problem), rhs)
     x = sol[:n]
     multiplier = -sol[n:n + m]
-    return checked_solution(problem.A, problem.C, problem.b, problem.d, x,
-                            multiplier, "direct", tol, report)
+    return checked_solution(problem, x, multiplier, "direct", tol, report)
 
 
 def solve_nullspace(problem, tol=DEFAULT_TOL):
@@ -262,6 +284,7 @@ def solve_nullspace(problem, tol=DEFAULT_TOL):
     A feasible point x0 (minimum norm) plus an orthonormal kernel basis Z
     turn the problem into the SPD system (Z.T A Z) y = Z.T (b - A x0); lam is
     fitted to the gradient there and certified once, by ``checked_solution``.
+    Dense: ``SparseOperator`` problems only.
     """
     z = problem.kernel_basis
     x0 = problem.min_norm_point()
@@ -273,9 +296,9 @@ def solve_nullspace(problem, tol=DEFAULT_TOL):
         raise SingularSystemError(
             f"reduced system singular: {_NOT_DEFINITE_ON_KERNEL}") from exc
     x = x0 + z @ y
-    multiplier = problem.least_squares_multiplier(gradient(problem, x))
-    return checked_solution(problem.A, problem.C, problem.b, problem.d, x,
-                            multiplier, "nullspace", tol)
+    multiplier = problem.constraint.least_squares_multiplier(
+        gradient(problem, x))
+    return checked_solution(problem, x, multiplier, "nullspace", tol)
 
 
 def schur_complement(C, a_solve, kernel=None):
@@ -296,30 +319,58 @@ def schur_complement(C, a_solve, kernel=None):
     return apply
 
 
-def schur_complement_solve(C, a_solve, b, d, tol, kernel=None):
+def solve_schur(problem, tol=DEFAULT_TOL):
     """Eliminate x from  A x - b = C.T lam,  C x = d  and solve for lam by CG.
 
-    With the exact A-solve ``a_solve``, CG on  (C A^-1 C.T) lam =
+    With the exact A-solve ``problem.a_solve``, CG on  (C A^-1 C.T) lam =
     d - C A^-1 b  applies the Schur complement exactly, and
-    x = A^-1 (b + C.T lam).  C need not have full row rank: a consistent
-    right-hand side keeps CG in range(C) in exact arithmetic.  A known null
-    vector of C.T passed as ``kernel`` is lifted (``schur_complement``), so
-    rounding that leaves range(C) cannot end CG on a zero-curvature
-    direction, and a tol below attainable accuracy ends CG on stagnation
-    (ConvergenceError, raised by ``conjugate_gradient``).  Returns
-    (x, lam, report) with ``report`` from the CG on the Schur complement.
+    x = A^-1 (b + C.T lam).  A kernel of C.T (``constraint.kernel``) needs
+    no border: a consistent right-hand side keeps CG off it in exact
+    arithmetic, and it is lifted off zero (``schur_complement``), so rounding
+    that drifts onto it cannot end CG on a zero-curvature direction; the
+    multiplier returned is its ``constraint.range_component``.  A tol below
+    attainable accuracy ends CG on stagnation (ConvergenceError, raised by
+    ``conjugate_gradient``).  The report is the Schur CG's.
     """
-    lam, report = conjugate_gradient(schur_complement(C, a_solve, kernel),
-                                     d - C.apply(a_solve(b)), tol=tol)
-    return a_solve(b + C.apply_transpose(lam)), lam, report
+    C, a_solve, factor = problem.C, problem.a_solve, problem.constraint
+    lam, report = conjugate_gradient(
+        schur_complement(C, a_solve, factor.kernel),
+        problem.d - C.apply(a_solve(problem.b)), tol=tol)
+    x = a_solve(problem.b + C.apply_transpose(lam))
+    return checked_solution(problem, x, factor.range_component(lam), "schur",
+                            tol, report)
 
 
-def solve_schur(problem, tol=DEFAULT_TOL):
-    """Eliminate x and solve (C A^-1 C.T) lam = d - C A^-1 b by CG, with the
-    problem's A-solve (``schur_complement_solve``)."""
-    A, C, b, d = problem.A, problem.C, problem.b, problem.d
-    x, lam, report = schur_complement_solve(C, problem.a_solve, b, d, tol)
-    return checked_solution(A, C, b, d, x, lam, "schur", tol, report)
+def solve_projected_cg(problem, tol=DEFAULT_TOL):
+    """Minimize J over C x = d by preconditioned projected CG from the
+    minimum-norm feasible point x0, then fit lam to the gradient.
+
+    Ker C is never parametrized: P = ``constraint.kernel_component`` keeps
+    each step in it.  CG runs on the lifted operator P A P + (I - P), which
+    is SPD and equals P A P on Ker C, where the right-hand side P (b - A x0)
+    lies, so rounding that drifts out of Ker C cannot meet the singular part
+    of P A P.  The preconditioner is the constraint preconditioner
+    P A^-1 P + (I - P) (Keller, Gould & Wathen, 2000; Gould, Hribar &
+    Nocedal, 2001), lifted the same way.  It is not spectrally equivalent to
+    (P A P)^-1 on Ker C: on the Stokes problem the count grows with n, but
+    slowly (7, 11, 17 and 25 at n = 16, 32, 64 and 128, tol 1e-12, against
+    about 2n without it).  The report is the CG's.
+    """
+    factor, a_solve = problem.constraint, problem.a_solve
+    project, x0 = factor.kernel_component, problem.min_norm_point()
+
+    def lifted(op):                  # P op P + (I - P)
+        def apply(v):
+            pv = project(v)
+            return project(op(pv)) + (v - pv)
+        return apply
+
+    u, report = conjugate_gradient(
+        lifted(problem.A.apply), project(problem.b - problem.A.apply(x0)),
+        tol=tol, precondition=lifted(a_solve))
+    x = x0 + project(u)              # scrub rounding drift out of Ker C
+    lam = factor.least_squares_multiplier(gradient(problem, x))
+    return checked_solution(problem, x, lam, "projected_cg", tol, report)
 
 
 def check_optimality(problem, x, tol=DEFAULT_TOL):
@@ -328,13 +379,13 @@ def check_optimality(problem, x, tol=DEFAULT_TOL):
 
     Both norms are compared against ``tol * residual_scale(problem, x)``,
     the scale of the residual contracts.  The projected gradient is
-    ``problem.kernel_component(g)``, with g = A x - b; without constraints
-    the test reduces to ||A x - b|| <= that bound.
+    ``constraint.kernel_component(g)``, with g = A x - b; without
+    constraints the test reduces to ||A x - b|| <= that bound.
     """
     x = as_vector(x, length=problem.n_primal, name="x")
     g = gradient(problem, x)
     feas = float(np.linalg.norm(problem.C.apply(x) - problem.d))
-    pg = float(np.linalg.norm(problem.kernel_component(g)))
+    pg = float(np.linalg.norm(problem.constraint.kernel_component(g)))
     bound = tol * residual_scale(problem, x)
     return OptimalityReport(pg, feas, pg <= bound and feas <= bound)
 
@@ -354,7 +405,8 @@ def recover_multiplier(problem, x, tol=DEFAULT_TOL):
             f"point is not a constrained minimizer at tol {tol:g}: projected "
             f"gradient {report.projected_gradient_norm:.3e}, "
             f"feasibility {report.feasibility_norm:.3e}")
-    return problem.least_squares_multiplier(gradient(problem, x))
+    g = gradient(problem, x)
+    return problem.constraint.least_squares_multiplier(g)
 
 
 def estimate_infsup(problem, Mq, form="dual_form"):
@@ -375,6 +427,7 @@ def estimate_infsup(problem, Mq, form="dual_form"):
 
     beta is defined only when A is a norm.  Building ``problem`` proved A
     positive definite and C of full row rank, so S is positive definite.
+    Dense: ``SparseOperator`` problems only.
     """
     if form not in ("dual_form", "primal_form"):
         raise ValueError(f"unknown form {form!r}")

@@ -81,7 +81,9 @@ def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, precondition=None):
         the reason, the iteration count, the number of unknowns and the true
         residual: "max_iter" after ``10 * len(b)`` iterations,
         "negative_curvature" when a direction reveals an indefinite
-        operator, "indefinite_preconditioner" when r.T M^-1 r <= 0,
+        operator, "underflow" when p.T S p <= 0 only because the direction
+        p has underflowed (p.T p below the smallest normal double),
+        "indefinite_preconditioner" when r.T M^-1 r <= 0,
         "stagnation" when the recurrence residual has not reached a new
         minimum for ``STAGNATION_WINDOW`` iterations (tol below attainable
         accuracy), counted from the first iterate below ||b||: the CG
@@ -118,7 +120,8 @@ def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, precondition=None):
         ap = apply_op(p)
         p_ap = float(p @ ap)
         if p_ap <= 0.0:
-            reason = "negative_curvature"
+            reason = ("underflow" if float(p @ p) < np.finfo(float).tiny
+                      else "negative_curvature")
             break
         alpha = rz / p_ap
         x = x + alpha * p

@@ -9,27 +9,23 @@ and each action equals the CSR product of its matrix bit for bit.  The
 discrete problem is exactly an equality-constrained quadratic
 minimization: the viscous energy is minimized over the kernel of the
 discrete divergence, and the pressure is the Lagrange multiplier of that
-constraint.  Two routes compute it, so the identity can be checked
-numerically: the coupled route eliminates the velocity and solves for the
-pressure by CG on the Schur complement B A^-1 B.T; the minimization route
-runs projected CG over Ker B, preconditioned by P A^-1 P + (I - P) with P
-the projector onto Ker B, and recovers the pressure from the gradient
-through the constraint's normal equations (B B.T) p = B (A u - b).  Both blocks of A and B B.T are
-Kronecker sums of 1-D second differences, so neither is ever factored: the
-closed-form sine and cosine eigenbases of the 1-D stencils diagonalize them
-(the fast diagonalization method of Lynch, Rice & Thomas, 1964), and each
-A-solve (``A.solve``), and each application of the pseudo-inverse
-(B B.T)^+ (``B.normal_solve``) that serves the projector onto Ker B and the
-pressure recovery, is four dense n x n products and one division.  Each
-operator builds its eigenbases on the first solve and keeps them.  The
-pseudo-inverse drops the constant mode, so the pressure it returns is
-already zero-mean.  The QP core's Schur kernel takes ``A.solve``, not A.
-Both routes end in the residual contract of the QP core
-(``qp.checked_solution``) and return its SaddleSolution, the type the QP
-solvers return: the flat velocity is its ``x`` and the zero-mean pressure
-its ``multiplier``.  ``MacGrid.split_velocity`` gives the 2-D face views
-of a flat velocity, and ``write_fields_csv`` streams both fields to CSV a
-grid row at a time.
+constraint.  So it is a ``qp.QpProblem`` (``stokes_problem``), solved by
+two QP routes so that the identity can be checked numerically: the coupled
+route is ``qp.solve_schur``, the minimization route
+``qp.solve_projected_cg``.  Both return the QP core's SaddleSolution: the
+flat velocity is its ``x`` and the zero-mean pressure its ``multiplier``.
+
+The stencils carry their own proofs, the factors a QpProblem needs.  Both
+blocks of A and B B.T are Kronecker sums of 1-D second differences, so
+neither is ever factored: the closed-form sine and cosine eigenbases of the
+1-D stencils diagonalize them (the fast diagonalization method of Lynch,
+Rice & Thomas, 1964), and each A-solve (``A.solve``, the A-factor), and each
+application of the pseudo-inverse (B B.T)^+ (``B.normal_solve``), is four
+dense n x n products and one division, with the eigenbases built on first
+use and kept.  B is the C-factor, built on (B B.T)^+: the constant
+pressure, which spans Ker B.T, is its ``kernel``, and the pseudo-inverse
+drops it.  ``MacGrid.split_velocity`` gives the 2-D face views of a flat
+velocity; ``write_fields_csv`` streams both fields to CSV a row at a time.
 
 Scaling convention: operators are "integrated", i.e. A represents the
 bilinear form of the velocity gradients (stencil entries O(1)), B maps face
@@ -48,12 +44,12 @@ import numpy as np
 from scipy.sparse.linalg import splu  # noqa: F401
 
 from . import mmio
-from .qp import (InfSupEstimate, checked_solution, schur_complement,
-                 schur_complement_solve)
-# unused here; kept bound because the benchmark tracer's tests check it
+from .qp import (InfSupEstimate, QpProblem, schur_complement,
+                 solve_projected_cg, solve_schur)
+# unused here; kept bound because the benchmark tracer's tests check them
 from .qp import recover_multiplier  # noqa: F401
-from .solvers import (DEFAULT_TOL, conjugate_gradient,
-                      smallest_eigenpair_matrix_free)
+from .solvers import conjugate_gradient  # noqa: F401
+from .solvers import DEFAULT_TOL, smallest_eigenpair_matrix_free
 from .sparse import as_vector
 
 
@@ -171,6 +167,7 @@ class ViscousOperator:
 
     def __init__(self, grid):
         self.grid = grid
+        self.shape = (grid.n_velocity, grid.n_velocity)
         ends = np.full(grid.n, 4.0)
         ends[[0, -1]] += 1.0
         # u-faces are ghost-closed along y, v-faces along x
@@ -225,12 +222,13 @@ class DivergenceOperator:
     net face flux, h (east u - west u + north v - south v), so q.T B v
     approximates the integral of q div v.  B is N_p x N_u with
     B.T 1 = 0 exactly (constants span Ker B.T); the discrete gradient is
-    G = -B.T.  Only the grid is stored, and the eigenbasis of
-    ``normal_solve`` once it is first called.
+    G = -B.T.  B is its own constraint factor (``qp.QpProblem``).  Only the
+    grid is stored, and the eigenbasis and the projector once first used.
     """
 
     def __init__(self, grid):
         self.grid = grid
+        self.shape = (grid.n_pressure, grid.n_velocity)
 
     def apply(self, x):
         """B x on the (n, n) cell array, each sum started at +0.0 and taken
@@ -276,6 +274,29 @@ class DivergenceOperator:
         denom = self.grid.h ** 2 * (lam[:, None] + lam)
         denom[0, 0] = np.inf             # the constant mode maps to 0
         return q, 1.0 / denom
+
+    @property
+    def kernel(self):
+        """The constant pressure, which spans Ker B.T."""
+        return np.ones(self.grid.n_pressure)
+
+    def min_norm_point(self, d):
+        """B.T (B B.T)^+ d, the minimum-norm solution of B u = d."""
+        return self.apply_transpose(self.normal_solve(d))
+
+    def least_squares_multiplier(self, g):
+        """(B B.T)^+ B g, the zero-mean least-squares solution of B.T p = g."""
+        return self.normal_solve(self.apply(g))
+
+    @cached_property
+    def kernel_component(self):
+        """The projector onto Ker B (``divergence_free_projector``)."""
+        return divergence_free_projector(self)
+
+    @staticmethod
+    def range_component(p):
+        """p - mean(p), the component of p orthogonal to ``kernel``."""
+        return p - p.mean()
 
 
 @dataclass(frozen=True)
@@ -408,79 +429,38 @@ def sample_forcing(grid, case):
 # -- solves ----------------------------------------------------------------
 
 
-def divergence_free_projector(ops):
-    """Orthogonal projector onto Ker B as a callable: v - B.T (B B.T)^+ B v,
-    with the pseudo-inverse by fast diagonalization (``B.normal_solve``)."""
-    div = ops.B
-
+def divergence_free_projector(div):
+    """Orthogonal projector onto Ker B of the DivergenceOperator ``div`` as
+    a callable: v - B.T (B B.T)^+ B v, with the pseudo-inverse by fast
+    diagonalization (``B.normal_solve``)."""
     def project(vec):
         return vec - div.apply_transpose(div.normal_solve(div.apply(vec)))
 
     return project
 
 
-def solve_stokes_coupled(grid, case, tol=DEFAULT_TOL):
-    """Eliminate the velocity and solve for the pressure by CG on the Schur
-    complement B A^-1 B.T (``schur_complement_solve``), with each A-solve
-    by fast diagonalization (``A.solve``).
-
-    Inf-sup stability bounds the condition number of the complement on
-    zero-mean pressures by 1/beta^2, so the iteration count does not grow
-    with the mesh.  B is rank deficient by exactly the constant pressure
-    mode, which needs no border: the reduced right-hand side lies in
-    range(B), and the constant mode is lifted off zero (``kernel``), so
-    rounding that leaves range(B) meets no singular direction.  Returns the
-    SaddleSolution of the residual contract: the velocity is its ``x``, and
-    the pressure, made zero-mean, its ``multiplier``.
-    """
+def stokes_problem(grid, case):
+    """The discrete Stokes problem of ``case`` on ``grid`` as a QpProblem:
+    minimize (1/2) u.T A u - b.T u subject to B u = 0, with the stencils as
+    A and C and the lumped load (``sample_forcing``) as b."""
     ops = assemble_operators(grid)
-    b = sample_forcing(grid, case)
-    u, p, report = schur_complement_solve(
-        ops.B, ops.A.solve, b, 0.0, tol,
-        kernel=np.ones(grid.n_pressure))
-    return checked_solution(ops.A, ops.B, b, 0.0, u, p - p.mean(),
-                            "stokes_coupled", tol, report)
+    return QpProblem(ops.A, sample_forcing(grid, case), ops.B,
+                     np.zeros(grid.n_pressure))
+
+
+def solve_stokes_coupled(grid, case, tol=DEFAULT_TOL):
+    """The coupled route, ``qp.solve_schur``: CG on the pressure Schur
+    complement B A^-1 B.T.  Inf-sup stability bounds its condition number on
+    zero-mean pressures by 1/beta^2, so the iteration count does not grow
+    with the mesh."""
+    return solve_schur(stokes_problem(grid, case), tol)
 
 
 def solve_stokes_minimization(grid, case, tol=DEFAULT_TOL):
-    """Minimize the viscous energy over discretely divergence-free fields,
-    then recover the pressure as the constraint's Lagrange multiplier.
-
-    The minimization runs preconditioned projected conjugate gradients: Ker B
-    is never parametrized, feasibility is kept by
-    ``divergence_free_projector``.  CG runs on the lifted operator
-    P A P + (I - P), which is SPD on the whole space and equals P A P on
-    Ker B, where the right-hand side P b lies; so rounding that drifts the
-    residual out of Ker B cannot meet the singular part of P A P.  The
-    preconditioner is the constraint preconditioner P A^-1 P + (I - P)
-    (Keller, Gould & Wathen, 2000; Gould, Hribar & Nocedal, 2001), lifted
-    the same way, with A^-1 by fast diagonalization (``A.solve``).
-    It is not spectrally equivalent to (P A P)^-1 on Ker B, so the iteration
-    count still grows with n, but slowly: 7, 11, 17 and 25 at n = 16, 32, 64
-    and 128 (tol 1e-12), against about 2n without it.  The pressure is the
-    minimum-norm least-squares solution of B.T p = A u - b,
-    p = (B B.T)^+ B (A u - b) (``B.normal_solve``, whose eigenbasis the
-    projector has already built), zero-mean by construction.  Returns the
-    SaddleSolution of the residual contract: the velocity is its ``x``, the
-    pressure its ``multiplier``.
-    """
-    ops = assemble_operators(grid)
-    b = sample_forcing(grid, case)
-    project = divergence_free_projector(ops)
-
-    def lifted(op):                  # P op P + (I - P)
-        def apply(v):
-            pv = project(v)
-            return project(op(pv)) + (v - pv)
-        return apply
-
-    u, report = conjugate_gradient(
-        lifted(ops.A.apply), project(b), tol=tol,
-        precondition=lifted(ops.A.solve))
-    u = project(u)                   # scrub rounding drift out of Ker B
-    p = ops.B.normal_solve(ops.B.apply(ops.A.apply(u) - b))
-    return checked_solution(ops.A, ops.B, b, 0.0, u, p,
-                            "stokes_minimization", tol, report)
+    """The minimization route, ``qp.solve_projected_cg``: the viscous energy
+    minimized over discretely divergence-free fields, then the pressure
+    recovered as the constraint's Lagrange multiplier."""
+    return solve_projected_cg(stokes_problem(grid, case), tol)
 
 
 def error_norms(u, p, case, grid):
@@ -523,9 +503,8 @@ def estimate_infsup_stokes(grid):
     # only the constant mode, to 2 S_00 / h^2; e_0 - 1/N is zero-mean with
     # Rayleigh quotient S_00 / (h^2 (1 - 1/N)), so that is at least
     # 2 (1 - 1/N) beta^2 > beta^2
-    schur = schur_complement(DivergenceOperator(grid),
-                             ViscousOperator(grid).solve,
-                             kernel=np.ones(grid.n_pressure))
+    div = DivergenceOperator(grid)
+    schur = schur_complement(div, ViscousOperator(grid).solve, div.kernel)
     lam, q = smallest_eigenpair_matrix_free(schur, _pressure_mass(grid))
     return InfSupEstimate(float(lam), q)
 

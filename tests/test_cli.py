@@ -273,13 +273,8 @@ def test_stokes_commands_build_no_stokes_matrix(tmp_path, monkeypatch):
 def test_nan_pressure_is_a_solver_failure(tmp_path, monkeypatch, capsys):
     # the residual contract, not the stencils' input validation, judges a
     # NaN multiplier: exit 2, not 3
-    original = stokes.schur_complement_solve
-
-    def nan_pressure(*args, **kwargs):
-        u, p, report = original(*args, **kwargs)
-        return u, np.full_like(p, np.nan), report
-
-    monkeypatch.setattr(stokes, "schur_complement_solve", nan_pressure)
+    monkeypatch.setattr(stokes.DivergenceOperator, "range_component",
+                        staticmethod(lambda p: np.full_like(p, np.nan)))
     code = run(["stokes", "--n", "4", "--output", str(tmp_path)])
     assert code == EXIT_SOLVER_FAILURE
     assert "stationarity nan" in capsys.readouterr().err
@@ -306,14 +301,17 @@ def test_stokes_reports_are_deterministic(tmp_path):
 def test_stokes_below_attainable_accuracy_is_solver_failure(tmp_path,
                                                             capsys):
     # a real CG failure, not an injected one: tol 1e-17 is below what
-    # rounding lets the Schur residual reach, so CG stops on stagnation
+    # rounding lets the Schur residual reach, so CG stops on stagnation; at
+    # n = 3 and tol 1e-300 a direction underflows first (p.p = 5e-324,
+    # p.T S p = 0.0), which is no negative curvature
     out = tmp_path / "out"
-    code = run(["stokes", "--n", "16", "--tol", "1e-17",
-                "--output", str(out)])
-    assert code == EXIT_SOLVER_FAILURE
-    assert re.search(r"stagnation after \d+ iterations",
-                     capsys.readouterr().err)
-    assert not out.exists()
+    for n, tol, reason in (("16", "1e-17", "stagnation"),
+                           ("3", "1e-300", "underflow")):
+        code = run(["stokes", "--n", n, "--tol", tol, "--output", str(out)])
+        assert code == EXIT_SOLVER_FAILURE
+        assert re.search(rf"reason: {reason} after \d+ iterations",
+                         capsys.readouterr().err)
+        assert not out.exists()
 
 
 # -- converge --------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Import hygiene: every name a package module or demo imports is used
 there, every name the package exports exists, and the demos use only the
-package's public names.  The layout of the constraint SVD has one reader,
-``qp.py``.
+package's public names.  The saddle routes have one implementation, in
+``qp.py``: no other module calls its kernels.
 
 No linter is part of the toolchain, so this reads each file's syntax tree:
 a name bound by an import must be read somewhere in the file or be listed
@@ -21,8 +21,9 @@ DEMOS = ROOT / "demos"
 TRACER_TEST = ROOT / "bench" / "tests" / "test_bench_spans.py"
 
 #: imported but unused on purpose: bench/tests/test_bench_spans.py checks
-#: that the benchmark tracer wraps these two bindings of ``stokes``
-KEPT_FOR_TRACER = {"stokes": ["recover_multiplier", "splu"]}
+#: that the benchmark tracer wraps these three bindings of ``stokes``
+KEPT_FOR_TRACER = {"stokes": ["conjugate_gradient", "recover_multiplier",
+                              "splu"]}
 
 
 def _imported_names(tree):
@@ -111,37 +112,46 @@ def test_unused_import_is_caught(tmp_path):
     assert _unused_imports(source) == ["dataclass", "json"]
 
 
-def _svd_reads(path):
-    """Lines where a file reads an attribute named ``svd`` of a value; one
-    of an imported module (``scipy.linalg.svd``) is a function, not read."""
-    tree = ast.parse(path.read_text(encoding="ascii"))
-    modules = _imported_names(tree)
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "svd":
-            root = node.value
-            while isinstance(root, ast.Attribute):
-                root = root.value
-            if not (isinstance(root, ast.Name) and root.id in modules):
-                lines.append(node.lineno)
-    return sorted(lines)
+#: the saddle routes' kernels, called in ``qp.py`` alone but for one
+#: (module, function, kernel): the inf-sup estimate applies the complement
+QP_KERNELS = ("checked_solution", "conjugate_gradient", "schur_complement")
+KERNEL_CALLS_OUTSIDE_QP = [("stokes.py", "estimate_infsup_stokes",
+                            "schur_complement")]
 
 
-def test_only_qp_reads_the_constraint_svd():
-    # QpProblem's members are the SVD's readers; a second reader would
-    # split its layout again
-    files = ([p for p in sorted(PACKAGE.glob("*.py")) if p.name != "qp.py"]
-             + sorted(DEMOS.glob("*.py")))
-    assert {p.name: _svd_reads(p) for p in files if _svd_reads(p)} == {}
+def _kernel_calls(path):
+    """(top-level definition, kernel) for each call of a QP kernel."""
+    calls = []
+    for top in ast.parse(path.read_text(encoding="ascii")).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", 0))
+                if name in QP_KERNELS:
+                    calls.append((getattr(top, "name", None), name))
+    return calls
 
 
-def test_svd_read_is_caught(tmp_path):
+def test_only_qp_calls_the_saddle_kernels():
+    # a second caller would be a second copy of a saddle route; stokes.py
+    # imports its problem, routes and inf-sup pieces, and the kept import
+    assert [(p.name, *call) for p in sorted(PACKAGE.glob("*.py"))
+            if p.name != "qp.py" for call in _kernel_calls(p)] == \
+        KERNEL_CALLS_OUTSIDE_QP
+    tree = ast.parse((PACKAGE / "stokes.py").read_text(encoding="ascii"))
+    assert sorted(alias.name for node in tree.body if getattr(
+        node, "module", None) == "qp" for alias in node.names) == [
+        "InfSupEstimate", "QpProblem", "recover_multiplier",
+        "schur_complement", "solve_projected_cg", "solve_schur"]
+
+
+def test_kernel_call_is_caught(tmp_path):
     source = tmp_path / "m.py"
-    source.write_text("import numpy as np\nimport scipy.linalg as sla\n"
-                      "z = problem.svd[2]\nu = sla.svd(a)\n"
-                      "w = np.linalg.svd(a)\nv = self.C.svd\n",
-                      encoding="ascii")
-    assert _svd_reads(source) == [3, 6]
+    source.write_text("from stokesqp import qp\nf = qp.checked_solution\n"
+                      "def g():\n    return qp.conjugate_gradient(f, 1)\n"
+                      "class H:\n    def h(self):\n        f()\n"
+                      "        schur_complement(1)\n", encoding="ascii")
+    assert _kernel_calls(source) == [("g", "conjugate_gradient"),
+                                     ("H", "schur_complement")]
 
 
 def test_every_exported_name_resolves():

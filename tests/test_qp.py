@@ -1,4 +1,4 @@
-"""Equality-constrained quadratic programs: the three solve routes,
+"""Equality-constrained quadratic programs: the four solve routes,
 optimality certification, multiplier recovery, and inf-sup estimation."""
 
 import json
@@ -16,13 +16,14 @@ from stokesqp import (ConvergenceError, MultiplierConsistencyError, QpProblem,
                       check_optimality, estimate_infsup, gradient,
                       load_problem, objective, recover_multiplier,
                       residual_scale, save_solution, solve_kkt_direct,
-                      solve_nullspace, solve_schur)
+                      solve_nullspace, solve_projected_cg, solve_schur)
 from stokesqp.mmio import read_vector
 from stokesqp.qp import checked_solution
 from stokesqp.solvers import orthonormal_nullspace_basis
 from stokesqp.verify import random_problem
 
-ALL_SOLVERS = (solve_kkt_direct, solve_nullspace, solve_schur)
+ALL_SOLVERS = (solve_kkt_direct, solve_nullspace, solve_schur,
+               solve_projected_cg)
 
 
 def _problem(a, b, c, d=None):
@@ -163,6 +164,15 @@ def test_problem_rejects_a_whose_kkt_point_is_a_saddle():
         _problem(a, b, c)
 
 
+def test_problem_rejects_operators_without_factors():
+    # dense arrays carry no factor; a mixed pair is proven on one side only
+    ops = assemble_operators(build_grid(3))
+    a, c = SparseOperator(np.eye(12)), SparseOperator(np.ones((1, 12)))
+    for A, C in ((np.eye(3), np.ones((1, 3))), (a, ops.B), (ops.A, c)):
+        with pytest.raises(TypeError, match="SparseOperator"):
+            QpProblem(A, np.zeros(A.shape[0]), C, np.zeros(C.shape[0]))
+
+
 def test_problem_rejects_wrong_lengths():
     with pytest.raises(ValueError):
         _problem(np.eye(3), np.ones(2), [[1.0, 0.0, 0.0]])
@@ -174,9 +184,10 @@ def test_with_rhs_shares_the_factors_and_validates_the_data():
     p = _problem(4.0 * np.eye(3), np.ones(3), [[1.0, 2.0, 0.0]], d=[1.0])
     z, s = p.kernel_basis, p.schur
     assert not z.flags.writeable and not s.flags.writeable
+    assert z.base is None               # the QR's N x N factor is not held
     q = p.with_rhs([1.0, 2.0, 3.0], [2.0])
     assert q.A is p.A and q.C is p.C
-    assert q.svd is p.svd and q.a_solve is p.a_solve
+    assert q.constraint is p.constraint and q.a_solve is p.a_solve
     assert q.kernel_basis is z and q.schur is s
     assert np.array_equal(q.b, [1.0, 2.0, 3.0]) and np.array_equal(q.d, [2.0])
     assert np.array_equal(p.b, np.ones(3)) and np.array_equal(p.d, [1.0])
@@ -290,24 +301,19 @@ def test_residual_contract_rejects_a_wrong_point(tol):
     # 10.0; a NaN tol makes the bound NaN, which must fail the contract too
     p = _problem(np.eye(3), np.ones(3), [[1.0, 1.0, 0.0]])
     with pytest.raises(ConvergenceError, match="feasibility 1.000e[+]01"):
-        checked_solution(p.A, p.C, p.b, p.d, np.full(3, 5.0), np.zeros(1),
-                         "direct", tol)
+        checked_solution(p, np.full(3, 5.0), np.zeros(1), "direct", tol)
 
 
 def test_residual_contract_fails_a_nan_multiplier():
     # a NaN multiplier is a failed solve (exit 2), not malformed input: the
     # operators' input validation must not turn it into a ValueError, for
     # the assembled operators or the MAC stencils
-    p = _problem(np.eye(3), np.ones(3), [[1.0, 1.0, 0.0]])
-    grid = build_grid(3)
-    ops = assemble_operators(grid)
-    for a, c, b, x, lam in (
-            (p.A, p.C, p.b, np.array([0.5, 0.5, 1.0]), np.array([np.nan])),
-            (ops.A, ops.B, np.zeros(grid.n_velocity),
-             np.zeros(grid.n_velocity),
-             np.r_[np.nan, np.zeros(grid.n_pressure - 1)])):
+    ops = assemble_operators(build_grid(3))
+    for p in (_problem(np.eye(3), np.ones(3), [[1.0, 1.0, 0.0]]),
+              QpProblem(ops.A, np.zeros(12), ops.B, np.zeros(9))):
+        lam = np.r_[np.nan, np.zeros(p.n_constraints - 1)]
         with pytest.raises(ConvergenceError, match="stationarity nan"):
-            checked_solution(a, c, b, 0.0, x, lam, "schur", 1e-10)
+            checked_solution(p, np.zeros(p.n_primal), lam, "schur", 1e-10)
 
 
 def test_schur_orthonormal_rows_single_outer_iteration():
@@ -413,8 +419,8 @@ def test_nullspace_certifies_once(monkeypatch):
     p = _random_instance(np.random.default_rng(40), inhomogeneous=True)
     monkeypatch.setattr(qp, "check_optimality", no_gate)
     solution = solve_nullspace(p, 1e-10)
-    assert np.array_equal(solution.multiplier,
-                          p.least_squares_multiplier(gradient(p, solution.x)))
+    assert np.array_equal(solution.multiplier, p.constraint.
+                          least_squares_multiplier(gradient(p, solution.x)))
     with pytest.raises(ConvergenceError, match="nullspace solve violated"):
         solve_nullspace(p, 1e-20)
 
@@ -542,17 +548,20 @@ def test_row_space_shift_moves_multiplier_only():
 
 
 @pytest.mark.parametrize("solve", ALL_SOLVERS,
-                         ids=["direct", "nullspace", "schur"])
+                         ids=["direct", "nullspace", "schur", "projected_cg"])
 def test_multiplier_is_the_sensitivity_of_the_optimal_value(solve):
     # J*(d) = min {J(x) : C x = d} has gradient lam: the multiplier is the
     # shadow price of the constraint.  J* is quadratic in d, so the central
-    # difference is exact up to rounding for any step.
+    # difference is exact (to rounding) for any step.  Routes match direct.
     rng = np.random.default_rng(3)
     t = 1e-3
     for _ in range(20):
         p = random_problem(rng)
         e = rng.standard_normal(p.n_constraints)
-        lam = solve(p).multiplier
+        sol, ref = solve(p, 1e-12), solve_kkt_direct(p, 1e-12)
+        for got, want in ((sol.x, ref.x), (sol.multiplier, ref.multiplier)):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        lam = sol.multiplier
 
         def optimal_value(d):
             q = p.with_rhs(p.b, d)
