@@ -3,26 +3,33 @@
 Operators travel as Matrix Market coordinate files (1-based indices, real
 entries, ``general`` or ``symmetric``); vectors as one-value-per-line text.
 
-``read_matrix`` parses the header and the size line itself, then hands the
-entry lines to one C call, ``numpy.loadtxt``, and checks ranges, finiteness,
-the lower triangle and the entry count on whole columns.  The fast parse
-accepts only bodies made of digits, signs, ``.``, ``e``/``E``, blanks and
-line breaks; whatever it declines (a comment line after the size line,
-``nan``, an out-of-range index, any malformed line) goes to the line-by-line
-loop, which accepts it or reports the offending line number.  What the fast
-parse accepts, the loop accepts too with the same triples, so the file's
-content alone picks the path and never changes the result.
+``read_matrix`` keeps the file as bytes.  It splits off and parses only the
+head (header, comments, blank lines, size line) itself, then hands the body
+to one C call, ``numpy.loadtxt``, which takes it decoded and split at
+``\n`` one 64 KiB block at a time, so no text copy of the file and no str
+per line of it is ever held; it checks ranges, finiteness, the lower
+triangle and the entry count on whole columns.  The fast parse accepts only
+bodies made of digits, signs, ``.``, ``e``/``E``, blanks and ``\n`` or
+``\r\n`` line breaks; whatever it declines (a comment line after the size
+line, ``nan``, an out-of-range index, a lone ``\r``, any malformed line)
+goes to the line-by-line loop over the whole text's lines, which accepts it
+or reports the offending line number.  What the fast parse accepts, the
+loop accepts too with the same triples, so the file's content alone picks
+the path and never changes the result.
 
 Both readers name the file and the line of a non-ASCII byte, and refuse
 the ``_`` that Python's ``int`` and ``float`` take as digit grouping.  A
 ``symmetric`` file must have a square size line.  Every file the package
 writes, report or field, goes through ``write_text``, which takes the text
-whole or as an iterable of chunks and writes each chunk as it arrives.
+whole or as an iterable of chunks and writes each chunk as it arrives;
+``write_matrix`` and ``write_vector`` hand it 4096 lines at a time.
 """
 
 import io
+import itertools
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -36,6 +43,12 @@ _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 # nan/inf, '%', '_', control characters that str.splitlines breaks at but
 # loadtxt does not) leaves the file to the loop
 _ENTRY_BYTES = b"0123456789+-.eE \t\r\n"
+# the ASCII line breaks of str.splitlines, "\r\n" counted as one
+_LINE_BREAK = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e]")
+# bytes of the body decoded and split at a time for loadtxt
+_BODY_BLOCK = 1 << 16
+# lines per chunk that write_matrix and write_vector hand to write_text
+_WRITE_CHUNK_ROWS = 4096
 
 
 class MatrixMarketError(ValueError):
@@ -67,6 +80,18 @@ def _decode(path, data, split_lines):
             path, lineno, f"non-ASCII byte 0x{data[exc.start]:02x}") from None
 
 
+def _lines(data):
+    """Each line of the ASCII bytes ``data`` as ``str.splitlines`` splits
+    its text, with the offset just past the line's break.  Lazy, so reading
+    the head scans the head only."""
+    start = 0
+    for brk in _LINE_BREAK.finditer(data):
+        yield data[start:brk.start()].decode("ascii"), brk.end()
+        start = brk.end()
+    if start < len(data):
+        yield data[start:].decode("ascii"), len(data)
+
+
 def read_matrix(path):
     """Read a coordinate-format Matrix Market file into a SparseOperator.
 
@@ -76,40 +101,43 @@ def read_matrix(path):
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    text = _decode(path, data, str.splitlines)
-    lines = text.splitlines()
-    if not lines:
+    if not data.isascii():
+        _decode(path, data, str.splitlines)     # raises, naming the line
+    lines = _lines(data)
+    first_line, _ = next(lines, (None, 0))
+    if first_line is None:
         raise MatrixMarketError(path, 1, "empty file, missing header")
 
-    header = lines[0].strip().lower().split()
+    header = first_line.strip().lower().split()
     if len(header) != 5 or header[0] != _HEADER_PREFIX:
         raise MatrixMarketError(path, 1, "expected '%%MatrixMarket matrix "
                                 "coordinate real general|symmetric' header")
     _, obj, fmt, field, symmetry = header
     if obj != "matrix" or fmt != "coordinate" or field != "real":
         raise MatrixMarketError(
-            path, 1, f"unsupported header '{lines[0].strip()}'")
+            path, 1, f"unsupported header '{first_line.strip()}'")
     if symmetry not in ("general", "symmetric"):
         raise MatrixMarketError(path, 1, f"unsupported symmetry '{symmetry}'")
     symmetric = symmetry == "symmetric"
 
-    first, nrows, ncols, nnz = _size_line(path, lines)
+    first, start, nrows, ncols, nnz = _size_line(path, lines)
     if symmetric and nrows != ncols:
         raise MatrixMarketError(path, first + 1, f"symmetric matrix must be "
                                 f"square, got {nrows}x{ncols}")
-    triples = _entries_vectorized(data, lines, first, nrows, ncols, nnz,
-                                  symmetric)
+    triples = _entries_vectorized(data, start, nrows, ncols, nnz, symmetric)
     if triples is None:
-        triples = _entries_by_line(path, lines, first, nrows, ncols, nnz,
-                                   symmetric)
+        triples = _entries_by_line(path, data.decode("ascii").splitlines(),
+                                   first, nrows, ncols, nnz, symmetric)
     return SparseOperator.from_triples(nrows, ncols, *triples)
 
 
 def _size_line(path, lines):
-    """Index and ``(nrows, ncols, nnz)`` of the size line: the first line
-    after the header that is neither blank nor a ``%`` comment."""
-    for k in range(1, len(lines)):
-        line = lines[k].strip()
+    """Index, end offset and ``(nrows, ncols, nnz)`` of the size line: the
+    first line after the header that is neither blank nor a ``%`` comment.
+    ``lines`` yields ``_lines``'s pairs from the line after the header."""
+    k = 0
+    for k, (raw, end) in enumerate(lines, start=1):
+        line = raw.strip()
         if not line or line.startswith("%"):
             continue
         parts = line.split()
@@ -123,33 +151,33 @@ def _size_line(path, lines):
                 path, k + 1, f"non-integer size line '{line}'") from None
         if nrows < 0 or ncols < 0 or nnz < 0:
             raise MatrixMarketError(path, k + 1, "negative dimension")
-        return k, nrows, ncols, nnz
-    raise MatrixMarketError(path, len(lines), "missing size line")
+        return k, end, nrows, ncols, nnz
+    raise MatrixMarketError(path, k + 1, "missing size line")
 
 
-def _entries_vectorized(data, lines, first, nrows, ncols, nnz, symmetric):
-    """The 0-based triples of the entry lines after ``lines[first]``, parsed
-    in one ``numpy.loadtxt`` call, or None to leave the file to the loop.
+def _entries_vectorized(data, start, nrows, ncols, nnz, symmetric):
+    """The 0-based triples of the body ``data[start:]``, parsed in one
+    ``numpy.loadtxt`` call, or None to leave the file to the loop.
 
     None whenever the body holds a byte outside ``_ENTRY_BYTES``, loadtxt
-    fails or warns, or a column check fails; so every body this accepts, the
-    loop accepts with the same triples in the same order.
+    fails (a lone ``\r`` is an embedded newline to it) or warns, or a
+    column check fails; so every body this accepts, the loop accepts with
+    the same triples in the same order.
     """
     if nnz == 0:
         return None
-    start = 0   # of the body in ``data``: the head's lines and their breaks
-    for line in lines[:first + 1]:
-        start += len(line)
-        start += 2 if data.startswith(b"\r\n", start) else 1
-    if data[start:].translate(None, _ENTRY_BYTES):
+    # deleting the entry bytes leaves as much of the whole file as of its
+    # head exactly when the body holds no other byte; neither is copied
+    if (len(data.translate(None, _ENTRY_BYTES))
+            != len(data[:start].translate(None, _ENTRY_BYTES))):
         return None
+    body = itertools.chain.from_iterable(_body_lines(data, start))
     with warnings.catch_warnings():
         # an older numpy parses '1.0' as an index with a DeprecationWarning
         # and warns on an empty body; the loop decides both
         warnings.simplefilter("error")
         try:
-            entries = np.loadtxt(lines[first + 1:], dtype=_ENTRY,
-                                 comments=None, ndmin=1)
+            entries = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1)
         except (ValueError, Warning):
             return None
     i, j, v = entries["i"], entries["j"], entries["v"]
@@ -166,6 +194,16 @@ def _entries_vectorized(data, lines, first, nrows, ncols, nnz, symmetric):
     mirror[1:] = k[1:] == k[:-1]
     return (np.where(mirror, cols[k], rows[k]),
             np.where(mirror, rows[k], cols[k]), v[k])
+
+
+def _body_lines(data, start):
+    """The lines of ``data[start:]`` split at ``\n`` only, as lists of str
+    decoded ``_BODY_BLOCK`` bytes at a time: loadtxt parses str lines faster
+    than bytes lines, and no more than one block of them is in memory."""
+    while start < len(data):
+        end = data.find(b"\n", start + _BODY_BLOCK) + 1 or len(data)
+        yield data[start:end].decode("ascii").split("\n")
+        start = end
 
 
 def _entries_by_line(path, lines, first, nrows, ncols, nnz, symmetric):
@@ -226,11 +264,18 @@ def write_matrix(path, op):
         qualifier = "symmetric"
     else:
         qualifier = "general"
-    lines = [f"%%MatrixMarket matrix coordinate real {qualifier}\n",
-             f"{op.nrows} {op.ncols} {len(vals)}\n"]
-    lines.extend(f"{i + 1} {j + 1} {v!r}\n" for i, j, v in
-                 zip(rows.tolist(), cols.tolist(), vals.tolist()))
-    write_text(path, "".join(lines))
+    head = (f"%%MatrixMarket matrix coordinate real {qualifier}\n"
+            f"{op.nrows} {op.ncols} {len(vals)}\n")
+    write_text(path, itertools.chain([head], _chunks(
+        "{} {} {!r}\n".format, rows + 1, cols + 1, vals)))
+
+
+def _chunks(line, *columns):
+    """``line(*row)`` for each row of the equal-length arrays ``columns``,
+    joined ``_WRITE_CHUNK_ROWS`` rows to a chunk."""
+    for lo in range(0, len(columns[0]), _WRITE_CHUNK_ROWS):
+        rows = zip(*(c[lo:lo + _WRITE_CHUNK_ROWS].tolist() for c in columns))
+        yield "".join(itertools.starmap(line, rows))
 
 
 def _vector_lines(text):
@@ -261,8 +306,7 @@ def read_vector(path):
 def write_vector(path, v):
     """Write a finite 1-D vector one value per line; anything
     ``read_vector`` would reject raises ValueError and writes nothing."""
-    values = as_vector(v).tolist()
-    write_text(path, "".join(f"{x!r}\n" for x in values))
+    write_text(path, _chunks("{!r}\n".format, as_vector(v)))
 
 
 def write_text(path, text):

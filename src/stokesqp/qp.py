@@ -230,13 +230,32 @@ def assemble_kkt(problem):
     The multiplier of this symmetric system is the negative of the reported
     one: solutions carry lam = -lam_sym so that A x - b = C.T lam holds with
     the stationarity sign convention.  With no constraints the operator is A
-    itself.
+    itself.  The CSR arrays are placed straight from those of A, C.T and C,
+    with int32 indices where they fit.
     """
     if problem.n_constraints == 0:
         return problem.A
-    c = problem.C.csr
-    block = _sp.bmat([[problem.A.csr, c.T], [c, None]], format="csr")
-    return SparseOperator(block)
+    a, c = problem.A.csr, problem.C.csr
+    ct = c.T.tocsr()
+    size, nnz = problem.n_primal + problem.n_constraints, a.nnz + 2 * c.nnz
+    index = _sp.get_index_dtype(maxval=max(size, nnz))
+    # the rows of the top block are A's rows followed by C.T's, so A's entry
+    # k in row r lands at k + ct.indptr[r] and C.T's at k + a.indptr[r + 1];
+    # C's rows follow unchanged
+    top = np.add(a.indptr, ct.indptr, dtype=index)
+    indptr = np.concatenate([top, top[-1] + c.indptr[1:]], dtype=index)
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz)
+    for block, offsets, shift in ((a, ct.indptr[:-1], 0),
+                                  (ct, a.indptr[1:], problem.n_primal)):
+        at = np.repeat(offsets.astype(index), np.diff(block.indptr))
+        at += np.arange(block.nnz, dtype=index)
+        indices[at] = block.indices + shift
+        data[at] = block.data
+    indices[top[-1]:] = c.indices
+    data[top[-1]:] = c.data
+    return SparseOperator(_sp.csr_array((data, indices, indptr),
+                                        shape=(size, size)))
 
 
 def checked_solution(problem, x, multiplier, method_tag, tol,

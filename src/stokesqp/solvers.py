@@ -146,6 +146,13 @@ def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, precondition=None):
         f"{np.linalg.norm(apply_op(x) - b):.3e})")
 
 
+def _csc(op):
+    """``op`` in the CSC layout ``splu`` takes.  A symmetric operator (K = K.T
+    exactly, measured by SparseOperator) is its own transpose, so the CSC
+    view of its CSR buffers serves, uncopied."""
+    return op.csr.T if op.symmetric else csc_array(op.csr)
+
+
 def factorized(op):
     """Sparse LU of ``op``; returns a solve callable that accepts a vector or
     a 2-D block of right-hand sides.
@@ -155,7 +162,7 @@ def factorized(op):
     if not isinstance(op, SparseOperator):
         raise TypeError("op must be a SparseOperator")
     try:
-        return spla.splu(csc_array(op.csr)).solve
+        return spla.splu(_csc(op)).solve
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise SingularSystemError(f"singular system: {exc}") from exc
 
@@ -224,7 +231,7 @@ def assert_positive_definite(op):
     L D L.T (no row interchange: perm_r == perm_c) with every pivot in
     D = diag(U) positive."""
     try:
-        lu = spla.splu(csc_array(op.csr), permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(_csc(op), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU reports exact singularity this way

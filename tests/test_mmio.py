@@ -1,5 +1,7 @@
 """Matrix Market and vector file round trips plus malformed-input diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,7 +241,28 @@ _BODIES = [
      _SYMMETRIC + "2 2 2\n1 1 1.0\n1 2 2.0\n", 4),
     ("fewer-entries-than-promised", _GENERAL + "2 2 3\n1 1 1.0\n2 2 1.0\n", 4),
     ("more-entries-than-promised", _GENERAL + "2 2 1\n1 1 1.0\n2 2 1.0\n", 4),
+    # the head is split off at its line breaks, the body parsed as a whole
+    ("comments-and-blank-lines-before-size-line",
+     _GENERAL + "% a\n\n%b\n \t\n2 2 2\n1 1 2.0\n2 1 -1.5\n", None),
+    ("crlf-everywhere", _GENERAL.replace("\n", "\r\n")
+     + "% c\r\n2 2 2\r\n1 1 2.0\r\n2 1 -1.5\r\n", None),
+    ("lone-cr-in-body", _GENERAL + "2 2 2\n1 1 2.0\r2 1 -1.5\n", None),
+    ("lone-cr-ends-size-line", _GENERAL + "2 2 2\r1 1 2.0\n2 1 -1.5\n", None),
+    ("no-final-line-break", _GENERAL + "2 2 2\n1 1 2.0\n2 1 -1.5", None),
+    ("whitespace-only-body-lines",
+     _GENERAL + "2 2 2\n \t \n1 1 2.0\n   \n2 1 -1.5\n\t\n", None),
+    ("no-entries-size-line-last-unbroken", _GENERAL + "% c\n2 3 0", None),
+    ("no-entries-one-given-unbroken", _GENERAL + "2 3 0\n1 1 2.0", 3),
 ]
+
+# whether a row's file reaches the line loop, where that is part of the case
+_LOOP_REACHED = {
+    "comments-and-blank-lines-before-size-line": False,
+    "crlf-everywhere": False,
+    "lone-cr-in-body": True,
+    "no-final-line-break": False,
+    "whitespace-only-body-lines": False,
+}
 
 
 def _outcome(path):
@@ -265,10 +288,12 @@ def _refuse(*args):
     raise AssertionError("the line loop was reached")
 
 
-@pytest.mark.parametrize("text, error_line", [row[1:] for row in _BODIES],
-                         ids=[row[0] for row in _BODIES])
+@pytest.mark.parametrize(
+    "text, error_line, loop_reached",
+    [(text, line, _LOOP_REACHED.get(name)) for name, text, line in _BODIES],
+    ids=[row[0] for row in _BODIES])
 def test_fast_parse_agrees_with_line_loop(tmp_path, monkeypatch, text,
-                                          error_line):
+                                          error_line, loop_reached):
     path = tmp_path / "m.mtx"
     path.write_bytes(text.encode("ascii"))
     expected = _line_loop_outcome(path, monkeypatch)
@@ -276,7 +301,13 @@ def test_fast_parse_agrees_with_line_loop(tmp_path, monkeypatch, text,
         assert expected[0] == "operator"
     else:
         assert expected[0] == "error" and expected[2] == error_line
+    reached = []
+    loop = mmio._entries_by_line
+    monkeypatch.setattr(mmio, "_entries_by_line",
+                        lambda *args: reached.append(True) or loop(*args))
     assert _outcome(path) == expected
+    if loop_reached is not None:
+        assert bool(reached) == loop_reached
 
 
 def test_fast_parse_full_precision_is_bitwise(tmp_path, monkeypatch):
@@ -321,6 +352,32 @@ def test_instance_files_never_reach_line_loop(tmp_path, monkeypatch,
     assert _outcome(path) == expected
 
 
+def _traced_peak(function, *args):
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_matrix_memory_is_a_few_file_sizes(tmp_path, monkeypatch):
+    # 50k full-precision entries (1.3 MB): the fast parse peaks at 3.4 file
+    # sizes, where a text copy and one str per line took 7.5; the line loop,
+    # which holds both and a Python number per field, still takes 6.3
+    rng = np.random.default_rng(47)
+    body = "".join(f"{k // 250 + 1} {k % 250 + 1} {v!r}\n"
+                   for k, v in enumerate(rng.standard_normal(50000).tolist()))
+    path = tmp_path / "m.mtx"
+    path.write_text(_GENERAL + "200 250 50000\n" + body, encoding="ascii")
+    bound = 4.5 * path.stat().st_size
+    with monkeypatch.context() as patch:
+        patch.setattr(mmio, "_entries_by_line", _refuse)
+        assert _traced_peak(read_matrix, path) < bound
+    monkeypatch.setattr(mmio, "_entries_vectorized", lambda *args: None)
+    assert _traced_peak(read_matrix, path) > bound
+
+
 def test_non_ascii_byte_names_file_and_line(tmp_path):
     path = tmp_path / "m.mtx"
     path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n"
@@ -356,6 +413,39 @@ def test_writers_match_per_line_format(tmp_path):
                             for i, j, v in zip(rows, cols, vals))
         write_matrix(path, op)
         assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_chunked_writes_match_one_string(tmp_path, monkeypatch):
+    monkeypatch.setattr(mmio, "_WRITE_CHUNK_ROWS", 4)
+    chunks = []
+    write_text = mmio.write_text
+
+    def recorded(path, text):
+        chunks[:] = list(text)
+        write_text(path, chunks)
+
+    monkeypatch.setattr(mmio, "write_text", recorded)
+    rng = np.random.default_rng(48)
+    values = rng.standard_normal(10)
+    path = tmp_path / "v.txt"
+    write_vector(path, values)
+    assert [c.count("\n") for c in chunks] == [4, 4, 2]
+    assert path.read_bytes() == "".join(
+        f"{float(x)!r}\n" for x in values).encode("ascii")
+
+    g = rng.standard_normal((4, 4))
+    # the head, then 16 entries in four chunks or 10 stored ones in three
+    for op, qualifier, n_chunks in ((SparseOperator(g), "general", 5),
+                                    (SparseOperator(g + g.T), "symmetric", 4)):
+        rows, cols, vals = op.triples()
+        keep = rows >= cols if op.symmetric else slice(None)
+        entries = [f"{i + 1} {j + 1} {float(v)!r}\n" for i, j, v in
+                   zip(rows[keep], cols[keep], vals[keep])]
+        write_matrix(path, op)
+        assert len(chunks) == n_chunks
+        assert path.read_bytes() == (
+            f"%%MatrixMarket matrix coordinate real {qualifier}\n"
+            f"4 4 {len(entries)}\n" + "".join(entries)).encode("ascii")
 
 
 def test_write_text_creates_parent_and_writes_ascii_lf(tmp_path):

@@ -3,6 +3,7 @@ optimality certification, multiplier recovery, and inf-sup estimation."""
 
 import json
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -227,6 +228,50 @@ def test_kkt_symmetric_pairing():
         a = float(y @ kkt.apply(x))
         b = float(x @ kkt.apply(y))
         assert abs(a - b) <= 1e-13 * max(abs(a), 1.0)
+
+
+def _kkt_cases():
+    """(id, A, C) pairs in the layouts assemble_kkt meets."""
+    from test_stokes import _kronecker_operators
+
+    rng = np.random.default_rng(32)
+    g = rng.standard_normal((180, 180))
+    a = g @ g.T + 180 * np.eye(180)
+    a_mac, b_mac = _kronecker_operators(8)
+    c_zero_col = rng.standard_normal((5, 12))
+    c_zero_col[:, 7] = 0.0
+    c_empty_row = rng.standard_normal((4, 12))
+    c_empty_row[2] = 0.0
+    return [
+        # a generated qp-core instance: dense, as read from its files
+        ("qp-core-layout", 0.5 * (a + a.T), rng.standard_normal((135, 180))),
+        ("mac-n8-one-pressure-pinned", a_mac, b_mac[1:]),
+        ("one-constraint", np.diag(np.arange(1.0, 7.0)),
+         rng.standard_normal((1, 6))),
+        ("constraint-row-without-entries", np.eye(12), c_empty_row),
+        ("zero-column-of-c", np.eye(12), c_zero_col),
+    ]
+
+
+@pytest.mark.parametrize("a, c", [case[1:] for case in _kkt_cases()],
+                         ids=[case[0] for case in _kkt_cases()])
+def test_kkt_matches_bmat_oracle(tmp_path, a, c):
+    from scipy import sparse as sp
+
+    from stokesqp.mmio import read_matrix, write_matrix
+    # the operators as qp-solve reads them; only the four fields
+    # assemble_kkt reads, so a rank-deficient C is a layout like any other
+    write_matrix(tmp_path / "A.mtx", SparseOperator(a))
+    write_matrix(tmp_path / "C.mtx", SparseOperator(c))
+    A, C = read_matrix(tmp_path / "A.mtx"), read_matrix(tmp_path / "C.mtx")
+    problem = types.SimpleNamespace(A=A, C=C, n_primal=A.ncols,
+                                    n_constraints=C.nrows)
+    kkt = assemble_kkt(problem)
+    oracle = sp.bmat([[A.csr, C.csr.T], [C.csr, None]], format="csr")
+    assert kkt.shape == oracle.shape and kkt.symmetric
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(kkt.csr, attr), getattr(oracle, attr))
+    assert kkt.csr.indices.dtype == kkt.csr.indptr.dtype == np.int32
 
 
 # -- the three solvers -----------------------------------------------------
