@@ -6,12 +6,20 @@ returning its L D L.T factor's solve, a rank-one lift of a known null vector,
 and smallest-eigenpair routines (dense LAPACK, and matrix-free Lanczos with a
 seeded start).  All routines are pure functions of their inputs; given the
 same operands on the same platform they produce bitwise-identical results.
+
+scipy's LAPACK, SuperLU and ARPACK kernels run on one thread inside CLI
+commands (``serial_scipy_blas``), so their bits no longer depend on the
+machine's core count.
 """
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import cython_blas
 from scipy.sparse import csc_array
 from scipy.sparse import linalg as spla
 
@@ -45,6 +53,47 @@ class SingularSystemError(RuntimeError):
 class RankDeficiencyError(ValueError):
     """A constraint operator does not have full row rank, so the associated
     multiplier would not be unique."""
+
+
+@functools.cache
+def _scipy_blas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS copy scipy
+    ships for itself, resolved through the library its BLAS wrappers link;
+    None where scipy has no private copy (MKL, Accelerate, or a system BLAS
+    that numpy shares)."""
+    lib = ctypes.CDLL(cython_blas.__file__)
+    try:
+        get = lib.scipy_openblas_get_num_threads
+        set_ = lib.scipy_openblas_set_num_threads
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def serial_scipy_blas():
+    """Run scipy's OpenBLAS pool (scipy.linalg, SuperLU, ARPACK) on one
+    thread inside the block, and restore its thread count on every exit.
+
+    numpy and scipy each load their own OpenBLAS, each with a thread per
+    core; scipy's pool left running competes with numpy's and the main
+    thread.  numpy's pool is left alone: the fast diagonalization's GEMMs
+    use it.  Where scipy's pool is not its own, nothing is changed, since
+    limiting a shared pool would serialize numpy's GEMMs too.
+    """
+    threads = _scipy_blas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 @dataclass(frozen=True)

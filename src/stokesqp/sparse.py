@@ -76,14 +76,24 @@ class SparseOperator:
 
     @classmethod
     def from_triples(cls, nrows, ncols, rows, cols, values):
-        """Assemble from parallel row/col/value sequences (duplicates summed)."""
+        """Assemble from parallel row/col/value sequences (duplicates summed).
+
+        Indices are stored as int32 where the shape, the entry count and
+        the given indices all fit, as for an operator built from an array.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values, dtype=float)
         if not (rows.shape == cols.shape == values.shape):
             raise ValueError("rows, cols, values must have matching lengths")
-        return cls(_sp.coo_array((values, (rows, cols)),
-                                 shape=(nrows, ncols)))
+        # the contents are checked so that the cast below cannot wrap an
+        # index that coo_array would otherwise reject
+        index = _sp.get_index_dtype((rows, cols), check_contents=True,
+                                    maxval=max(nrows, ncols, values.size))
+        return cls(_sp.coo_array(
+            (values, (rows.astype(index, copy=False),
+                      cols.astype(index, copy=False))),
+            shape=(nrows, ncols)))
 
     @classmethod
     def identity(cls, n):

@@ -1,16 +1,19 @@
 """Command-line interface: exit codes, report files, and determinism."""
 
 import csv
+import ctypes
 import json
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
+import scipy.linalg.cython_blas
 import scipy.sparse.linalg
 
-from stokesqp import SparseOperator, build_grid, stokes
+from stokesqp import SparseOperator, build_grid, solvers, stokes
 from stokesqp.cli import (EXIT_BAD_INPUT, EXIT_OK, EXIT_PROPERTY_FAILURE,
                           EXIT_SOLVER_FAILURE, EXIT_STUDY_GATE, build_parser,
                           run)
@@ -667,6 +670,108 @@ def test_every_solver_error_is_solver_failure(tmp_path, capsys, monkeypatch):
     assert "error: injected singular system" in capsys.readouterr().err
     assert run(["verify", "--seed", "0"]) == EXIT_SOLVER_FAILURE
     assert "error: injected non-convergence" in capsys.readouterr().err
+
+
+# -- scipy's own OpenBLAS pool runs on one thread inside a command -------
+
+
+@pytest.fixture
+def scipy_pool():
+    """(get, set) of the thread count of scipy's private OpenBLAS, read
+    here without the code under test; restored after the test."""
+    lib = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
+    if not hasattr(lib, "scipy_openblas_get_num_threads"):
+        pytest.skip("scipy has no OpenBLAS of its own here")
+    get, set_ = (lib.scipy_openblas_get_num_threads,
+                 lib.scipy_openblas_set_num_threads)
+    before = get()
+    yield get, set_
+    set_(before)
+
+
+def _preset(pool, threads):
+    get, set_ = pool
+    set_(threads)
+    if get() != threads:
+        pytest.skip(f"scipy's OpenBLAS cannot run {threads} threads here")
+
+
+def test_outputs_do_not_depend_on_scipy_pool_size(tmp_path, capsys,
+                                                  scipy_pool):
+    # the null-space route's SVD and QR gave other last bits with scipy's
+    # pool at 2 threads than at 1 while commands left the pool as found
+    problem = _write_random_problem(tmp_path / "prob", seed=1, n=200, m=50)
+    outputs = []
+    for threads in (2, 1):
+        _preset(scipy_pool, threads)
+        out = tmp_path / f"out{threads}"
+        assert run(["qp-solve", "--input", str(problem), "--method",
+                    "nullspace", "--output", str(out)]) == EXIT_OK
+        outputs.append((capsys.readouterr(), {
+            p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert sorted(outputs[0][1]) == ["lambda.txt", "report.json", "x.txt"]
+    assert outputs[0] == outputs[1]
+
+
+def _pool_seen_in_commands(monkeypatch, get):
+    """The pool's thread count as each later ``qp-solve`` loads its input."""
+    import stokesqp.cli as cli
+
+    seen = []
+    load_problem = cli.load_problem
+
+    def spy(directory):
+        seen.append(get())
+        return load_problem(directory)
+
+    monkeypatch.setattr(cli, "load_problem", spy)
+    return seen
+
+
+@pytest.mark.parametrize("previous", [2, 1])
+def test_scipy_pool_is_serial_inside_a_command_and_restored(
+        tmp_path, monkeypatch, scipy_pool, previous):
+    get, _ = scipy_pool
+    _preset(scipy_pool, previous)
+    seen = _pool_seen_in_commands(monkeypatch, get)
+    problem = _write_hand_problem(tmp_path / "prob")
+    assert run(["qp-solve", "--input", str(problem)]) == EXIT_OK
+    assert get() == previous
+    # an input error leaves through the exception path
+    assert run(["qp-solve", "--input", str(tmp_path / "missing")]) == \
+        EXIT_BAD_INPUT
+    assert get() == previous
+    assert seen == [1, 1]
+
+
+def test_scipy_pool_left_alone_without_its_symbols(tmp_path, monkeypatch,
+                                                   scipy_pool):
+    # numpy's OpenBLAS, whose symbols carry another suffix, stands in for
+    # a library without scipy's thread-count symbols, as where scipy
+    # shares numpy's BLAS: the command runs, and no pool is touched
+    get, _ = scipy_pool
+    _preset(scipy_pool, 2)
+    seen = _pool_seen_in_commands(monkeypatch, get)
+    monkeypatch.setattr(solvers, "cython_blas", types.SimpleNamespace(
+        __file__=np._core._multiarray_umath.__file__))
+    solvers._scipy_blas_threads.cache_clear()
+    try:
+        assert solvers._scipy_blas_threads() is None
+        problem = _write_hand_problem(tmp_path / "prob")
+        assert run(["qp-solve", "--input", str(problem)]) == EXIT_OK
+    finally:
+        solvers._scipy_blas_threads.cache_clear()
+    assert seen == [2] and get() == 2
+
+
+def test_cli_import_resolves_no_blas_symbols():
+    # the helper resolves scipy's thread-count functions on first use
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import stokesqp.cli, stokesqp.solvers as s; "
+         "print(s._scipy_blas_threads.cache_info().misses)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "0"
 
 
 # -- output format: every file goes through mmio's writers ---------------

@@ -1,7 +1,8 @@
 """Import hygiene: every name a package module or demo imports is used
 there, every name the package exports exists, and the demos use only the
 package's public names.  The saddle routes have one implementation, in
-``qp.py``: no other module calls its kernels.
+``qp.py``: no other module calls its kernels.  scipy's BLAS thread policy
+lives in ``solvers.py``, the only package module that imports ``ctypes``.
 
 No linter is part of the toolchain, so this reads each file's syntax tree:
 a name bound by an import must be read somewhere in the file or be listed
@@ -152,6 +153,36 @@ def test_kernel_call_is_caught(tmp_path):
                       "        schur_complement(1)\n", encoding="ascii")
     assert _kernel_calls(source) == [("g", "conjugate_gradient"),
                                      ("H", "schur_complement")]
+
+
+def _imported_modules(path):
+    """Top-level modules a file imports by absolute import."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="ascii"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def test_only_solvers_imports_ctypes():
+    # the thread count of scipy's BLAS is set in one place,
+    # solvers.serial_scipy_blas
+    assert [p.name for p in sorted(PACKAGE.glob("*.py"))
+            if "ctypes" in _imported_modules(p)] == ["solvers.py"]
+
+
+@pytest.mark.parametrize("line, caught", [
+    ("import ctypes", True), ("import ctypes.util as u", True),
+    ("from ctypes import CDLL", True), ("from ctypes.util import x", True),
+    ("def f():\n    import ctypes", True), ("from . import ctypes", False),
+    ("import ctypeslib", False), ("import numpy.ctypeslib", False),
+])
+def test_ctypes_import_is_caught(tmp_path, line, caught):
+    source = tmp_path / "m.py"
+    source.write_text(f"import os\n{line}\n", encoding="ascii")
+    assert ("ctypes" in _imported_modules(source)) == caught
 
 
 def test_every_exported_name_resolves():

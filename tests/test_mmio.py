@@ -486,6 +486,22 @@ def test_mac_operators_round_trip(tmp_path):
     assert np.array_equal(read_vector(tmp_path / "b.txt"), load)
 
 
+@pytest.mark.parametrize("case", ["qp-core-n200-m50", "mac-n128-A"])
+def test_read_operators_keep_int32_indices(tmp_path, case):
+    # as SparseOperator(dense) stores them, so splu need not copy them
+    if case == "mac-n128-A":
+        op = SparseOperator(_kronecker_operators(128)[0])
+    else:
+        rng = np.random.default_rng(33)
+        g = rng.standard_normal((200, 200))
+        op = SparseOperator(g @ g.T + 200 * np.eye(200))
+    write_matrix(tmp_path / "A.mtx", op)
+    back = read_matrix(tmp_path / "A.mtx")
+    assert back.csr.indices.dtype == back.csr.indptr.dtype == np.int32
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(back.csr, attr), getattr(op.csr, attr))
+
+
 def test_write_json_is_strict_sorted_and_newline_terminated(tmp_path):
     path = tmp_path / "r.json"
     mmio.write_json(path, {"b": 0.1, "a": [1, None]})

@@ -60,6 +60,14 @@ def test_triples_assembly_is_canonical():
     assert np.array_equal(order, np.arange(len(vals)))
 
 
+@pytest.mark.parametrize("row", [3, -1, 2 ** 32, 2 ** 32 + 1, 2 ** 40])
+def test_triples_index_cast_cannot_wrap(row):
+    # indices are stored as int32 when they fit; one that does not fit is
+    # rejected as out of range, not wrapped into it (2 ** 32 + 1 to 1)
+    with pytest.raises(ValueError, match="index"):
+        SparseOperator.from_triples(3, 3, [0, row], [0, 1], [1.0, 2.0])
+
+
 def test_symmetry_is_measured():
     assert SparseOperator([[1.0, 2.0], [2.0, 4.0]]).symmetric
     assert not SparseOperator([[1.0, 2.0], [3.0, 4.0]]).symmetric
