@@ -10,7 +10,8 @@ not a bug in the eigensolver.
 import numpy as np
 
 from stokesqp import (build_grid, error_norms, estimate_infsup_stokes,
-                      manufactured_case, solve_stokes_coupled)
+                      manufactured_case, solve_stokes_coupled,
+                      stokes_problem)
 
 case = manufactured_case("taylor_green")
 levels = (4, 8, 16, 32)
@@ -22,7 +23,7 @@ print(f"{'n':>4s} {'h':>10s} {'l2_u':>12s} {'order':>7s} "
 previous = None
 for n in levels:
     grid = build_grid(n)
-    saddle = solve_stokes_coupled(grid, case, 1e-12)
+    saddle = solve_stokes_coupled(stokes_problem(grid, case), 1e-12)
     err = error_norms(saddle.x, saddle.multiplier, case, grid)
     beta = estimate_infsup_stokes(grid).beta
     if previous is None:

@@ -13,11 +13,11 @@ from .qp import (InfSupEstimate, MultiplierConsistencyError, OptimalityReport,
                  recover_multiplier, residual_scale, save_solution,
                  solve_kkt_direct, solve_nullspace, solve_projected_cg,
                  solve_schur)
-from .stokes import (MacGrid, ManufacturedCase, StokesOperators,
-                     assemble_operators, build_grid, divergence_free_projector,
-                     error_norms, estimate_infsup_stokes, manufactured_case,
-                     sample_forcing, solve_stokes_coupled,
-                     solve_stokes_minimization, stokes_problem, write_fields_csv)
+from .stokes import (MacGrid, ManufacturedCase, assemble_operators,
+                     build_grid, divergence_free_projector, error_norms,
+                     estimate_infsup_stokes, manufactured_case, sample_forcing,
+                     solve_stokes_coupled, solve_stokes_minimization,
+                     stokes_problem, write_fields_csv)
 
 __version__ = "0.1.0"
 
@@ -33,9 +33,9 @@ __all__ = [
     "estimate_infsup", "gradient", "load_problem", "objective",
     "recover_multiplier", "residual_scale", "save_solution",
     "solve_kkt_direct", "solve_nullspace", "solve_projected_cg", "solve_schur",
-    "MacGrid", "ManufacturedCase", "StokesOperators", "assemble_operators",
-    "build_grid", "divergence_free_projector", "error_norms",
-    "estimate_infsup_stokes", "manufactured_case", "sample_forcing",
-    "solve_stokes_coupled", "solve_stokes_minimization", "stokes_problem",
-    "write_fields_csv", "__version__",
+    "MacGrid", "ManufacturedCase", "assemble_operators", "build_grid",
+    "divergence_free_projector", "error_norms", "estimate_infsup_stokes",
+    "manufactured_case", "sample_forcing", "solve_stokes_coupled",
+    "solve_stokes_minimization", "stokes_problem", "write_fields_csv",
+    "__version__",
 ]

@@ -34,7 +34,8 @@ from .solvers import (DEFAULT_TOL, ConvergenceError, SingularSystemError,
 from .sparse import SparseOperator
 from .stokes import (build_grid, error_norms, estimate_infsup_stokes,
                      manufactured_case, solve_stokes_coupled,
-                     solve_stokes_minimization, write_fields_csv)
+                     solve_stokes_minimization, stokes_problem,
+                     write_fields_csv)
 from .verify import run_property_suite
 
 EXIT_OK = 0
@@ -91,8 +92,9 @@ def _solve_block(saddle, case, grid):
 def cmd_stokes(args):
     case = manufactured_case(args.case_id)
     grid = build_grid(args.n)
-    s1 = solve_stokes_coupled(grid, case, args.tol)
-    s2 = solve_stokes_minimization(grid, case, args.tol)
+    problem = stokes_problem(grid, case)
+    s1 = solve_stokes_coupled(problem, args.tol)
+    s2 = solve_stokes_minimization(problem, args.tol)
     out = _output_dir(args)
     write_fields_csv(out / "fields_coupled.csv", grid, s1.x, s1.multiplier)
     write_fields_csv(out / "fields_minimization.csv", grid, s2.x,
@@ -155,7 +157,7 @@ def cmd_converge(args):
         if args.inject_exact:
             u, p = _injected_fields(grid, case)
         else:
-            saddle = solve_stokes_coupled(grid, case, args.tol)
+            saddle = solve_stokes_coupled(stokes_problem(grid, case), args.tol)
             u, p = saddle.x, saddle.multiplier
         rows.append((grid, error_norms(u, p, case, grid)))
 

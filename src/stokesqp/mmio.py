@@ -34,11 +34,11 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse as _sp
 
 from .sparse import SparseOperator, as_vector
 
 _HEADER_PREFIX = "%%matrixmarket"
-_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 # every byte a body may hold for the fast parse; anything else (letters of
 # nan/inf, '%', '_', control characters that str.splitlines breaks at but
 # loadtxt does not) leaves the file to the loop
@@ -172,12 +172,15 @@ def _entries_vectorized(data, start, nrows, ncols, nnz, symmetric):
             != len(data[:start].translate(None, _ENTRY_BYTES))):
         return None
     body = itertools.chain.from_iterable(_body_lines(data, start))
+    # indices parsed at the stored dtype; one that overflows goes to the loop
+    index = _sp.get_index_dtype(maxval=max(nrows, ncols, nnz))
+    entry = np.dtype([("i", index), ("j", index), ("v", np.float64)])
     with warnings.catch_warnings():
         # an older numpy parses '1.0' as an index with a DeprecationWarning
         # and warns on an empty body; the loop decides both
         warnings.simplefilter("error")
         try:
-            entries = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1)
+            entries = np.loadtxt(body, dtype=entry, comments=None, ndmin=1)
         except (ValueError, Warning):
             return None
     i, j, v = entries["i"], entries["j"], entries["v"]

@@ -81,7 +81,8 @@ class QpProblem:
     """The quadruple (A, b, C, d), with the A-factor and the C-factor.
 
     A : N x N, symmetric positive definite
-    b : ndarray, length N
+    b : ndarray, length N (kept as a read-only copy, as d is, so routes
+        that share a problem cannot write into each other's data)
     C : M x N, of rank M < N, or M - 1 < N if ``constraint.kernel`` is given
     d : ndarray, length M (d = 0 is the homogeneous-subspace case)
     a_solve : A^-1 as a callable (computed)
@@ -123,10 +124,10 @@ class QpProblem:
             assert_full_row_rank(C)) if sparse else C)
 
     def _set_rhs(self, b, d):
-        object.__setattr__(self, "b", as_vector(b, length=self.n_primal,
-                                                 name="b"))
-        object.__setattr__(self, "d", as_vector(d, length=self.n_constraints,
-                                                 name="d"))
+        for name, value, size in (("b", b, self.n_primal),
+                                  ("d", d, self.n_constraints)):
+            object.__setattr__(self, name, _read_only(
+                as_vector(value, length=size, name=name).copy()))
 
     def with_rhs(self, b, d):
         """This problem with (b, d) in place of its own, validated as at

@@ -80,9 +80,10 @@ class SparseOperator:
 
         Indices are stored as int32 where the shape, the entry count and
         the given indices all fit, as for an operator built from an array.
+        Signed integer index arrays are used as given, others via int64.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        rows, cols = (i if isinstance(i, np.ndarray) and i.dtype.kind == "i"
+                      else np.asarray(i, dtype=np.int64) for i in (rows, cols))
         values = np.asarray(values, dtype=float)
         if not (rows.shape == cols.shape == values.shape):
             raise ValueError("rows, cols, values must have matching lengths")

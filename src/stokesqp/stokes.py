@@ -9,9 +9,9 @@ and each action equals the CSR product of its matrix bit for bit.  The
 discrete problem is exactly an equality-constrained quadratic
 minimization: the viscous energy is minimized over the kernel of the
 discrete divergence, and the pressure is the Lagrange multiplier of that
-constraint.  So it is a ``qp.QpProblem`` (``stokes_problem``), solved by
-two QP routes so that the identity can be checked numerically: the coupled
-route is ``qp.solve_schur``, the minimization route
+constraint.  So it is one ``qp.QpProblem`` per grid (``stokes_problem``),
+solved by two QP routes so that the identity is checked numerically on the
+same problem: the coupled route is ``qp.solve_schur``, the minimization route
 ``qp.solve_projected_cg``.  Both return the QP core's SaddleSolution: the
 flat velocity is its ``x`` and the zero-mean pressure its ``multiplier``.
 
@@ -299,33 +299,20 @@ class DivergenceOperator:
         return p - p.mean()
 
 
-@dataclass(frozen=True)
-class StokesOperators:
-    """A (``ViscousOperator``) and B (``DivergenceOperator``) for one grid,
-    as stencils: they are applied, never stored as matrices.  The pressure
-    mass Mp = h^2 I is ``_pressure_mass``.
-    """
-
-    grid: MacGrid
-    A: ViscousOperator
-    B: DivergenceOperator
-
-
 def _pressure_mass(grid):
     """Diagonal of Mp: h^2 per cell."""
     return np.full(grid.n_pressure, grid.h * grid.h)
 
 
 def assemble_operators(grid):
-    """The viscous and divergence operators of ``grid`` as stencils.
+    """The stencils (A, B) of ``grid``, built nowhere else in the package.
 
     Nothing is assembled: each operator holds the grid and, for A, its two
     diagonal arrays, O(n) memory, until its first solve keeps its O(n^2)
     eigenbases.  Every product equals the CSR product of the matrix the
     stencil defines, bit for bit.
     """
-    return StokesOperators(grid, ViscousOperator(grid),
-                           DivergenceOperator(grid))
+    return ViscousOperator(grid), DivergenceOperator(grid)
 
 
 # -- manufactured solutions ------------------------------------------------
@@ -442,25 +429,26 @@ def divergence_free_projector(div):
 def stokes_problem(grid, case):
     """The discrete Stokes problem of ``case`` on ``grid`` as a QpProblem:
     minimize (1/2) u.T A u - b.T u subject to B u = 0, with the stencils as
-    A and C and the lumped load (``sample_forcing``) as b."""
-    ops = assemble_operators(grid)
-    return QpProblem(ops.A, sample_forcing(grid, case), ops.B,
+    A and C and the lumped load (``sample_forcing``) as b.  Both routes below
+    take it."""
+    A, B = assemble_operators(grid)
+    return QpProblem(A, sample_forcing(grid, case), B,
                      np.zeros(grid.n_pressure))
 
 
-def solve_stokes_coupled(grid, case, tol=DEFAULT_TOL):
+def solve_stokes_coupled(problem, tol=DEFAULT_TOL):
     """The coupled route, ``qp.solve_schur``: CG on the pressure Schur
     complement B A^-1 B.T.  Inf-sup stability bounds its condition number on
     zero-mean pressures by 1/beta^2, so the iteration count does not grow
     with the mesh."""
-    return solve_schur(stokes_problem(grid, case), tol)
+    return solve_schur(problem, tol)
 
 
-def solve_stokes_minimization(grid, case, tol=DEFAULT_TOL):
+def solve_stokes_minimization(problem, tol=DEFAULT_TOL):
     """The minimization route, ``qp.solve_projected_cg``: the viscous energy
     minimized over discretely divergence-free fields, then the pressure
     recovered as the constraint's Lagrange multiplier."""
-    return solve_projected_cg(stokes_problem(grid, case), tol)
+    return solve_projected_cg(problem, tol)
 
 
 def error_norms(u, p, case, grid):
@@ -503,8 +491,8 @@ def estimate_infsup_stokes(grid):
     # only the constant mode, to 2 S_00 / h^2; e_0 - 1/N is zero-mean with
     # Rayleigh quotient S_00 / (h^2 (1 - 1/N)), so that is at least
     # 2 (1 - 1/N) beta^2 > beta^2
-    div = DivergenceOperator(grid)
-    schur = schur_complement(div, ViscousOperator(grid).solve, div.kernel)
+    A, B = assemble_operators(grid)
+    schur = schur_complement(B, A.solve, B.kernel)
     lam, q = smallest_eigenpair_matrix_free(schur, _pressure_mass(grid))
     return InfSupEstimate(float(lam), q)
 

@@ -40,18 +40,23 @@ class PropertyResult:
         return self.worst <= self.bound
 
 
+def _spd(rng, n):
+    """G G.T + n I for a Gaussian n x n G, symmetrized exactly."""
+    g = rng.standard_normal((n, n))
+    a = g @ g.T + n * np.eye(n)
+    return SparseOperator(0.5 * (a + a.T))
+
+
 def random_problem(rng):
     """Random SPD quadratic with a full-row-rank Gaussian constraint block."""
     n = int(rng.integers(4, 51))
     m = int(rng.integers(1, n))
-    g = rng.standard_normal((n, n))
-    a = g @ g.T + n * np.eye(n)
-    a = 0.5 * (a + a.T)
+    a = _spd(rng, n)
     c = rng.standard_normal((m, n))
     b = rng.standard_normal(n)
     # half the instances exercise the inhomogeneous-constraint extension
     d = rng.standard_normal(m) if rng.random() < 0.5 else np.zeros(m)
-    return QpProblem(SparseOperator(a), b, SparseOperator(c), d)
+    return QpProblem(a, b, SparseOperator(c), d)
 
 
 def _corrupted(solution, rng):
@@ -136,16 +141,11 @@ def run_property_suite(seed, corrupt=False):
     for _ in range(5):
         n = int(rng.integers(6, 16))
         m = int(rng.integers(2, n - 1))
-        g = rng.standard_normal((n, n))
-        a = g @ g.T + n * np.eye(n)
-        h = rng.standard_normal((m, m))
-        mq = h @ h.T + m * np.eye(m)
+        a, mq = _spd(rng, n), _spd(rng, m)  # draw order fixes the reports
         c = SparseOperator(rng.standard_normal((m, n)))
-        problem = QpProblem(SparseOperator(0.5 * (a + a.T)), np.zeros(n), c,
-                            np.zeros(m))
-        mop = SparseOperator(0.5 * (mq + mq.T))
-        e1 = estimate_infsup(problem, mop, "dual_form")
-        e2 = estimate_infsup(problem, mop, "primal_form")
+        problem = QpProblem(a, np.zeros(n), c, np.zeros(m))
+        e1 = estimate_infsup(problem, mq, "dual_form")
+        e2 = estimate_infsup(problem, mq, "primal_form")
         record("infsup_two_form_equivalence", abs(e1.beta - e2.beta))
 
     return [PropertyResult(name, worst[name], bound)

@@ -2,6 +2,7 @@
 
 import csv
 import ctypes
+from collections import Counter
 import json
 import re
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 import scipy.linalg.cython_blas
 import scipy.sparse.linalg
 
-from stokesqp import SparseOperator, build_grid, solvers, stokes
+from stokesqp import QpProblem, SparseOperator, build_grid, solvers, stokes
 from stokesqp.cli import (EXIT_BAD_INPUT, EXIT_OK, EXIT_PROPERTY_FAILURE,
                           EXIT_SOLVER_FAILURE, EXIT_STUDY_GATE, build_parser,
                           run)
@@ -271,6 +272,37 @@ def test_stokes_commands_build_no_stokes_matrix(tmp_path, monkeypatch):
     assert run(["qp-solve", "--input",
                 str(_write_hand_problem(tmp_path / "qp"))]) == EXIT_OK
     assert "SparseOperator" in calls and "splu" in calls
+
+
+def test_stokes_commands_build_one_problem_per_grid(tmp_path, monkeypatch):
+    # stokes solves one problem both ways: one load sample, and A's two
+    # eigenbases built once for both routes; converge builds one per grid
+    calls = []
+    post_init = QpProblem.__post_init__
+
+    def counted_post_init(self):
+        calls.append(("problem", self.A.grid.n))
+        post_init(self)
+
+    def counted(name):
+        original = getattr(stokes, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(QpProblem, "__post_init__", counted_post_init)
+    for name in ("_sine_basis", "sample_forcing"):
+        monkeypatch.setattr(stokes, name, counted(name))
+    assert run(["stokes", "--n", "8", "--output", str(tmp_path)]) == EXIT_OK
+    assert Counter(calls) == {("problem", 8): 1, "_sine_basis": 2,
+                              "sample_forcing": 1}
+    calls.clear()
+    assert run(["converge", "--n-list", "4,8", "--output",
+                str(tmp_path)]) == EXIT_OK
+    assert [c for c in calls if c[0] == "problem"] == [("problem", 4),
+                                                       ("problem", 8)]
 
 
 def test_nan_pressure_is_a_solver_failure(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,9 @@
 """Import hygiene: every name a package module or demo imports is used
 there, every name the package exports exists, and the demos use only the
 package's public names.  The saddle routes have one implementation, in
-``qp.py``: no other module calls its kernels.  scipy's BLAS thread policy
+``qp.py``: no other module calls its kernels, and each Stokes route is one
+call of a QP route on the problem it is given.  The MAC stencils are built
+in one place, ``stokes.assemble_operators``.  scipy's BLAS thread policy
 lives in ``solvers.py``, the only package module that imports ``ctypes``.
 
 No linter is part of the toolchain, so this reads each file's syntax tree:
@@ -120,14 +122,14 @@ KERNEL_CALLS_OUTSIDE_QP = [("stokes.py", "estimate_infsup_stokes",
                             "schur_complement")]
 
 
-def _kernel_calls(path):
-    """(top-level definition, kernel) for each call of a QP kernel."""
+def _calls(path, names):
+    """(top-level definition, callee) for each call of one of ``names``."""
     calls = []
     for top in ast.parse(path.read_text(encoding="ascii")).body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "attr", getattr(node.func, "id", 0))
-                if name in QP_KERNELS:
+                if name in names:
                     calls.append((getattr(top, "name", None), name))
     return calls
 
@@ -136,7 +138,7 @@ def test_only_qp_calls_the_saddle_kernels():
     # a second caller would be a second copy of a saddle route; stokes.py
     # imports its problem, routes and inf-sup pieces, and the kept import
     assert [(p.name, *call) for p in sorted(PACKAGE.glob("*.py"))
-            if p.name != "qp.py" for call in _kernel_calls(p)] == \
+            if p.name != "qp.py" for call in _calls(p, QP_KERNELS)] == \
         KERNEL_CALLS_OUTSIDE_QP
     tree = ast.parse((PACKAGE / "stokes.py").read_text(encoding="ascii"))
     assert sorted(alias.name for node in tree.body if getattr(
@@ -151,8 +153,82 @@ def test_kernel_call_is_caught(tmp_path):
                       "def g():\n    return qp.conjugate_gradient(f, 1)\n"
                       "class H:\n    def h(self):\n        f()\n"
                       "        schur_complement(1)\n", encoding="ascii")
-    assert _kernel_calls(source) == [("g", "conjugate_gradient"),
-                                     ("H", "schur_complement")]
+    assert _calls(source, QP_KERNELS) == [("g", "conjugate_gradient"),
+                                          ("H", "schur_complement")]
+
+
+STENCILS = ("ViscousOperator", "DivergenceOperator")
+
+
+def test_only_assemble_operators_builds_the_stencils():
+    # every caller takes A and B from assemble_operators, the one place
+    # that constructs them
+    assert sorted((p.name, *call) for p in PACKAGE.glob("*.py")
+                  for call in _calls(p, STENCILS)) == [
+        ("stokes.py", "assemble_operators", "DivergenceOperator"),
+        ("stokes.py", "assemble_operators", "ViscousOperator")]
+
+
+def test_stencil_construction_is_caught(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("from stokesqp import stokes\n"
+                      "A = stokes.ViscousOperator(1)\n"
+                      "def f(grid):\n    return DivergenceOperator(grid)\n"
+                      "g = stokes.DivergenceOperator\n", encoding="ascii")
+    assert _calls(source, STENCILS) == [(None, "ViscousOperator"),
+                                        ("f", "DivergenceOperator")]
+
+
+#: each Stokes route and the QP route it is a call of
+STOKES_WRAPPERS = {"solve_stokes_coupled": "solve_schur",
+                   "solve_stokes_minimization": "solve_projected_cg"}
+
+
+def _wrapped_route(function):
+    """The QP route the FunctionDef ``function`` is a call of: its
+    parameters are (problem, tol), and its body its docstring and one
+    ``return route(problem, tol)``; None if it is anything more."""
+    args = function.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+              + [args.vararg, args.kwarg] if a is not None]
+    body = function.body[ast.get_docstring(function) is not None:]
+    if params != ["problem", "tol"] or len(body) != 1 \
+            or not isinstance(body[0], ast.Return):
+        return None
+    call = body[0].value
+    if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and not call.keywords
+            and [getattr(a, "id", None) for a in call.args] == params):
+        return call.func.id
+    return None
+
+
+def test_stokes_wrappers_are_one_call_of_a_qp_route():
+    tree = ast.parse((PACKAGE / "stokes.py").read_text(encoding="ascii"))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    assert {name: _wrapped_route(functions[name])
+            for name in STOKES_WRAPPERS} == STOKES_WRAPPERS
+
+
+@pytest.mark.parametrize("source, route", [
+    ('def f(problem, tol=1):\n    """Doc."""\n'
+     "    return solve_schur(problem, tol)", "solve_schur"),
+    ("def f(problem, tol):\n    return solve_projected_cg(problem, tol)",
+     "solve_projected_cg"),
+    ("def f(problem, tol):\n    x = 1\n    return solve_schur(problem, tol)",
+     None),
+    ("def f(problem, tol):\n    return solve_schur(tol, problem)", None),
+    ("def f(problem, tol):\n    return solve_schur(problem, tol=tol)", None),
+    ("def f(problem, tol):\n    return solve_schur(problem, tol).x", None),
+    ("def f(problem, tol):\n    return qp.solve_schur(problem, tol)", None),
+    ("def f(problem, tol, *rest):\n    return solve_schur(problem, tol)",
+     None),
+    ("def f(grid, case, tol):\n"
+     "    return solve_schur(stokes_problem(grid, case), tol)", None),
+])
+def test_wrapper_that_does_more_is_caught(source, route):
+    assert _wrapped_route(ast.parse(source).body[0]) == route
 
 
 def _imported_modules(path):

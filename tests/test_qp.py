@@ -167,9 +167,9 @@ def test_problem_rejects_a_whose_kkt_point_is_a_saddle():
 
 def test_problem_rejects_operators_without_factors():
     # dense arrays carry no factor; a mixed pair is proven on one side only
-    ops = assemble_operators(build_grid(3))
+    viscous, div = assemble_operators(build_grid(3))
     a, c = SparseOperator(np.eye(12)), SparseOperator(np.ones((1, 12)))
-    for A, C in ((np.eye(3), np.ones((1, 3))), (a, ops.B), (ops.A, c)):
+    for A, C in ((np.eye(3), np.ones((1, 3))), (a, div), (viscous, c)):
         with pytest.raises(TypeError, match="SparseOperator"):
             QpProblem(A, np.zeros(A.shape[0]), C, np.zeros(C.shape[0]))
 
@@ -179,6 +179,23 @@ def test_problem_rejects_wrong_lengths():
         _problem(np.eye(3), np.ones(2), [[1.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
         _problem(np.eye(3), np.ones(3), [[1.0, 0.0, 0.0]], d=[1.0, 2.0])
+    with pytest.raises(ValueError, match="C has 4 columns, expected 3"):
+        _problem(np.eye(3), np.ones(3), [[1.0, 0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("rebuild", [False, True], ids=["init", "with_rhs"])
+def test_problem_data_are_read_only_copies(rebuild):
+    # routes sharing one problem cannot write into what another reads, and
+    # the caller's arrays are neither frozen nor aliased
+    b, d = np.ones(3), np.array([1.0])
+    p = _problem(4.0 * np.eye(3), np.zeros(3), [[1.0, 2.0, 0.0]], d=[0.0])
+    p = p.with_rhs(b, d) if rebuild else QpProblem(p.A, b, p.C, d)
+    for data in (p.b, p.d):
+        with pytest.raises(ValueError, match="read-only"):
+            data[0] = 0.0
+    assert b.flags.writeable and d.flags.writeable
+    b[0] = d[0] = 7.0
+    assert np.array_equal(p.b, np.ones(3)) and np.array_equal(p.d, [1.0])
 
 
 def test_with_rhs_shares_the_factors_and_validates_the_data():
@@ -353,9 +370,9 @@ def test_residual_contract_fails_a_nan_multiplier():
     # a NaN multiplier is a failed solve (exit 2), not malformed input: the
     # operators' input validation must not turn it into a ValueError, for
     # the assembled operators or the MAC stencils
-    ops = assemble_operators(build_grid(3))
+    A, B = assemble_operators(build_grid(3))
     for p in (_problem(np.eye(3), np.ones(3), [[1.0, 1.0, 0.0]]),
-              QpProblem(ops.A, np.zeros(12), ops.B, np.zeros(9))):
+              QpProblem(A, np.zeros(12), B, np.zeros(9))):
         lam = np.r_[np.nan, np.zeros(p.n_constraints - 1)]
         with pytest.raises(ConvergenceError, match="stationarity nan"):
             checked_solution(p, np.zeros(p.n_primal), lam, "schur", 1e-10)

@@ -229,6 +229,11 @@ def test_factorized_singular_operator_raises_at_every_size(monkeypatch):
             factorized(op)
 
 
+def test_factorized_takes_only_a_sparse_operator():
+    with pytest.raises(TypeError, match="SparseOperator"):
+        factorized(np.eye(2))
+
+
 def _symmetric_test_system():
     a = np.array([[4.0, 1.0, 0.0], [1.0, -3.0, 2.0], [0.0, 2.0, 5.0]])
     return SparseOperator(a), np.array([1.0, -2.0, 3.0]), np.linalg.inv(a)

@@ -171,6 +171,18 @@ def test_dimension_mismatch_rejected():
         op.apply([1.0, 2.0, 3.0])
 
 
+def test_triples_of_unequal_lengths_rejected():
+    with pytest.raises(ValueError, match="matching lengths"):
+        SparseOperator.from_triples(2, 2, [0, 1], [0], [1.0, 2.0])
+
+
+def test_repr_names_shape_entries_and_symmetry():
+    assert repr(SparseOperator(np.eye(2))) == \
+        "SparseOperator(2x2, nnz=2, symmetric)"
+    assert repr(SparseOperator([[0.0, 1.0, 0.0]])) == \
+        "SparseOperator(1x3, nnz=1, general)"
+
+
 def test_apply_transpose_is_the_transposed_product():
     rng = np.random.default_rng(28)
     dense = rng.standard_normal((4, 7))

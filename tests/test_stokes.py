@@ -159,19 +159,19 @@ def test_stencil_assembly_matches_kronecker_oracle(n):
     # zeros included, so every output byte is that of the assembled matrices
     a, b = _kronecker_operators(n)
     grid = build_grid(n)
-    ops = assemble_operators(grid)
+    A, B = assemble_operators(grid)
     rng = np.random.default_rng([n, 28])
     zeros = 0
     for _ in range(4):
         x = _vector_with_zeros(rng, grid.n_velocity)
         q = _vector_with_zeros(rng, grid.n_pressure)
-        for actual, expected in ((ops.A.apply(x), a @ x),
-                                 (ops.B.apply(x), b @ x),
-                                 (ops.B.apply_transpose(q), b.T @ q)):
+        for actual, expected in ((A.apply(x), a @ x),
+                                 (B.apply(x), b @ x),
+                                 (B.apply_transpose(q), b.T @ q)):
             assert _same_bits(actual, expected)
             zeros += np.count_nonzero(expected == 0.0)
     assert zeros > 0
-    assert ops.A.frobenius_norm() == SparseOperator(a).frobenius_norm()
+    assert A.frobenius_norm() == SparseOperator(a).frobenius_norm()
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -179,10 +179,10 @@ def test_operators_store_no_explicit_zeros(n):
     # no entry is stored at all; the matrix the stencils define has no zero
     # coefficient, so its nonzero pattern is the oracle's stored pattern
     grid = build_grid(n)
-    ops = assemble_operators(grid)
+    A, B = assemble_operators(grid)
     a, b = _kronecker_operators(n)
-    for apply, oracle in ((ops.A.apply, a), (ops.B.apply, b),
-                          (ops.B.apply_transpose, b.T)):
+    for apply, oracle in ((A.apply, a), (B.apply, b),
+                          (B.apply_transpose, b.T)):
         dense = _stencil_matrix(apply, oracle.shape[1])
         assert np.array_equal(dense != 0, oracle.toarray() != 0)
         assert np.count_nonzero(dense) == oracle.nnz
@@ -197,33 +197,33 @@ def test_assembly_uses_no_sparse_constructors(monkeypatch):
                  "csr_array", "csc_array", "coo_array", "csr_matrix"):
         monkeypatch.setattr(sp, name, refuse)
     grid = build_grid(6)
-    ops = assemble_operators(grid)
-    assert ops.A.apply(np.ones(60)).shape == (60,)
-    assert ops.B.apply(np.ones(60)).shape == (36,)
-    assert ops.B.apply_transpose(np.ones(36)).shape == (60,)
-    case = manufactured_case("taylor_green")
-    solve_stokes_coupled(grid, case)
-    solve_stokes_minimization(grid, case)
+    A, B = assemble_operators(grid)
+    assert A.apply(np.ones(60)).shape == (60,)
+    assert B.apply(np.ones(60)).shape == (36,)
+    assert B.apply_transpose(np.ones(36)).shape == (60,)
+    problem = stokes_problem(grid, manufactured_case("taylor_green"))
+    solve_stokes_coupled(problem)
+    solve_stokes_minimization(problem)
 
 
 def test_viscous_operator_hand_assembled_n2():
-    ops = assemble_operators(build_grid(2))
+    A, B = assemble_operators(build_grid(2))
     block = np.array([[5.0, -1.0], [-1.0, 5.0]])
     expected = sla.block_diag(block, block)
-    assert np.array_equal(_stencil_matrix(ops.A.apply, 4), expected)
-    assert ops.A.frobenius_norm() == np.sqrt(104.0)
+    assert np.array_equal(_stencil_matrix(A.apply, 4), expected)
+    assert A.frobenius_norm() == np.sqrt(104.0)
 
 
 def test_divergence_operator_hand_assembled_n2():
-    ops = assemble_operators(build_grid(2))
+    A, B = assemble_operators(build_grid(2))
     # columns ordered u(0,0), u(0,1), v(0,0), v(1,0); rows are cells in
     # row-major (ix, iy) order
     expected = np.array([[0.5, 0.0, 0.5, 0.0],
                          [0.0, 0.5, -0.5, 0.0],
                          [-0.5, 0.0, 0.0, 0.5],
                          [0.0, -0.5, 0.0, -0.5]])
-    assert np.array_equal(_stencil_matrix(ops.B.apply, 4), expected)
-    assert np.array_equal(_stencil_matrix(ops.B.apply_transpose, 4),
+    assert np.array_equal(_stencil_matrix(B.apply, 4), expected)
+    assert np.array_equal(_stencil_matrix(B.apply_transpose, 4),
                           expected.T)
 
 
@@ -232,7 +232,8 @@ def test_divergence_operator_hand_assembled_n2():
 def test_stencils_validate_their_input(owner, method):
     # as SparseOperator.apply does: wrong length, not 1-D, non-finite
     grid = build_grid(4)
-    apply = getattr(getattr(assemble_operators(grid), owner), method)
+    operators = dict(zip("AB", assemble_operators(grid)))
+    apply = getattr(operators[owner], method)
     size = grid.n_pressure if method == "apply_transpose" else \
         grid.n_velocity
     for bad in (np.ones(size - 1), np.ones((size, 1)),
@@ -243,10 +244,10 @@ def test_stencils_validate_their_input(owner, method):
 
 def test_divergence_of_unit_face_impulse():
     grid = build_grid(2)
-    ops = assemble_operators(grid)
+    A, B = assemble_operators(grid)
     impulse = np.zeros(grid.n_velocity)
     impulse[0] = 1.0  # u-face between the two left cells... east of cell (0, *)
-    div = ops.B.apply(impulse)
+    div = B.apply(impulse)
     h = grid.h
     # +-(1/h) in the two cells sharing the face, under the h^2 cell weight
     assert np.array_equal(div, [h * h / h, 0.0, -h * h / h, 0.0])
@@ -261,7 +262,7 @@ def test_pressure_mass_is_h_squared_identity():
 def test_constants_span_divergence_transpose_kernel():
     for n in (2, 3, 8):
         grid = build_grid(n)
-        grad_of_const = assemble_operators(grid).B.apply_transpose(
+        grad_of_const = assemble_operators(grid)[1].apply_transpose(
             np.ones(grid.n_pressure))
         assert np.array_equal(grad_of_const, np.zeros(grid.n_velocity))
 
@@ -269,7 +270,7 @@ def test_constants_span_divergence_transpose_kernel():
 def test_no_spurious_kernel_directions():
     for n in (2, 4, 8):
         grid = build_grid(n)
-        div = _stencil_matrix(assemble_operators(grid).B.apply,
+        div = _stencil_matrix(assemble_operators(grid)[1].apply,
                               grid.n_velocity)
         sv = np.linalg.svd(div.T, compute_uv=False)
         # exactly one vanishing singular value (the constant direction)
@@ -309,7 +310,7 @@ def test_qp_core_names_the_rank_deficit_of_b(pairing, deficit, n):
 def test_divergence_gradient_adjoint_pairing():
     rng = np.random.default_rng(52)
     grid = build_grid(6)
-    div = assemble_operators(grid).B
+    div = assemble_operators(grid)[1]
     for _ in range(100):
         v = rng.standard_normal(grid.n_velocity)
         q = rng.standard_normal(grid.n_pressure)
@@ -321,7 +322,7 @@ def test_divergence_gradient_adjoint_pairing():
 def test_viscous_operator_positive_definite():
     for n in (2, 3, 4):
         grid = build_grid(n)
-        a = _stencil_matrix(assemble_operators(grid).A.apply,
+        a = _stencil_matrix(assemble_operators(grid)[0].apply,
                             grid.n_velocity)
         assert np.array_equal(a, a.T)
         assert np.min(np.linalg.eigvalsh(a)) > 0.0
@@ -458,10 +459,9 @@ def test_unknown_case_rejected():
 
 
 def test_zero_forcing_gives_zero_fields():
-    grid = build_grid(4)
-    case = _zero_case()
+    problem = stokes_problem(build_grid(4), _zero_case())
     for solve in (solve_stokes_coupled, solve_stokes_minimization):
-        saddle = solve(grid, case, 1e-12)
+        saddle = solve(problem, 1e-12)
         assert np.max(np.abs(saddle.x)) <= 1e-14
         assert np.max(np.abs(saddle.multiplier)) <= 1e-14
         assert saddle.residual_feasibility <= 1e-14
@@ -469,9 +469,9 @@ def test_zero_forcing_gives_zero_fields():
 
 def test_coupled_solution_is_discretely_divergence_free():
     grid = build_grid(16)
-    u = solve_stokes_coupled(grid, manufactured_case("taylor_green"),
-                             1e-12).x
-    div = assemble_operators(grid).B.apply(u)
+    u = solve_stokes_coupled(
+        stokes_problem(grid, manufactured_case("taylor_green")), 1e-12).x
+    div = assemble_operators(grid)[1].apply(u)
     assert np.linalg.norm(div) <= 1e-10
     assert np.linalg.norm(div) <= 1e-10 * np.linalg.norm(u)
 
@@ -479,9 +479,9 @@ def test_coupled_solution_is_discretely_divergence_free():
 @pytest.mark.parametrize("case_id", ["taylor_green", "polynomial"])
 def test_formulation_equivalence(case_id):
     grid = build_grid(8)
-    case = manufactured_case(case_id)
-    s1 = solve_stokes_coupled(grid, case, 1e-12)
-    s2 = solve_stokes_minimization(grid, case, 1e-12)
+    problem = stokes_problem(grid, manufactured_case(case_id))
+    s1 = solve_stokes_coupled(problem, 1e-12)
+    s2 = solve_stokes_minimization(problem, 1e-12)
     assert np.linalg.norm(s1.x - s2.x) <= 1e-8 * np.linalg.norm(s1.x)
     assert np.linalg.norm(s1.multiplier - s2.multiplier) <= \
         1e-8 * np.linalg.norm(s1.multiplier)
@@ -509,7 +509,7 @@ def _bordered_kkt_solve(grid, case):
 def test_coupled_route_matches_bordered_kkt_oracle(n, case_id):
     grid = build_grid(n)
     case = manufactured_case(case_id)
-    saddle = solve_stokes_coupled(grid, case, 1e-12)
+    saddle = solve_stokes_coupled(stokes_problem(grid, case), 1e-12)
     u_ref, p_ref = _bordered_kkt_solve(grid, case)
     u, p = saddle.x, saddle.multiplier
     assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
@@ -522,7 +522,7 @@ def test_minimization_pressure_matches_dense_least_squares(n, case_id):
     # oracle: the dense least-squares multiplier of B.T p = A u - b
     grid = build_grid(n)
     case = manufactured_case(case_id)
-    saddle = solve_stokes_minimization(grid, case, 1e-12)
+    saddle = solve_stokes_minimization(stokes_problem(grid, case), 1e-12)
     a, div = _kronecker_operators(n)
     g = a @ saddle.x - sample_forcing(grid, case)
     p_ref = np.linalg.lstsq(div.toarray().T, g, rcond=None)[0]
@@ -534,10 +534,9 @@ def test_minimization_pressure_matches_dense_least_squares(n, case_id):
 def test_minimization_matches_coupled_route_on_a_fine_grid():
     # at n = 80 an unlifted projected CG (P A P, singular on range(B.T))
     # met negative curvature once rounding left Ker B
-    grid = build_grid(80)
-    case = manufactured_case("polynomial")
-    s1 = solve_stokes_coupled(grid, case, 1e-12)
-    s2 = solve_stokes_minimization(grid, case, 1e-12)
+    problem = stokes_problem(build_grid(80), manufactured_case("polynomial"))
+    s1 = solve_stokes_coupled(problem, 1e-12)
+    s2 = solve_stokes_minimization(problem, 1e-12)
     assert np.linalg.norm(s2.x - s1.x) <= 1e-10 * np.linalg.norm(s1.x)
     assert np.linalg.norm(s2.multiplier - s1.multiplier) <= \
         1e-10 * np.linalg.norm(s1.multiplier)
@@ -549,8 +548,8 @@ def test_minimization_fails_fast_below_attainable_accuracy():
     # on stagnation long before max_iter = 10 N = 4800
     grid = build_grid(16)
     with pytest.raises(ConvergenceError, match="stagnation") as info:
-        solve_stokes_minimization(grid, manufactured_case("taylor_green"),
-                                  tol=1e-17)
+        solve_stokes_minimization(
+            stokes_problem(grid, manufactured_case("taylor_green")), 1e-17)
     iterations = int(re.search(r"after (\d+) iterations",
                                str(info.value)).group(1))
     assert iterations < 480
@@ -562,8 +561,8 @@ def test_coupled_route_stagnates_below_attainable_accuracy():
     # direction that rounding reaches outside range(B)
     grid = build_grid(16)
     with pytest.raises(ConvergenceError, match="stagnation"):
-        solve_stokes_coupled(grid, manufactured_case("taylor_green"),
-                             tol=1e-17)
+        solve_stokes_coupled(
+            stokes_problem(grid, manufactured_case("taylor_green")), 1e-17)
 
 
 @pytest.mark.parametrize("case_id", ["taylor_green", "polynomial"])
@@ -572,7 +571,8 @@ def test_coupled_iterations_do_not_grow_with_the_mesh(case_id):
     # zero-mean pressures by 1/beta^2 at every h
     case = manufactured_case(case_id)
     for n in (16, 32, 64):
-        saddle = solve_stokes_coupled(build_grid(n), case, 1e-12)
+        saddle = solve_stokes_coupled(stokes_problem(build_grid(n), case),
+                                      1e-12)
         assert saddle.inner_report.iterations <= 20
 
 
@@ -584,30 +584,30 @@ def test_minimization_iterations_grow_slowly(case_id):
     # projected CG without it
     case = manufactured_case(case_id)
     for n in (16, 32, 64):
-        saddle = solve_stokes_minimization(build_grid(n), case, 1e-12)
+        saddle = solve_stokes_minimization(
+            stokes_problem(build_grid(n), case), 1e-12)
         assert saddle.inner_report.iterations <= 20
 
 
 def test_returned_pressures_have_zero_mean():
-    grid = build_grid(8)
-    case = manufactured_case("polynomial")
+    problem = stokes_problem(build_grid(8), manufactured_case("polynomial"))
     for solve in (solve_stokes_coupled, solve_stokes_minimization):
-        p = solve(grid, case, 1e-12).multiplier
+        p = solve(problem, 1e-12).multiplier
         assert abs(p.sum()) <= 1e-12 * max(np.linalg.norm(p), 1e-30)
 
 
 def test_minimizer_beats_divergence_free_perturbations():
     grid = build_grid(8)
     case = manufactured_case("taylor_green")
-    u = solve_stokes_minimization(grid, case, 1e-12).x
-    ops = assemble_operators(grid)
-    project = divergence_free_projector(ops.B)
+    u = solve_stokes_minimization(stokes_problem(grid, case), 1e-12).x
+    A, B = assemble_operators(grid)
+    project = divergence_free_projector(B)
     b = sample_forcing(grid, case)
 
     def j(v):
-        return 0.5 * float(v @ ops.A.apply(v)) - float(b @ v)
+        return 0.5 * float(v @ A.apply(v)) - float(b @ v)
 
-    scale = ops.A.frobenius_norm() * np.linalg.norm(u) + np.linalg.norm(b)
+    scale = A.frobenius_norm() * np.linalg.norm(u) + np.linalg.norm(b)
     rng = np.random.default_rng(56)
     j_u = j(u)
     for _ in range(100):
@@ -617,12 +617,12 @@ def test_minimizer_beats_divergence_free_perturbations():
 
 def test_divergence_free_projector_properties():
     grid = build_grid(6)
-    ops = assemble_operators(grid)
-    project = divergence_free_projector(ops.B)
+    A, B = assemble_operators(grid)
+    project = divergence_free_projector(B)
     rng = np.random.default_rng(57)
     v = rng.standard_normal(grid.n_velocity)
     w = project(v)
-    assert np.linalg.norm(ops.B.apply(w)) <= 1e-12 * np.linalg.norm(v)
+    assert np.linalg.norm(B.apply(w)) <= 1e-12 * np.linalg.norm(v)
     assert np.linalg.norm(project(w) - w) <= 1e-12 * np.linalg.norm(w)
 
 
@@ -645,7 +645,7 @@ def test_closed_form_bases_diagonalize_the_stencils(k):
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 64])
 def test_mac_velocity_solve_matches_sparse_lu(n):
     grid = build_grid(n)
-    solve = assemble_operators(grid).A.solve
+    solve = assemble_operators(grid)[0].solve
     oracle = factorized(_oracle_operators(n)[0])
     r = np.random.default_rng(n).standard_normal(grid.n_velocity)
     x, ref = solve(r), oracle(r)
@@ -658,7 +658,7 @@ def test_mac_pressure_solve_is_the_zero_mean_pseudo_inverse(n):
     grid = build_grid(n)
     b = _kronecker_operators(n)[1]
     q = b @ np.random.default_rng(n).standard_normal(grid.n_velocity)
-    p = assemble_operators(grid).B.normal_solve(q)
+    p = assemble_operators(grid)[1].normal_solve(q)
     assert np.linalg.norm(b @ (b.T @ p) - q) <= 1e-12 * np.linalg.norm(q)
     assert abs(p.mean()) <= 1e-14 * np.abs(p).max()
 
@@ -699,7 +699,8 @@ def _sparse_lu_routes(grid, case, tol):
 def test_routes_match_their_sparse_lu_versions(n, case_id):
     grid = build_grid(n)
     case = manufactured_case(case_id)
-    fast = [solve(grid, case, 1e-12)
+    problem = stokes_problem(grid, case)
+    fast = [solve(problem, 1e-12)
             for solve in (solve_stokes_coupled, solve_stokes_minimization)]
     for saddle, (u_ref, p_ref) in zip(fast,
                                       _sparse_lu_routes(grid, case, 1e-12)):
@@ -723,8 +724,9 @@ def test_infsup_applies_no_viscous_stencil(monkeypatch):
 
 def test_each_route_builds_each_eigenbasis_once(monkeypatch):
     # the operators keep their bases: the minimization route's projector
-    # and its pressure recovery share one cosine basis, and (B B.T)^+ is
-    # built only where it is used
+    # and its pressure recovery share one cosine basis, (B B.T)^+ is built
+    # only where it is used, and a second route on the same problem builds
+    # no basis of A again
     built = Counter()
 
     def counted(name):
@@ -744,8 +746,11 @@ def test_each_route_builds_each_eigenbasis_once(monkeypatch):
         return built["_sine_basis"], built["_cosine_basis"]
 
     grid, case = build_grid(8), manufactured_case("taylor_green")
-    assert bases_built(solve_stokes_minimization, grid, case) == (2, 1)
-    assert bases_built(solve_stokes_coupled, grid, case) == (2, 0)
+    assert bases_built(solve_stokes_minimization,
+                       stokes_problem(grid, case)) == (2, 1)
+    problem = stokes_problem(grid, case)
+    assert bases_built(solve_stokes_coupled, problem) == (2, 0)
+    assert bases_built(solve_stokes_minimization, problem) == (0, 1)
     assert bases_built(estimate_infsup_stokes, grid) == (2, 0)
 
 
@@ -787,7 +792,7 @@ def test_taylor_green_baseline_errors():
     case = manufactured_case("taylor_green")
     for n, frozen in L2_U_BASELINE.items():
         grid = build_grid(n)
-        saddle = solve_stokes_coupled(grid, case, 1e-12)
+        saddle = solve_stokes_coupled(stokes_problem(grid, case), 1e-12)
         err = error_norms(saddle.x, saddle.multiplier, case, grid)
         assert err["l2_u"] == pytest.approx(frozen, rel=1e-8)
 
@@ -797,7 +802,7 @@ def test_velocity_error_drops_at_second_order():
     errors = []
     for n in (4, 8):
         grid = build_grid(n)
-        saddle = solve_stokes_coupled(grid, case, 1e-12)
+        saddle = solve_stokes_coupled(stokes_problem(grid, case), 1e-12)
         errors.append(error_norms(saddle.x, saddle.multiplier, case,
                                   grid)["l2_u"])
     order = np.log2(errors[0] / errors[1])
@@ -900,7 +905,7 @@ def _multiplier_ratio(grid, beta, b, p):
     the A-projection of A^-1 b onto Ker B."""
     mass = _pressure_mass(grid)
     return beta * np.sqrt(p @ (mass * p)) / \
-        np.sqrt(b @ assemble_operators(grid).A.solve(b))
+        np.sqrt(b @ assemble_operators(grid)[0].solve(b))
 
 
 @pytest.mark.parametrize("case_id", ["taylor_green", "polynomial"])
@@ -910,7 +915,7 @@ def test_infsup_constant_bounds_the_multiplier(n, case_id):
     # multiplier of div u = 0 (ratios 0.061 -> 0.053 and 0.81 -> 0.70)
     grid = build_grid(n)
     case = manufactured_case(case_id)
-    p = solve_stokes_coupled(grid, case).multiplier
+    p = solve_stokes_coupled(stokes_problem(grid, case)).multiplier
     ratio = _multiplier_ratio(grid, estimate_infsup_stokes(grid).beta,
                               sample_forcing(grid, case), p)
     assert ratio <= 1.0 + 1e-10
@@ -961,7 +966,7 @@ def test_pressure_is_the_sensitivity_of_the_optimal_energy(n, case_id):
     b = sample_forcing(grid, case)
     rng = np.random.default_rng([n, 27])
     g, e = _zero_mean_source(grid, rng), _zero_mean_source(grid, rng)
-    a = assemble_operators(grid).A
+    a = assemble_operators(grid)[0]
 
     def optimal_energy(d):
         u, _ = _divergence_source_solve(grid, b, d)
@@ -975,7 +980,7 @@ def test_pressure_is_the_sensitivity_of_the_optimal_energy(n, case_id):
 def _brezzi_ratio(grid, beta, b, g, p):
     """|p|_Mp over the Brezzi bound |b|_A^-1 / beta + |g|_Mp^-1 / beta^2."""
     mass = _pressure_mass(grid)
-    bound = (np.sqrt(b @ assemble_operators(grid).A.solve(b)) / beta
+    bound = (np.sqrt(b @ assemble_operators(grid)[0].solve(b)) / beta
              + np.sqrt(g @ (g / mass)) / beta ** 2)
     return np.sqrt(p @ (mass * p)) / bound
 
@@ -1035,15 +1040,16 @@ def test_pressure_identity_under_rough_loads(n, seed):
     grid = build_grid(n)
     case = _gaussian_load_case(grid, seed)
     b = sample_forcing(grid, case)
-    coupled = solve_stokes_coupled(grid, case, 1e-12)
-    minimized = solve_stokes_minimization(grid, case, 1e-12)
+    problem = stokes_problem(grid, case)
+    coupled = solve_stokes_coupled(problem, 1e-12)
+    minimized = solve_stokes_minimization(problem, 1e-12)
     p = coupled.multiplier
     witnesses = [minimized.multiplier]
     if n <= 16:
         witnesses.append(_pinned_qp_pressure(grid, b))
     for q in witnesses:
         assert np.linalg.norm(q - p) <= 1e-10 * np.linalg.norm(p)
-    div = assemble_operators(grid).B
+    div = assemble_operators(grid)[1]
     for saddle in (coupled, minimized):
         assert np.linalg.norm(div.apply(saddle.x)) <= \
             1e-10 * np.linalg.norm(saddle.x)
@@ -1119,7 +1125,8 @@ def test_write_fields_csv_matches_row_by_row_formula(tmp_path):
     path = tmp_path / "fields.csv"
     for n in (2, 3, 5, 16):
         grid = build_grid(n)
-        solved = solve_stokes_coupled(grid, manufactured_case("taylor_green"))
+        solved = solve_stokes_coupled(
+            stokes_problem(grid, manufactured_case("taylor_green")))
         rng = np.random.default_rng([n, 58])
         seeded = rng.standard_normal(grid.n_velocity + grid.n_pressure)
         seeded[rng.choice(seeded.size, len(specials), replace=False)] = \
