@@ -12,8 +12,8 @@ A default lives in one place: ``_FLAGS`` holds every flag's, and
 ``_SUBCOMMANDS`` each command's handler and the defaults it changes.
 Commands raise on failure, and ``run`` alone maps the failure's class to
 its code: ValueError or FileNotFoundError to 3, ``_SOLVER_ERRORS`` to 2.
-``run`` also holds scipy's own BLAS pool at one thread while a command
-runs (``solvers.serial_scipy_blas``).
+``run`` also holds numpy's and scipy's OpenBLAS pools at one thread while a
+command runs (``solvers.serial_blas``).
 
 All output files are written by ``mmio`` and are byte-deterministic for fixed
 inputs and seed: floats are written in shortest round-trip form, JSON keys
@@ -30,7 +30,7 @@ from . import mmio
 from .qp import (estimate_infsup, load_problem, save_solution,
                  solve_kkt_direct, solve_nullspace, solve_schur)
 from .solvers import (DEFAULT_TOL, ConvergenceError, SingularSystemError,
-                      serial_scipy_blas)
+                      serial_blas)
 from .sparse import SparseOperator
 from .stokes import (build_grid, error_norms, estimate_infsup_stokes,
                      manufactured_case, solve_stokes_coupled,
@@ -339,7 +339,7 @@ def run(argv=None):
     args = build_parser().parse_args(argv)
     try:
         _check_ranges(vars(args))
-        with serial_scipy_blas():
+        with serial_blas():
             return args.handler(args)
     except (ValueError, FileNotFoundError) as exc:
         # ValueError covers MatrixMarketError, RankDeficiencyError and

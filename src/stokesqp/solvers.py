@@ -7,18 +7,19 @@ and smallest-eigenpair routines (dense LAPACK, and matrix-free Lanczos with a
 seeded start).  All routines are pure functions of their inputs; given the
 same operands on the same platform they produce bitwise-identical results.
 
-scipy's LAPACK, SuperLU and ARPACK kernels run on one thread inside CLI
-commands (``serial_scipy_blas``), so their bits no longer depend on the
-machine's core count.
+numpy's products and reductions and scipy's LAPACK, SuperLU and ARPACK
+kernels run on one thread inside CLI commands (``serial_blas``), so their
+bits do not depend on the machine's core count.
 """
 
 import ctypes
 import functools
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from numpy.linalg import _umath_linalg
 from scipy.linalg import cython_blas
 from scipy.sparse import csc_array
 from scipy.sparse import linalg as spla
@@ -56,44 +57,45 @@ class RankDeficiencyError(ValueError):
 
 
 @functools.cache
-def _scipy_blas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS copy scipy
-    ships for itself, resolved through the library its BLAS wrappers link;
-    None where scipy has no private copy (MKL, Accelerate, or a system BLAS
-    that numpy shares)."""
-    lib = ctypes.CDLL(cython_blas.__file__)
-    try:
-        get = lib.scipy_openblas_get_num_threads
-        set_ = lib.scipy_openblas_set_num_threads
-    except AttributeError:
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
+def _openblas_threads(library_file):
+    """The (get, set) thread-count functions of the OpenBLAS that the
+    extension ``library_file`` links, under the names numpy's wheels
+    (64-bit indices) and scipy's export; None where it exports neither
+    (MKL, Accelerate, or a system BLAS)."""
+    lib = ctypes.CDLL(library_file)
+    for name in ("scipy_openblas_{}_num_threads64_",
+                 "scipy_openblas_{}_num_threads"):
+        try:
+            get = getattr(lib, name.format("get"))
+            set_ = getattr(lib, name.format("set"))
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
 
 
 @contextmanager
-def serial_scipy_blas():
-    """Run scipy's OpenBLAS pool (scipy.linalg, SuperLU, ARPACK) on one
-    thread inside the block, and restore its thread count on every exit.
+def serial_blas():
+    """Run every OpenBLAS pool numpy and scipy load on one thread inside
+    the block, and restore each pool's thread count on every exit.
 
     numpy and scipy each load their own OpenBLAS, each with a thread per
-    core; scipy's pool left running competes with numpy's and the main
-    thread.  numpy's pool is left alone: the fast diagonalization's GEMMs
-    use it.  Where scipy's pool is not its own, nothing is changed, since
-    limiting a shared pool would serialize numpy's GEMMs too.
+    core.  On a small machine the pools compete for the cores, and a
+    threaded product or reduction stalls on the hand-off to its workers
+    and rounds differently with the core count.  The counts are restored
+    last set first, so a BLAS that numpy and scipy share ends at the count
+    it had.
     """
-    threads = _scipy_blas_threads()
-    if threads is None:
+    with ExitStack() as restore:
+        for library in (_umath_linalg.__file__, cython_blas.__file__):
+            threads = _openblas_threads(library)
+            if threads is not None:
+                get, set_ = threads
+                restore.callback(set_, get())
+                set_(1)
         yield
-        return
-    get, set_ = threads
-    previous = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(previous)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, report files, and determinism."""
 
 import csv
-import ctypes
 from collections import Counter
 import json
 import re
@@ -11,7 +10,7 @@ import types
 
 import numpy as np
 import pytest
-import scipy.linalg.cython_blas
+import scipy.sparse._sparsetools
 import scipy.sparse.linalg
 
 from stokesqp import QpProblem, SparseOperator, build_grid, solvers, stokes
@@ -704,56 +703,56 @@ def test_every_solver_error_is_solver_failure(tmp_path, capsys, monkeypatch):
     assert "error: injected non-convergence" in capsys.readouterr().err
 
 
-# -- scipy's own OpenBLAS pool runs on one thread inside a command -------
+# -- numpy's and scipy's OpenBLAS pools run on one thread in a command ----
 
 
-@pytest.fixture
-def scipy_pool():
-    """(get, set) of the thread count of scipy's private OpenBLAS, read
-    here without the code under test; restored after the test."""
-    lib = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
-    if not hasattr(lib, "scipy_openblas_get_num_threads"):
-        pytest.skip("scipy has no OpenBLAS of its own here")
-    get, set_ = (lib.scipy_openblas_get_num_threads,
-                 lib.scipy_openblas_set_num_threads)
-    before = get()
-    yield get, set_
-    set_(before)
-
-
-def _preset(pool, threads):
-    get, set_ = pool
-    set_(threads)
-    if get() != threads:
-        pytest.skip(f"scipy's OpenBLAS cannot run {threads} threads here")
+def _outputs_by_pool_size(tmp_path, capsys, pool, argv):
+    """Captured streams and written files of ``argv`` run with ``pool``
+    preset to 2 threads, then to 1."""
+    outputs = []
+    for threads in (2, 1):
+        pool.preset(threads)
+        out = tmp_path / f"out{threads}"
+        assert run(argv + ["--output", str(out)]) == EXIT_OK
+        outputs.append((capsys.readouterr(), {
+            p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    return outputs
 
 
 def test_outputs_do_not_depend_on_scipy_pool_size(tmp_path, capsys,
-                                                  scipy_pool):
+                                                  openblas_pools):
     # the null-space route's SVD and QR gave other last bits with scipy's
     # pool at 2 threads than at 1 while commands left the pool as found
     problem = _write_random_problem(tmp_path / "prob", seed=1, n=200, m=50)
-    outputs = []
-    for threads in (2, 1):
-        _preset(scipy_pool, threads)
-        out = tmp_path / f"out{threads}"
-        assert run(["qp-solve", "--input", str(problem), "--method",
-                    "nullspace", "--output", str(out)]) == EXIT_OK
-        outputs.append((capsys.readouterr(), {
-            p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    outputs = _outputs_by_pool_size(
+        tmp_path, capsys, openblas_pools("scipy"),
+        ["qp-solve", "--input", str(problem), "--method", "nullspace"])
     assert sorted(outputs[0][1]) == ["lambda.txt", "report.json", "x.txt"]
     assert outputs[0] == outputs[1]
 
 
-def _pool_seen_in_commands(monkeypatch, get):
-    """The pool's thread count as each later ``qp-solve`` loads its input."""
+def test_outputs_do_not_depend_on_numpy_pool_size(tmp_path, capsys,
+                                                  openblas_pools):
+    # numpy's threaded products gave other last bits from n = 72 on while
+    # commands left its pool as found (fields_minimization.csv and
+    # stokes_report.json differed at n = 96)
+    outputs = _outputs_by_pool_size(
+        tmp_path, capsys, openblas_pools("numpy"), ["stokes", "--n", "96"])
+    assert sorted(outputs[0][1]) == ["fields_coupled.csv",
+                                     "fields_minimization.csv",
+                                     "stokes_report.json"]
+    assert outputs[0] == outputs[1]
+
+
+def _pools_seen_in_commands(monkeypatch, *pools):
+    """The pools' thread counts as each later ``qp-solve`` loads its input."""
     import stokesqp.cli as cli
 
     seen = []
     load_problem = cli.load_problem
 
     def spy(directory):
-        seen.append(get())
+        seen.append(tuple(pool.get() for pool in pools))
         return load_problem(directory)
 
     monkeypatch.setattr(cli, "load_problem", spy)
@@ -761,47 +760,65 @@ def _pool_seen_in_commands(monkeypatch, get):
 
 
 @pytest.mark.parametrize("previous", [2, 1])
-def test_scipy_pool_is_serial_inside_a_command_and_restored(
-        tmp_path, monkeypatch, scipy_pool, previous):
-    get, _ = scipy_pool
-    _preset(scipy_pool, previous)
-    seen = _pool_seen_in_commands(monkeypatch, get)
+@pytest.mark.parametrize("name", ["numpy", "scipy"])
+def test_pool_is_serial_inside_a_command_and_restored(
+        tmp_path, monkeypatch, openblas_pools, name, previous):
+    pool = openblas_pools(name)
+    pool.preset(previous)
+    seen = _pools_seen_in_commands(monkeypatch, pool)
     problem = _write_hand_problem(tmp_path / "prob")
     assert run(["qp-solve", "--input", str(problem)]) == EXIT_OK
-    assert get() == previous
+    assert pool.get() == previous
     # an input error leaves through the exception path
     assert run(["qp-solve", "--input", str(tmp_path / "missing")]) == \
         EXIT_BAD_INPUT
-    assert get() == previous
-    assert seen == [1, 1]
+    assert pool.get() == previous
+    assert seen == [(1,), (1,)]
 
 
 def test_scipy_pool_left_alone_without_its_symbols(tmp_path, monkeypatch,
-                                                   scipy_pool):
-    # numpy's OpenBLAS, whose symbols carry another suffix, stands in for
-    # a library without scipy's thread-count symbols, as where scipy
-    # shares numpy's BLAS: the command runs, and no pool is touched
-    get, _ = scipy_pool
-    _preset(scipy_pool, 2)
-    seen = _pool_seen_in_commands(monkeypatch, get)
+                                                   openblas_pools):
+    # scipy's sparse tools link no BLAS and stand in for a library without
+    # the thread-count symbols (MKL, Accelerate, a system BLAS): scipy's
+    # pool stays as found, and numpy's is still serialized
+    numpy_pool, scipy_pool = openblas_pools("numpy"), openblas_pools("scipy")
+    numpy_pool.preset(2)
+    scipy_pool.preset(2)
+    seen = _pools_seen_in_commands(monkeypatch, numpy_pool, scipy_pool)
+    stand_in = scipy.sparse._sparsetools.__file__
+    monkeypatch.setattr(solvers, "cython_blas",
+                        types.SimpleNamespace(__file__=stand_in))
+    assert solvers._openblas_threads(stand_in) is None
+    problem = _write_hand_problem(tmp_path / "prob")
+    assert run(["qp-solve", "--input", str(problem)]) == EXIT_OK
+    assert seen == [(1, 2)]
+    assert (numpy_pool.get(), scipy_pool.get()) == (2, 2)
+
+
+def test_shared_pool_ends_at_its_preset_count(tmp_path, monkeypatch,
+                                              openblas_pools):
+    # both resolvers pointed at numpy's library, as where scipy shares
+    # numpy's BLAS: the pool is serialized once and restored last
+    pool = openblas_pools("numpy")
+    pool.preset(2)
+    seen = _pools_seen_in_commands(monkeypatch, pool)
     monkeypatch.setattr(solvers, "cython_blas", types.SimpleNamespace(
-        __file__=np._core._multiarray_umath.__file__))
-    solvers._scipy_blas_threads.cache_clear()
-    try:
-        assert solvers._scipy_blas_threads() is None
-        problem = _write_hand_problem(tmp_path / "prob")
-        assert run(["qp-solve", "--input", str(problem)]) == EXIT_OK
-    finally:
-        solvers._scipy_blas_threads.cache_clear()
-    assert seen == [2] and get() == 2
+        __file__=np.linalg._umath_linalg.__file__))
+    problem = _write_hand_problem(tmp_path / "prob")
+    assert run(["qp-solve", "--input", str(problem)]) == EXIT_OK
+    assert pool.get() == 2
+    assert run(["qp-solve", "--input", str(tmp_path / "missing")]) == \
+        EXIT_BAD_INPUT
+    assert pool.get() == 2
+    assert seen == [(1,), (1,)]
 
 
 def test_cli_import_resolves_no_blas_symbols():
-    # the helper resolves scipy's thread-count functions on first use
+    # the resolver looks the thread-count functions up on first use
     proc = subprocess.run(
         [sys.executable, "-c",
          "import stokesqp.cli, stokesqp.solvers as s; "
-         "print(s._scipy_blas_threads.cache_info().misses)"],
+         "print(s._openblas_threads.cache_info().misses)"],
         capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "0"
 

@@ -3,7 +3,7 @@ there, every name the package exports exists, and the demos use only the
 package's public names.  The saddle routes have one implementation, in
 ``qp.py``: no other module calls its kernels, and each Stokes route is one
 call of a QP route on the problem it is given.  The MAC stencils are built
-in one place, ``stokes.assemble_operators``.  scipy's BLAS thread policy
+in one place, ``stokes.assemble_operators``.  The BLAS thread policy
 lives in ``solvers.py``, the only package module that imports ``ctypes``.
 
 No linter is part of the toolchain, so this reads each file's syntax tree:
@@ -243,8 +243,8 @@ def _imported_modules(path):
 
 
 def test_only_solvers_imports_ctypes():
-    # the thread count of scipy's BLAS is set in one place,
-    # solvers.serial_scipy_blas
+    # the thread counts of numpy's and scipy's BLAS are set in one place,
+    # solvers.serial_blas
     assert [p.name for p in sorted(PACKAGE.glob("*.py"))
             if "ctypes" in _imported_modules(p)] == ["solvers.py"]
 
