@@ -4,12 +4,11 @@ The problem is  min (1/2) x.T A x - b.T x  subject to  C x = d,  with A
 symmetric positive definite and C of full row rank up to a known kernel of
 C.T.  A ``QpProblem`` holds one factor of each operator: the A-factor
 ``a_solve`` (A^-1 as a callable) and the C-factor ``constraint``, whose
-five members split the spaces of C: ``kernel`` (a vector spanning Ker C.T,
-or None), ``min_norm_point(d)``, ``least_squares_multiplier(g)``,
-``kernel_component(g)`` (the orthogonal projection onto Ker C) and
-``range_component(lam)`` (lam's component orthogonal to ``kernel``).  For
-two ``SparseOperator``s the factors are the proofs of the hypotheses, made
-when the problem is built: A's L D L.T pivots, C's SVD (``SvdFactor``).
+four members split the spaces of C: ``kernel`` (a vector spanning Ker C.T,
+or None), ``min_norm_point(d)``, ``least_squares_multiplier(g)`` and
+``kernel_component(g)`` (the orthogonal projection onto Ker C).  For two
+``SparseOperator``s the factors are the proofs of the hypotheses, made when
+the problem is built: A's L D L.T pivots, C's SVD (``SvdFactor``).
 Operators that carry their own proofs, as the MAC stencils of ``stokes``
 do, supply them: ``A.solve``, and C itself.
 
@@ -70,10 +69,6 @@ class SvdFactor:
     def kernel_component(self, g):
         """g - vh.T (vh g), the orthogonal projection of g onto Ker C."""
         return g - self.vh.T @ (self.vh @ g)
-
-    @staticmethod
-    def range_component(lam):
-        return lam
 
 
 @dataclass(frozen=True)
@@ -136,10 +131,6 @@ class QpProblem:
         problem = copy.copy(self)
         problem._set_rhs(b, d)
         return problem
-
-    def min_norm_point(self):
-        """Minimum-norm solution of C x = d."""
-        return self.constraint.min_norm_point(self.d)
 
     @cached_property
     def kernel_basis(self):
@@ -307,7 +298,7 @@ def solve_nullspace(problem, tol=DEFAULT_TOL):
     Dense: ``SparseOperator`` problems only.
     """
     z = problem.kernel_basis
-    x0 = problem.min_norm_point()
+    x0 = problem.constraint.min_norm_point(problem.d)
     reduced = z.T @ (problem.A.csr @ z)
     rhs = z.T @ (problem.b - problem.A.apply(x0))
     try:
@@ -321,11 +312,11 @@ def solve_nullspace(problem, tol=DEFAULT_TOL):
     return checked_solution(problem, x, multiplier, "nullspace", tol)
 
 
-def schur_complement(C, a_solve, kernel=None):
+def schur_complement(C, a_solve, kernel):
     """The Schur complement C A^-1 C.T as an operator, given the exact
     A-solve ``a_solve``.
 
-    ``kernel``, a known null vector of C.T, is lifted off zero
+    ``kernel``, a known null vector of C.T or None, is lifted off zero
     (``lift_null_vector``), so the operator is then positive definite: the
     one singular direction of a rank-deficient C cannot meet CG or the
     bottom of an eigen-solve.  C is read only through ``apply`` and
@@ -348,17 +339,19 @@ def solve_schur(problem, tol=DEFAULT_TOL):
     no border: a consistent right-hand side keeps CG off it in exact
     arithmetic, and it is lifted off zero (``schur_complement``), so rounding
     that drifts onto it cannot end CG on a zero-curvature direction; the
-    multiplier returned is its ``constraint.range_component``.  A tol below
-    attainable accuracy ends CG on stagnation (ConvergenceError, raised by
-    ``conjugate_gradient``).  The report is the Schur CG's.
+    multiplier returned has its component along it taken off (for the
+    constant kernel, lam - mean(lam)).  A tol below attainable accuracy ends
+    CG on stagnation (ConvergenceError, raised by ``conjugate_gradient``).
+    The report is the Schur CG's.
     """
-    C, a_solve, factor = problem.C, problem.a_solve, problem.constraint
+    C, a_solve, k = problem.C, problem.a_solve, problem.constraint.kernel
     lam, report = conjugate_gradient(
-        schur_complement(C, a_solve, factor.kernel),
+        schur_complement(C, a_solve, k),
         problem.d - C.apply(a_solve(problem.b)), tol=tol)
     x = a_solve(problem.b + C.apply_transpose(lam))
-    return checked_solution(problem, x, factor.range_component(lam), "schur",
-                            tol, report)
+    if k is not None:
+        lam = lam - k * (np.mean(k * lam) / np.mean(k * k))
+    return checked_solution(problem, x, lam, "schur", tol, report)
 
 
 def solve_projected_cg(problem, tol=DEFAULT_TOL):
@@ -377,7 +370,7 @@ def solve_projected_cg(problem, tol=DEFAULT_TOL):
     about 2n without it).  The report is the CG's.
     """
     factor, a_solve = problem.constraint, problem.a_solve
-    project, x0 = factor.kernel_component, problem.min_norm_point()
+    project, x0 = factor.kernel_component, factor.min_norm_point(problem.d)
 
     def lifted(op):                  # P op P + (I - P)
         def apply(v):
@@ -431,7 +424,8 @@ def recover_multiplier(problem, x, tol=DEFAULT_TOL):
 
 def estimate_infsup(problem, Mq, form="dual_form"):
     """Estimate the inf-sup constant of the constraint block C of ``problem``
-    (a QpProblem) with respect to the A- and Mq-norms.
+    (a QpProblem) with respect to the A-norm and the norm of the
+    SparseOperator ``Mq``.
 
     dual_form:   beta = sqrt(smallest eigenvalue of (C A^-1 C.T, Mq)),
                  the discretization of  inf_q sup_v (q.T C v)/(|v|_A |q|_Mq).
@@ -457,7 +451,7 @@ def estimate_infsup(problem, Mq, form="dual_form"):
     if form == "dual_form":
         lam, q = smallest_generalized_eigenpair(s, Mq)
     else:
-        mq_dense = Mq.toarray() if isinstance(Mq, SparseOperator) else np.asarray(Mq)
+        mq_dense = Mq.toarray()
         y = sla.cho_solve(sla.cho_factor(mq_dense), s)
         s1 = s @ y                        # S Mq^-1 S
         lam, q = smallest_generalized_eigenpair(s1, s)

@@ -183,10 +183,10 @@ def conjugate_gradient(apply_op, b, tol=DEFAULT_TOL, precondition=None):
             best, best_iter = rs, iterations
         if np.sqrt(rs) <= tol * norm_b:
             # recurrence residual can drift from the true one; confirm
-            true_res = np.linalg.norm(apply_op(x) - b)
+            r = b - apply_op(x)
+            true_res = np.linalg.norm(r)
             if true_res <= tol * norm_b:
                 return x, SolverReport(iterations, float(true_res))
-            r = b - apply_op(x)
             rs = float(r @ r)
         if best_iter and iterations - best_iter >= STAGNATION_WINDOW:
             reason = "stagnation"
@@ -253,16 +253,15 @@ def symmetric_indefinite_solve(op, b):
 
 
 def assert_full_row_rank(C):
-    """Raise RankDeficiencyError unless ``C`` has full numerical row rank,
-    else return the economy SVD ``(u, s, vh)`` of ``C``.
+    """Raise RankDeficiencyError unless the SparseOperator ``C`` has full
+    numerical row rank, else return the economy SVD ``(u, s, vh)`` of ``C``.
 
     The threshold is on singular values: smallest >= RANK_TOL * largest; the
     error names the rank deficit, M minus the count of those at or above it.
     The rows of vh span range(C.T), their complement Ker C (``kernel_basis``).
     """
     m = C.shape[0]
-    dense = C.toarray() if isinstance(C, SparseOperator) else np.asarray(C, dtype=float)
-    u, sv, vh = sla.svd(dense, full_matrices=False)
+    u, sv, vh = sla.svd(C.toarray(), full_matrices=False)
     sv_max = sv[0] if sv.size else 0.0
     rank = int(np.count_nonzero(sv >= RANK_TOL * sv_max)) if sv_max else 0
     if rank < m:
@@ -308,9 +307,10 @@ def orthonormal_nullspace_basis(C):
     """Orthonormal basis of Ker C as columns of an (N, N - M) array, the
     complement of vh's rows in the SVD of C (``kernel_basis``).
 
-    ``C`` must have full row rank: if the smallest singular value falls below
-    ``RANK_TOL`` times the largest, RankDeficiencyError is raised (multipliers
-    against such constraints are not unique).
+    ``C``, a SparseOperator, must have full row rank: if the smallest
+    singular value falls below ``RANK_TOL`` times the largest,
+    RankDeficiencyError is raised (multipliers against such constraints are
+    not unique).
     """
     return kernel_basis(assert_full_row_rank(C)[2])
 

@@ -222,8 +222,10 @@ class DivergenceOperator:
     net face flux, h (east u - west u + north v - south v), so q.T B v
     approximates the integral of q div v.  B is N_p x N_u with
     B.T 1 = 0 exactly (constants span Ker B.T); the discrete gradient is
-    G = -B.T.  B is its own constraint factor (``qp.QpProblem``).  Only the
-    grid is stored, and the eigenbasis and the projector once first used.
+    G = -B.T.  B is its own constraint factor (``qp.QpProblem``): the four
+    members ``kernel``, ``min_norm_point``, ``least_squares_multiplier`` and
+    ``kernel_component``.  Only the grid is stored, and the eigenbasis and
+    the projector once first used.
     """
 
     def __init__(self, grid):
@@ -292,11 +294,6 @@ class DivergenceOperator:
     def kernel_component(self):
         """The projector onto Ker B (``divergence_free_projector``)."""
         return divergence_free_projector(self)
-
-    @staticmethod
-    def range_component(p):
-        """p - mean(p), the component of p orthogonal to ``kernel``."""
-        return p - p.mean()
 
 
 def _pressure_mass(grid):

@@ -307,8 +307,8 @@ def test_stokes_commands_build_one_problem_per_grid(tmp_path, monkeypatch):
 def test_nan_pressure_is_a_solver_failure(tmp_path, monkeypatch, capsys):
     # the residual contract, not the stencils' input validation, judges a
     # NaN multiplier: exit 2, not 3
-    monkeypatch.setattr(stokes.DivergenceOperator, "range_component",
-                        staticmethod(lambda p: np.full_like(p, np.nan)))
+    monkeypatch.setattr(stokes.DivergenceOperator, "least_squares_multiplier",
+                        lambda self, g: np.full(self.shape[0], np.nan))
     code = run(["stokes", "--n", "4", "--output", str(tmp_path)])
     assert code == EXIT_SOLVER_FAILURE
     assert "stationarity nan" in capsys.readouterr().err

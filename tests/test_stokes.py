@@ -6,6 +6,7 @@ import dataclasses
 from collections import Counter
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -708,6 +709,23 @@ def test_routes_match_their_sparse_lu_versions(n, case_id):
             1e-12 * np.linalg.norm(u_ref)
         assert np.linalg.norm(saddle.multiplier - p_ref) <= \
             1e-12 * np.linalg.norm(p_ref)
+
+
+@pytest.mark.parametrize("route", [solve_schur, solve_projected_cg])
+def test_routes_need_only_the_four_factor_members(route):
+    # the kernel direction is taken off the multiplier by the route itself,
+    # from ``kernel``, so no fifth member is read
+    problem = stokes_problem(build_grid(8), manufactured_case("taylor_green"))
+    # C's actions and the four factor members, and nothing else
+    four_members = SimpleNamespace(**{
+        name: getattr(problem.C, name)
+        for name in ("shape", "apply", "apply_transpose", "kernel",
+                     "min_norm_point", "least_squares_multiplier",
+                     "kernel_component")})
+    bare = QpProblem(problem.A, problem.b, four_members, problem.d)
+    expected, got = route(problem), route(bare)
+    assert got.x.tobytes() == expected.x.tobytes()
+    assert got.multiplier.tobytes() == expected.multiplier.tobytes()
 
 
 def test_infsup_applies_no_viscous_stencil(monkeypatch):
